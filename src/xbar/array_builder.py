@@ -55,8 +55,16 @@ class Layout:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Layout":
-        return cls(int(doc["n"]), tuple(int(c) for c in doc["slots"]),
-                   tuple(str(p) for p in doc.get("provenance", [])) or ("",) * len(doc["slots"]))
+        """Inverse of `to_json_dict`; raises ValueError on a malformed document."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"layout document must be an object, not {type(doc).__name__}")
+        slots = doc["slots"]
+        if not isinstance(slots, list):
+            raise ValueError(f"slots must be a list, not {type(slots).__name__}")
+        provenance = tuple(str(p) for p in doc.get("provenance", [])) or ("",) * len(slots)
+        if len(provenance) != len(slots):
+            raise ValueError(f"{len(provenance)} provenance tags for {len(slots)} slots")
+        return cls(int(doc["n"]), tuple(int(c) for c in slots), provenance)
 
 
 @dataclass(slots=True)

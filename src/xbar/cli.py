@@ -171,15 +171,9 @@ def _emit_index(args, result) -> int:
     return 0
 
 
-def _cmd_min(args) -> int:
+def _cmd_min_max(args) -> int:
     _, _, matrix, _, _ = _run_sort(args)
-    idx = query_circuits.min_index(matrix)
-    return _emit_index(args, query_circuits.RankQueryResult(idx, True))
-
-
-def _cmd_max(args) -> int:
-    _, _, matrix, _, _ = _run_sort(args)
-    idx = query_circuits.max_index(matrix)
+    idx = getattr(query_circuits, f"{args.command}_index")(matrix)
     return _emit_index(args, query_circuits.RankQueryResult(idx, True))
 
 
@@ -276,10 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="also dump the full trace as JSON lines to this path")
     p.set_defaults(func=_cmd_sort)
 
-    for name, func in (("min", _cmd_min), ("max", _cmd_max)):
+    for name in ("min", "max"):
         p = subs.add_parser(name, help=f"index of the {name}imum via the gate circuit")
         _add_common(p, values=True, formats=("text", "json"))
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_min_max)
 
     p = subs.add_parser("rank", help="index of the element with a given rank")
     _add_common(p, values=True, formats=("text", "json"))
@@ -315,10 +309,7 @@ def main(argv=None) -> int:
         parser.error("validate needs --n or --layout")
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,12 +7,15 @@ The machine runs a fixed seven-phase schedule regardless of n:
     right_exchange, right_reply,      (crosspoints whose greater class sits left)
     rank                              (row sums)
 
-Within each crosspoint the slot holding the greater class id ships its
+At every crosspoint the slot holding the greater class id ships its
 value to the smaller-class neighbor; the smaller-class slot compares and
 either claims the win itself (writes comparison_matrix[small][big], replies 0)
 or replies 1 so the neighbor writes comparison_matrix[big][small].  Ties go to
-the smaller class id.  All sends in a sub-phase read pre-phase state and all
-writes commit at the sub-phase end, so the run is deterministic.
+the smaller class id.  The left and right sub-phases are this one
+operation mirrored: they differ only in the direction the value travels,
+which shows up solely in the action names.  All sends in a sub-phase read
+pre-phase state and all writes commit at the sub-phase end, so the run is
+deterministic.
 
 The final matrix satisfies bits[i][k] = 1 iff A[k] < A[i], or A[k] == A[i]
 with k < i; row sums are therefore the ranks of a stable sort.
@@ -155,6 +158,9 @@ def load_phase(layout: Layout, values: Sequence[int]) -> SimulatorState:
     """
     if len(values) != layout.n:
         raise ValueError(f"got {len(values)} values for {layout.n} classes")
+    bad = next((c for c in layout.slots if not 0 <= c < layout.n), None)
+    if bad is not None:
+        raise ValueError(f"class id {bad} outside 0..{layout.n - 1}")
     vals = tuple(values)
     first = _first_slot_per_class(layout)
     clear_events = tuple(
@@ -180,65 +186,42 @@ def compare_phase(state: SimulatorState) -> tuple[ComparisonMatrix, SortTrace]:
     layout = state.layout
     slots = layout.slots
     vals = state.values
-    n = layout.n
     t = [list(row) for row in state.t]
+
+    # Per direction (greater class on the right, then on the left): exchange
+    # events, reply events, and the action names of the send, the receive,
+    # the reply signal and its receipt.
+    left = ([], [], "send_left", "recv_right", "signal_send_right", "signal_recv_left")
+    right = ([], [], "send_right", "recv_left", "signal_send_left", "signal_recv_right")
 
     for s, (a, b) in enumerate(zip(slots, slots[1:])):
         if a == b:
             raise ValueError(f"adjacent slots {s},{s + 1} share class {a}; cannot compare")
-
-    def commit(row: int, col: int) -> None:
-        # Duplicate writes always agree (every writer stores a 1), and the
-        # diagonal is never a comparison target.
-        assert row != col
-        t[row][col] = 1
-
-    left_x: list[TraceEvent] = []
-    left_r: list[TraceEvent] = []
-    right_x: list[TraceEvent] = []
-    right_r: list[TraceEvent] = []
-
-    for s in range(len(slots) - 1):
-        c_left, c_right = slots[s], slots[s + 1]
-        if c_right > c_left:
-            # Greater class on the right: value travels left, reply travels right.
-            small, big = c_left, c_right
-            left_x.append(TraceEvent("send_left", slot=s + 1, value=vals[big]))
-            left_x.append(TraceEvent("recv_right", slot=s, value=vals[big]))
-            if vals[big] < vals[small]:
-                commit(small, big)
-                left_r.append(TraceEvent("twrite", slot=s, row=small, col=big, value=1))
-                left_r.append(TraceEvent("signal_send_right", slot=s, value=0))
-                left_r.append(TraceEvent("signal_recv_left", slot=s + 1, value=0))
-            else:
-                left_r.append(TraceEvent("signal_send_right", slot=s, value=1))
-                left_r.append(TraceEvent("signal_recv_left", slot=s + 1, value=1))
-                commit(big, small)
-                left_r.append(TraceEvent("twrite", slot=s + 1, row=big, col=small, value=1))
+        if b > a:
+            small, big, small_slot, big_slot, way = a, b, s, s + 1, left
         else:
-            # Greater class on the left: value travels right, reply travels left.
-            small, big = c_right, c_left
-            right_x.append(TraceEvent("send_right", slot=s, value=vals[big]))
-            right_x.append(TraceEvent("recv_left", slot=s + 1, value=vals[big]))
-            if vals[big] < vals[small]:
-                commit(small, big)
-                right_r.append(TraceEvent("twrite", slot=s + 1, row=small, col=big, value=1))
-                right_r.append(TraceEvent("signal_send_left", slot=s + 1, value=0))
-                right_r.append(TraceEvent("signal_recv_right", slot=s, value=0))
-            else:
-                right_r.append(TraceEvent("signal_send_left", slot=s + 1, value=1))
-                right_r.append(TraceEvent("signal_recv_right", slot=s, value=1))
-                commit(big, small)
-                right_r.append(TraceEvent("twrite", slot=s, row=big, col=small, value=1))
+            small, big, small_slot, big_slot, way = b, a, s + 1, s, right
+        exchange, reply, send, recv, signal, signal_recv = way
+        value = vals[big]
+        exchange.append(TraceEvent(send, slot=big_slot, value=value))
+        exchange.append(TraceEvent(recv, slot=small_slot, value=value))
+        if value < vals[small]:
+            t[small][big] = 1
+            reply.append(TraceEvent("twrite", slot=small_slot, row=small, col=big, value=1))
+            reply.append(TraceEvent(signal, slot=small_slot, value=0))
+            reply.append(TraceEvent(signal_recv, slot=big_slot, value=0))
+        else:
+            reply.append(TraceEvent(signal, slot=small_slot, value=1))
+            reply.append(TraceEvent(signal_recv, slot=big_slot, value=1))
+            t[big][small] = 1
+            reply.append(TraceEvent("twrite", slot=big_slot, row=big, col=small, value=1))
 
-    phases = state.phases + (
-        TracePhase("left_exchange", tuple(left_x)),
-        TracePhase("left_reply", tuple(left_r)),
-        TracePhase("right_exchange", tuple(right_x)),
-        TracePhase("right_reply", tuple(right_r)),
+    phases = state.phases + tuple(
+        TracePhase(name, tuple(events))
+        for name, events in zip(PHASE_NAMES[2:6], left[:2] + right[:2])
     )
     matrix = ComparisonMatrix(tuple(tuple(row) for row in t))
-    trace = SortTrace(n, len(slots), _key_bits(vals), phases)
+    trace = SortTrace(layout.n, len(slots), _key_bits(vals), phases)
     return matrix, trace
 
 
@@ -251,11 +234,17 @@ def sort(layout: Layout, values: Sequence[int]) -> tuple[ComparisonMatrix, RankV
     """Full run: load, compare, rank.  The layout must cover every class pair.
 
     Placing values[i] at output position ranks[i] yields a non-decreasing
-    sequence; equal keys keep ascending index order.
+    sequence; equal keys keep ascending index order.  Every covered pair
+    sets exactly one matrix cell, so ranks summing to less than n(n-1)/2
+    expose a layout that misses a pair; that raises ValueError.
     """
     state = load_phase(layout, values)
     matrix, trace = compare_phase(state)
     ranks = rank_phase(matrix)
+    pairs = layout.n * (layout.n - 1) // 2
+    covered = sum(ranks.ranks)
+    if covered != pairs:
+        raise ValueError(f"layout misses {pairs - covered} of its {pairs} class pairs")
     first = _first_slot_per_class(layout)
     rank_events = tuple(
         TraceEvent("rank", slot=first[i], row=i, value=ranks.ranks[i])
@@ -279,9 +268,10 @@ def detect_write_conflicts(trace: SortTrace) -> list[tuple[int, int, tuple[int, 
     same value from both sides (benign).
     """
     writers: dict[tuple[int, int], list[int]] = {}
-    for _, ev in trace.events():
-        if ev.action == "twrite":
-            writers.setdefault((ev.row, ev.col), []).append(ev.slot)
+    for phase in trace.phases:
+        for ev in phase.events:
+            if ev.action == "twrite":
+                writers.setdefault((ev.row, ev.col), []).append(ev.slot)
     return [
         (row, col, tuple(slot_list))
         for (row, col), slot_list in sorted(writers.items())

@@ -30,7 +30,7 @@ from math import comb
 from typing import Sequence
 
 from .array_builder import Layout
-from .netlist import DepthReport, NetBuilder, Netlist, depth, evaluate, legalize
+from .netlist import DepthReport, NetBuilder, Netlist, depth, evaluate
 from .pe_simulator import ComparisonMatrix, RankVector
 
 __all__ = [
@@ -51,11 +51,6 @@ __all__ = [
     "matrix_assignments",
     "row_assignments",
     "decode_bits",
-    "depth",
-    "evaluate",
-    "legalize",
-    "DepthReport",
-    "Netlist",
     "ADDER_TREE_DEPTH_MARGIN",
 ]
 
@@ -73,16 +68,26 @@ class RankQueryResult:
     exact: bool
 
 
-def _encoder(nb: NetBuilder, wires: list, with_valid: bool):
+def _output_bits(nb: NetBuilder, bits: list, prefix: str) -> None:
+    """Name little-endian result wires `<prefix>0, <prefix>1, ...`."""
+    for k, b in enumerate(bits):
+        nb.output(f"{prefix}{k}", b)
+
+
+def _encoder(nb: NetBuilder, wires: list, prefix: str = "bit") -> None:
     """OR-gate encoder: output bit j ORs the inputs whose index has bit j set."""
     n = len(wires)
-    nbits = max(1, (n - 1).bit_length())
     bits = [
         nb.or_(*[wires[i] for i in range(n) if (i >> j) & 1])
-        for j in range(nbits)
+        for j in range(max(1, (n - 1).bit_length()))
     ]
-    valid = nb.or_(*wires) if with_valid else None
-    return bits, valid
+    _output_bits(nb, bits, prefix)
+
+
+def _matrix_rows(nb: NetBuilder, n: int, diagonal: bool):
+    """Create the `t_<row>_<col>` inputs one matrix row at a time, yielding each row."""
+    for i in range(n):
+        yield [nb.input(f"t_{i}_{k}") for k in range(n) if diagonal or k != i]
 
 
 def build_encoder(n: int, with_valid: bool = True) -> Netlist:
@@ -96,11 +101,9 @@ def build_encoder(n: int, with_valid: bool = True) -> Netlist:
         raise ValueError(f"encoder needs n >= 2, got {n}")
     nb = NetBuilder(f"encoder{n}")
     wires = [nb.input(f"x{i}") for i in range(n)]
-    bits, valid = _encoder(nb, wires, with_valid)
-    for k, b in enumerate(bits):
-        nb.output(f"bit{k}", b)
+    _encoder(nb, wires)
     if with_valid:
-        nb.output("valid", valid)
+        nb.output("valid", nb.or_(*wires))
     return nb.build()
 
 
@@ -116,10 +119,17 @@ def build_priority_encoder(n: int) -> Netlist:
     m = [nb.input(f"m{i}") for i in range(n)]
     masked = [m[0]]
     masked += [nb.and_(m[i], nb.nor_(*m[:i])) for i in range(1, n)]
-    bits, _ = _encoder(nb, masked, with_valid=False)
-    for k, b in enumerate(bits):
-        nb.output(f"bit{k}", b)
+    _encoder(nb, masked)
     nb.output("valid", nb.or_(*m))
+    return nb.build()
+
+
+def _row_flag_circuit(name: str, n: int, gate) -> Netlist:
+    """One `gate` per matrix row over its off-diagonal bits, then the encoder."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    nb = NetBuilder(f"{name}{n}")
+    _encoder(nb, [gate(nb, *row) for row in _matrix_rows(nb, n, diagonal=False)])
     return nb.build()
 
 
@@ -130,34 +140,12 @@ def build_min_circuit(n: int) -> Netlist:
     The row flags are one-hot for any matrix produced by a full sort, so
     no valid wire is needed.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    nb = NetBuilder(f"min{n}")
-    rows = [
-        [nb.input(f"t_{i}_{k}") for k in range(n) if k != i]
-        for i in range(n)
-    ]
-    flags = [nb.nor_(*row) for row in rows]
-    bits, _ = _encoder(nb, flags, with_valid=False)
-    for k, b in enumerate(bits):
-        nb.output(f"bit{k}", b)
-    return nb.build()
+    return _row_flag_circuit("min", n, NetBuilder.nor_)
 
 
 def build_max_circuit(n: int) -> Netlist:
     """Index of the all-ones row (diagonal treated as constant 1): AND per row."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    nb = NetBuilder(f"max{n}")
-    rows = [
-        [nb.input(f"t_{i}_{k}") for k in range(n) if k != i]
-        for i in range(n)
-    ]
-    flags = [nb.and_(*row) for row in rows]
-    bits, _ = _encoder(nb, flags, with_valid=False)
-    for k, b in enumerate(bits):
-        nb.output(f"bit{k}", b)
-    return nb.build()
+    return _row_flag_circuit("max", n, NetBuilder.and_)
 
 
 def _exact_count_onehot(nb: NetBuilder, wires: list) -> list:
@@ -189,11 +177,8 @@ def build_ones_counter(n: int) -> Netlist:
     nb = NetBuilder(f"ones_counter{n}")
     wires = [nb.input(f"b{i}") for i in range(n)]
     es = _exact_count_onehot(nb, wires)
-    for m, e in enumerate(es):
-        nb.output(f"e{m}", e)
-    bits, _ = _encoder(nb, es, with_valid=False)
-    for k, b in enumerate(bits):
-        nb.output(f"bit{k}", b)
+    _output_bits(nb, es, "e")
+    _encoder(nb, es)
     return nb.build()
 
 
@@ -206,15 +191,8 @@ def build_rank_circuit_threshold(n: int) -> Netlist:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     nb = NetBuilder(f"rank_threshold{n}")
-    rows = [
-        [nb.input(f"t_{i}_{k}") for k in range(n)]
-        for i in range(n)
-    ]
-    for i, row in enumerate(rows):
-        es = _exact_count_onehot(nb, row)
-        bits, _ = _encoder(nb, es, with_valid=False)
-        for k, b in enumerate(bits):
-            nb.output(f"rank{i}_bit{k}", b)
+    for i, row in enumerate(_matrix_rows(nb, n, diagonal=True)):
+        _encoder(nb, _exact_count_onehot(nb, row), prefix=f"rank{i}_bit")
     return nb.build()
 
 
@@ -280,9 +258,7 @@ def build_popcount_tree(n: int) -> Netlist:
         raise ValueError(f"need n >= 1, got {n}")
     nb = NetBuilder(f"popcount{n}")
     wires = [nb.input(f"b{i}") for i in range(n)]
-    total = _popcount_bits(nb, wires)
-    for k, bit in enumerate(total):
-        nb.output(f"bit{k}", bit)
+    _output_bits(nb, _popcount_bits(nb, wires), "bit")
     return nb.build()
 
 
@@ -292,13 +268,9 @@ def rank_via_adder_tree(t: ComparisonMatrix) -> tuple[RankVector, DepthReport]:
     Returns the ranks together with the measured critical-path depth of
     the tree at fan-in 2.
     """
-    n = t.n
-    net = build_popcount_tree(n)
-    ranks = []
-    for i in range(n):
-        out = evaluate(net, {f"b{k}": t.bits[i][k] for k in range(n)})
-        ranks.append(decode_bits(out))
-    return RankVector(tuple(ranks)), depth(net, 2)
+    net = build_popcount_tree(t.n)
+    ranks = tuple(decode_bits(evaluate(net, row_assignments(row))) for row in t.bits)
+    return RankVector(ranks), depth(net, 2)
 
 
 def select_rank(t: ComparisonMatrix, r: int) -> RankQueryResult:
@@ -317,14 +289,11 @@ def select_rank(t: ComparisonMatrix, r: int) -> RankQueryResult:
     comp_bits = [(comp >> b) & 1 for b in range(width)]
     nb = NetBuilder(f"select_rank{n}")
     flags = []
-    for i in range(n):
-        row = [nb.input(f"t_{i}_{k}") for k in range(n)]
+    for row in _matrix_rows(nb, n, diagonal=True):
         total = (_popcount_bits(nb, row) + [0] * width)[:width]
         diff = _bk_add(nb, total, comp_bits, cin=1)[:width]
         flags.append(nb.nor_(*diff))
-    bits, _ = _encoder(nb, flags, with_valid=False)
-    for k, b in enumerate(bits):
-        nb.output(f"bit{k}", b)
+    _encoder(nb, flags)
     out = evaluate(nb.build(), matrix_assignments(t))
     return RankQueryResult(index=decode_bits(out), exact=True)
 
@@ -369,7 +338,7 @@ def search(layout: Layout, values: Sequence[int], key) -> RankQueryResult:
         raise ValueError(f"got {len(values)} values for {layout.n} classes")
     matches = [1 if values[i] == key else 0 for i in range(layout.n)]
     net = build_priority_encoder(layout.n)
-    out = evaluate(net, {f"m{i}": matches[i] for i in range(layout.n)})
+    out = evaluate(net, row_assignments(matches, "m"))
     if not out["valid"]:
         return RankQueryResult(index=None, exact=True)
     return RankQueryResult(index=decode_bits(out), exact=True)
@@ -377,14 +346,12 @@ def search(layout: Layout, values: Sequence[int], key) -> RankQueryResult:
 
 def min_index(t: ComparisonMatrix) -> int:
     """Evaluate the min circuit on a matrix."""
-    out = evaluate(build_min_circuit(t.n), matrix_assignments(t, diagonal=False))
-    return decode_bits(out)
+    return decode_bits(evaluate(build_min_circuit(t.n), matrix_assignments(t, diagonal=False)))
 
 
 def max_index(t: ComparisonMatrix) -> int:
     """Evaluate the max circuit on a matrix."""
-    out = evaluate(build_max_circuit(t.n), matrix_assignments(t, diagonal=False))
-    return decode_bits(out)
+    return decode_bits(evaluate(build_max_circuit(t.n), matrix_assignments(t, diagonal=False)))
 
 
 def matrix_assignments(t: ComparisonMatrix, diagonal: bool = True) -> dict[str, int]:

@@ -182,3 +182,18 @@ def test_usage_errors_exit_two(capsys):
 def test_rank_out_of_range(capsys):
     code, _ = run(capsys, "rank", "--n", "5", "--input", "8,6,9,5,7", "--r", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"n": 4, "slots": 5},
+    {"n": 3, "slots": [0, 1, 2, 0], "provenance": ["a", "b"]},
+], ids=["top-level-list", "slots-not-a-list", "provenance-length"])
+def test_validate_malformed_layout_exits_two(tmp_path, capsys, doc):
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps(doc))
+    code = main(["validate", "--layout", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read layout")

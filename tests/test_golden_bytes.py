@@ -1,0 +1,145 @@
+"""Byte-level pins: trace serialisations and netlist texts must not drift.
+
+Each digest is the SHA-256 of the exact text a public function returns.
+A refactor that keeps behaviour but renumbers a gate, reorders a trace
+event or changes a payload shows up here even when every oracle still
+agrees.
+"""
+
+import hashlib
+
+import pytest
+
+from xbar import query_circuits
+from xbar.array_builder import build
+from xbar.pe_simulator import detect_write_conflicts, sort
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# values -> (conflict count, sha256 of to_jsonl(), sha256 of to_csv())
+TRACE_DIGESTS = [
+    ([6, 7, 8, 5], 1,
+     "1da51491b96fffa4c9970c31e37091833c2e06f5bc3788f78c04274b605a8775",
+     "338272682d6ee1c219f441ae932b109efe7f340ef12bf95594e07b441b8a4955"),
+    ([8, 6, 9, 5, 7], 0,
+     "507e3b232da1637be9e1220532666ffb4a517b1b4f5605bd6bd9fb2f14d981cf",
+     "ba1fed1bcd989939fde6c35e8239734853aa656eb462d319e0b1d9a2fbf02663"),
+    ([4, 4, 1, 7, 0, 7], 2,
+     "61ba79f26f451e7ce272cac71cdaa587212f37be79f5f7c26222533ac2fd3c08",
+     "e7f5d7237ceaf4a056dd061eb39ae5eb1860c4c503253a3e62ef7a76806618e9"),
+    ([3, -1, 3, 2**70, -5, 0, 0, 9, 3], 0,
+     "04aa9e2d8dddfc6eac852b92a4f708b5b856f8f5d2ef4b1c25155337dd173397",
+     "897062a1680e2b373e85148bd104e572a6341124c84c6d330256d9ab7a42397d"),
+]
+
+
+@pytest.mark.parametrize("values,conflicts,jsonl,csv", TRACE_DIGESTS,
+                         ids=lambda p: f"n{len(p)}" if isinstance(p, list) else None)
+def test_trace_bytes(values, conflicts, jsonl, csv):
+    _, _, trace = sort(build(len(values)), values)
+    assert len(detect_write_conflicts(trace)) == conflicts
+    assert _sha(trace.to_jsonl()) == jsonl
+    assert _sha(trace.to_csv()) == csv
+
+
+SIZES = (2, 3, 5, 8, 16)
+
+# builder name -> sha256 of Netlist.to_text() for each n in SIZES
+NETLIST_DIGESTS = {
+    "build_encoder": (
+        "280143a3aac2caffed910f6ed962de23e0f938013ee065dc9028b94d16c18b45",
+        "2cd69e794af82ac1e93b46681f815f51065f66b0592bdc922c8cfcd1dbe7b245",
+        "4625adfd0bb4a1d99610631b34101158d7c74af2584aeecc44ce341c1395fe38",
+        "66270cb78970c1a91af6083e1accdf17b6c041fea7f7ddffc491ab5c97e8537c",
+        "01c6292857a73b39b33438fc651d46ea95852d632fb741803a538038ae523fad",
+    ),
+    "build_priority_encoder": (
+        "4bf475049dbb16ec99c57c761c4a6c6e75a54ca3a30c08ca95948dd101e3d141",
+        "54f1f98f3570a89fb831deff84cde44f45b2abefa6c93c705fc2bbba23182d5f",
+        "d500e6d47267a974bc56c6359a2cb951003dd8ba7c0d3a6bb7a9d91fd367ebc8",
+        "f8865306e5218585cd76834312bf79aebfd41e2b417fb7d09ae98f62f25f3d79",
+        "e620987dbc507450cc892a65cbb7c77c0ace79d64a4e7049f77273e26eaf774a",
+    ),
+    "build_min_circuit": (
+        "2af52d076a6b8530d0e2e47ddb5ba056b58c20e1a117b08906aff859ef9b545d",
+        "94576dd623e39bf9855074c9cf861362a97c9b8b5b7a9df4a33da9859b881124",
+        "3504039d0781e2d193599753af4bcdc5cc38cc803e2b18a465d14f3812957138",
+        "2a75eefd36fef7c8bb1f865b422aadecb667147d7cbd54623d941606ccd5d76e",
+        "70b87a3de573ca25107c5a49a3ffb26f1cd46888bc84c159fcb028345b819c8c",
+    ),
+    "build_max_circuit": (
+        "134f2dc66f3da930ca54353c676647f6e28a5f07d59a6997ae61c60db3d3e682",
+        "f04219184975fab01bc06d31f483b5672c75291a3d9159366d7f7db4acdb518a",
+        "edb73c66574f90804db78ff4980b52ccd7e6c91089e6ed3148e6874a1c289864",
+        "a04e141011d54086266cdb79400ba28440dd17d16636cf9ffb2f21db2049cf1b",
+        "594a9d8188f9de4a6cee9a37636e32b0d2319a5075a9e8bf43b50f604db5f8c7",
+    ),
+    "build_ones_counter": (
+        "576045c81d923ba25efb931e901b32b139d98a2dbdde9b3ce0af740dc7af4d97",
+        "130f2f02573cde25e40f219eae8f2f785960fc1d30c63bd056b0b125c8f54b69",
+        "0eee5ccd37a9018c378d3af7a46af07423484650ab3cf8651498bcc8d1a4a64b",
+        "4b9e77c0cfdb1258f7141701a8c79978aeccf5d3ff45b10256e519f23b79638f",
+        "70361a35bb307070e594a476ca0b185aa0f16c79520d532cb2e15a9727db0a44",
+    ),
+    "build_rank_circuit_threshold": (
+        "4eea52dbd664842bef78ee5dbf341f84c776346dc97e3bd008532eb6b9f87610",
+        "b352dbbcdb44104605f0d46cedb03621a3bbaad44a06ec01ff847972ee1b6420",
+        "768aad6e39be9a667b0374d2c78ec22b01540a4ab96c238234015f31d91a4db8",
+        "c93e4b722e4fe67e5a88a57310a988f164a75643fb96b0ee43496bf8decb49ec",
+        "1a1a7c28cf29c2a2fb54d6ea6c8740621fdc63c7fa7e6a81ea61a4916e09289d",
+    ),
+    "build_popcount_tree": (
+        "a4af35d6150b04da4c430b4b240df7a91ef2d45a692d857aa97e2504238d6649",
+        "725a6360604947f224e7485875eb9324cdcb65ec00cdd6666b9a011698f0eaf2",
+        "292e3c922ecef252f91741f0c6e0638778e3f8c9fd679288030d48e0607e5046",
+        "842540ec5ed65ef3cb0e92b265ed534c434b44a7a44298e4333cdb65af46d310",
+        "5da2ffff6b09b860912308e236e0184e30ad87c2a9259886acf2e62b387eeb4c",
+    ),
+}
+
+ENCODER_NO_VALID_DIGESTS = (
+    "0f9670702ca30d02ce2ef4093a4eea73f7fbd855a0b1b01e94b4eb165a3382e2",
+    "e77edbc9e0dc9010627d659e63fedc005fbaae2e84b341d598d6a2af2a90f84b",
+    "53c620be1452d3b046765411c96577e79b4f100e26bbe2d5763ae003d5d8987c",
+    "7a94243bd979f59018f860fd187640222cf4444818c684d985683f970ea722aa",
+    "89ae9bed4d32e0e51359934a015ad8fe1b6e311ddeb1c69d3c66dddeea2a299d",
+)
+
+# select_rank(reversed-order matrix, r = n // 2) builds its netlist internally.
+SELECT_RANK_DIGESTS = (
+    "4658869e8feeac8baf0a9138c5577123471eb524efe0a0b1f703260511466e98",
+    "f2e37f07e91598be48f7786e7cfeb4a96f617ba03f6f8b8bdfc2e268d4a0d5f6",
+    "89441617c14da9593562219436931ddbaefa1c2f319832c2226395e63b8d6843",
+    "9a067c2f08f70fc7b15e44a135bd42675007a6b5280af8b8b571b07c14108cb3",
+    "a209cf2ac92e18244562151c02990b83555f1dfaf56239792ae8bb4b719ab2fb",
+)
+
+
+@pytest.mark.parametrize("name", sorted(NETLIST_DIGESTS))
+def test_netlist_text_bytes(name):
+    builder = getattr(query_circuits, name)
+    got = tuple(_sha(builder(n).to_text()) for n in SIZES)
+    assert got == NETLIST_DIGESTS[name]
+
+
+def test_encoder_without_valid_bytes():
+    got = tuple(_sha(query_circuits.build_encoder(n, with_valid=False).to_text()) for n in SIZES)
+    assert got == ENCODER_NO_VALID_DIGESTS
+
+
+def test_select_rank_netlist_bytes(monkeypatch):
+    built = []
+    evaluate = query_circuits.evaluate
+
+    def recording(net, assignment):
+        built.append(net)
+        return evaluate(net, assignment)
+
+    monkeypatch.setattr(query_circuits, "evaluate", recording)
+    for n, digest in zip(SIZES, SELECT_RANK_DIGESTS):
+        t, _, _ = sort(build(n), list(range(n, 0, -1)))
+        assert query_circuits.select_rank(t, n // 2).index == n - 1 - n // 2
+        assert _sha(built[-1].to_text()) == digest

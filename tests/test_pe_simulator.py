@@ -165,3 +165,15 @@ def test_trace_serializations():
 
 def test_matrix_text_grid():
     assert ComparisonMatrix(T4).to_text() == "0001\n1001\n1101\n0000\n"
+
+
+def test_sort_rejects_layout_missing_pairs():
+    # 0-1-2-3 never compares 0 with 2, 0 with 3 or 1 with 3.
+    with pytest.raises(ValueError, match="pair"):
+        sort(Layout(4, (0, 1, 2, 3), ("",) * 4), [3, 2, 1, 0])
+
+
+@pytest.mark.parametrize("slots", [(0, 1, 2, 0, 3), (0, 1, 2, 0, -1)])
+def test_load_rejects_class_ids_out_of_range(slots):
+    with pytest.raises(ValueError, match="class id"):
+        load_phase(Layout(3, slots, ("",) * len(slots)), [1, 2, 3])
