@@ -23,7 +23,6 @@ from .netlist import DepthReport, Gate, NetBuilder, Netlist, depth, evaluate, le
 from .pe_simulator import (
     ComparisonMatrix,
     RankVector,
-    SimulatorState,
     SortTrace,
     compare_phase,
     detect_write_conflicts,

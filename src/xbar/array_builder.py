@@ -18,10 +18,14 @@ finishes with class n-1 followed by class 0.
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .cyclic_perm import _partition_q
 
 END_PLACEMENTS = ("interior", "same_class_both_ends", "distinct_class_at_end")
+
+# `validate` names at most this many offending pairs or classes per finding.
+EXAMPLES = 5
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,10 +65,18 @@ class Layout:
         slots = doc["slots"]
         if not isinstance(slots, list):
             raise ValueError(f"slots must be a list, not {type(slots).__name__}")
-        provenance = tuple(str(p) for p in doc.get("provenance", [])) or ("",) * len(slots)
+        # Exact type test: bool is an int subclass, and int() would truncate
+        # a float or parse a string into a plausible layout.
+        wrong = [x for x in (doc["n"], *slots) if type(x) is not int]
+        if wrong:
+            raise ValueError(f"n and slots must be integers, not {wrong[0]!r}")
+        provenance = doc.get("provenance", [])
+        if not isinstance(provenance, list):
+            raise ValueError(f"provenance must be a list, not {type(provenance).__name__}")
+        provenance = tuple(str(p) for p in provenance) or ("",) * len(slots)
         if len(provenance) != len(slots):
             raise ValueError(f"{len(provenance)} provenance tags for {len(slots)} slots")
-        return cls(int(doc["n"]), tuple(int(c) for c in slots), provenance)
+        return cls(doc["n"], tuple(slots), provenance)
 
 
 @dataclass(slots=True)
@@ -234,18 +246,23 @@ def validate(layout: Layout) -> ValidationReport:
     )
     redundant = sorted(pair for pair, cnt in coverage.items() if cnt >= 2)
 
-    all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    missing = [p for p in all_pairs if coverage.get(p, 0) == 0]
+    # Missing pairs are counted rather than listed and the search for
+    # examples stops at the last one shown, so the work is bounded by the
+    # slot count, not by the n(n-1)/2 pairs the declared n implies.
+    covered = sorted(p for p in coverage if p[0] >= 0 and p[1] < n)
+    missing = n * (n - 1) // 2 - len(covered) if n >= 2 else 0
     if missing:
-        violations.append(f"{len(missing)} class pairs never adjacent, e.g. {missing[:5]}")
+        absent = ((a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in coverage)
+        examples = list(islice(absent, EXAMPLES))
+        violations.append(f"{missing} class pairs never adjacent, e.g. {examples}")
     if n % 2:
-        doubled = [p for p in all_pairs if coverage.get(p, 0) > 1]
+        doubled = [p for p in covered if coverage[p] > 1]
         if doubled:
-            violations.append(f"odd n: pairs adjacent more than once: {doubled[:5]}")
+            violations.append(f"odd n: pairs adjacent more than once: {doubled[:EXAMPLES]}")
     else:
-        over = [p for p in all_pairs if coverage.get(p, 0) > 2]
+        over = [p for p in covered if coverage[p] > 2]
         if over:
-            violations.append(f"pairs adjacent more than twice: {over[:5]}")
+            violations.append(f"pairs adjacent more than twice: {over[:EXAMPLES]}")
         if not missing and len(redundant) != n // 2 - 1:
             violations.append(
                 f"even n: {len(redundant)} doubled pairs, expected exactly {n // 2 - 1}"
@@ -255,17 +272,16 @@ def validate(layout: Layout) -> ValidationReport:
     replicate_counts = [counts.get(c, 0) for c in range(max(n, 0))]
     left_end, right_end = slots[0], slots[-1]
     if n >= 2:
-        for c in range(n):
-            if left_end == right_end == c:
-                needed = replicate_lower_bound(n, "same_class_both_ends")
-            elif c in (left_end, right_end):
-                needed = replicate_lower_bound(n, "distinct_class_at_end")
-            else:
-                needed = replicate_lower_bound(n, "interior")
-            if replicate_counts[c] < needed:
-                violations.append(
-                    f"class {c} has {replicate_counts[c]} slots, below its lower bound {needed}"
-                )
+        # A class's bound depends only on how many array ends it owns.
+        bounds = [replicate_lower_bound(n, at_end) for at_end in
+                  ("interior", "distinct_class_at_end", "same_class_both_ends")]
+        ends = (left_end, right_end)
+        short = [c for c in range(n) if replicate_counts[c] < bounds[ends.count(c)]]
+        for c in short[:EXAMPLES]:
+            violations.append(f"class {c} has {replicate_counts[c]} slots, "
+                              f"below its lower bound {bounds[ends.count(c)]}")
+        if len(short) > EXAMPLES:
+            violations.append(f"{len(short) - EXAMPLES} more classes below their slot lower bound")
 
     return ValidationReport(
         n=n,

@@ -122,14 +122,12 @@ def _cmd_validate(args) -> int:
 
 
 def _run_sort(args):
-    layout = array_builder.build(args.n)
-    values = _input_values(args, args.n)
-    matrix, ranks, trace = pe_simulator.sort(layout, values)
-    return layout, values, matrix, ranks, trace
+    return pe_simulator.sort(array_builder.build(args.n), _input_values(args, args.n))
 
 
 def _cmd_sort(args) -> int:
-    layout, values, matrix, ranks, trace = _run_sort(args)
+    matrix, ranks, trace = _run_sort(args)
+    layout, values = trace.layout, trace.values
     conflicts = pe_simulator.detect_write_conflicts(trace)
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -172,13 +170,13 @@ def _emit_index(args, result) -> int:
 
 
 def _cmd_min_max(args) -> int:
-    _, _, matrix, _, _ = _run_sort(args)
+    matrix = _run_sort(args)[0]
     idx = getattr(query_circuits, f"{args.command}_index")(matrix)
     return _emit_index(args, query_circuits.RankQueryResult(idx, True))
 
 
 def _cmd_rank(args) -> int:
-    _, _, matrix, _, _ = _run_sort(args)
+    matrix = _run_sort(args)[0]
     if not 0 <= args.r <= args.n - 1:
         raise DataError(f"--r must lie in 0..{args.n - 1}")
     return _emit_index(args, query_circuits.select_rank(matrix, args.r))

@@ -23,9 +23,9 @@ Structural text format: one gate per line, ``gateId KIND[param] <- wire,wire,...
 """
 
 import json
+import operator
 from dataclasses import dataclass, field
-
-GATE_KINDS = ("AND", "OR", "NOR", "NOT", "THRESHOLD", "HALF_ADD", "FULL_ADD")
+from functools import reduce
 
 Wire = str
 
@@ -111,47 +111,30 @@ class NetBuilder:
         self.net.gates.append(Gate(gid, kind, inputs, param))
         return gid
 
-    def and_(self, *ins: "Wire | int") -> "Wire | int":
-        wires = []
-        for x in ins:
-            if isinstance(x, int):
-                if x == 0:
-                    return 0
-                continue  # drop constant 1
-            wires.append(x)
+    def _fold(self, kind: str, ins: tuple, absorbing: int, inverted: bool = False) -> "Wire | int":
+        """Emit `kind` over the wire inputs once the constant inputs are folded.
+
+        The identity constant drops out and the absorbing one decides the
+        gate.  An `inverted` gate (NOR) flips its constant results and turns
+        a single wire into a NOT instead of passing it through.
+        """
+        if absorbing in ins:
+            return absorbing ^ inverted
+        wires = tuple(x for x in ins if not isinstance(x, int))
         if not wires:
-            return 1
+            return (1 - absorbing) ^ inverted
         if len(wires) == 1:
-            return wires[0]
-        return self._emit("AND", tuple(wires))
+            return self._emit("NOT", wires) if inverted else wires[0]
+        return self._emit(kind, wires)
+
+    def and_(self, *ins: "Wire | int") -> "Wire | int":
+        return self._fold("AND", ins, 0)
 
     def or_(self, *ins: "Wire | int") -> "Wire | int":
-        wires = []
-        for x in ins:
-            if isinstance(x, int):
-                if x == 1:
-                    return 1
-                continue  # drop constant 0
-            wires.append(x)
-        if not wires:
-            return 0
-        if len(wires) == 1:
-            return wires[0]
-        return self._emit("OR", tuple(wires))
+        return self._fold("OR", ins, 1)
 
     def nor_(self, *ins: "Wire | int") -> "Wire | int":
-        wires = []
-        for x in ins:
-            if isinstance(x, int):
-                if x == 1:
-                    return 0
-                continue
-            wires.append(x)
-        if not wires:
-            return 1
-        if len(wires) == 1:
-            return self._emit("NOT", (wires[0],))
-        return self._emit("NOR", tuple(wires))
+        return self._fold("NOR", ins, 1, inverted=True)
 
     def not_(self, x: "Wire | int") -> "Wire | int":
         if isinstance(x, int):
@@ -196,6 +179,14 @@ class NetBuilder:
         return self.net
 
 
+# The operation each gate kind folds over its inputs, left to right; NOR and
+# NOT then invert the result and THRESHOLD compares the sum with its param.
+_FOLDS = {
+    "AND": operator.and_, "OR": operator.or_, "NOR": operator.or_, "NOT": operator.or_,
+    "THRESHOLD": operator.add, "HALF_ADD": operator.xor, "FULL_ADD": operator.xor,
+}
+
+
 def evaluate(net: Netlist, assignments: dict) -> dict:
     """Evaluate the netlist; returns {output name: value}.
 
@@ -208,33 +199,13 @@ def evaluate(net: Netlist, assignments: dict) -> dict:
             raise KeyError(f"missing value for input wire {name!r}")
         values[name] = assignments[name]
     for g in net.gates:
-        ins = [values[w] for w in g.inputs]
-        if g.kind == "AND":
-            v = ins[0]
-            for x in ins[1:]:
-                v = v & x
-        elif g.kind == "OR":
-            v = ins[0]
-            for x in ins[1:]:
-                v = v | x
-        elif g.kind == "NOR":
-            v = ins[0]
-            for x in ins[1:]:
-                v = v | x
-            v = v ^ 1
-        elif g.kind == "NOT":
-            v = ins[0] ^ 1
-        elif g.kind == "THRESHOLD":
-            total = ins[0]
-            for x in ins[1:]:
-                total = total + x
-            v = (total >= g.param) * 1
-        elif g.kind == "HALF_ADD":
-            v = ins[0] ^ ins[1]
-        elif g.kind == "FULL_ADD":
-            v = ins[0] ^ ins[1] ^ ins[2]
-        else:
+        if g.kind not in _FOLDS:
             raise ValueError(f"unknown gate kind {g.kind}")
+        v = reduce(_FOLDS[g.kind], [values[w] for w in g.inputs])
+        if g.kind in ("NOR", "NOT"):
+            v = v ^ 1
+        elif g.kind == "THRESHOLD":
+            v = (v >= g.param) * 1
         values[g.gid] = v
     return {
         name: (wire if isinstance(wire, int) else values[wire])

@@ -12,10 +12,11 @@ value to the smaller-class neighbor; the smaller-class slot compares and
 either claims the win itself (writes comparison_matrix[small][big], replies 0)
 or replies 1 so the neighbor writes comparison_matrix[big][small].  Ties go to
 the smaller class id.  The left and right sub-phases are this one
-operation mirrored: they differ only in the direction the value travels,
-which shows up solely in the action names.  All sends in a sub-phase read
-pre-phase state and all writes commit at the sub-phase end, so the run is
-deterministic.
+operation mirrored: they differ only in the direction the value travels.
+All sends in a sub-phase read pre-phase state and all writes commit at the
+sub-phase end, so the run is deterministic.  A run computes only the matrix
+and the ranks; its trace is derived on demand from the layout, the values,
+the matrix and the ranks (`SortTrace.events`).
 
 The final matrix satisfies bits[i][k] = 1 iff A[k] < A[i], or A[k] == A[i]
 with k < i; row sums are therefore the ranks of a stable sort.
@@ -24,7 +25,7 @@ with k < i; row sums are therefore the ranks of a stable sort.
 import io
 import json
 from csv import writer as csv_writer
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .array_builder import Layout
@@ -57,17 +58,59 @@ class TracePhase:
 
 @dataclass(frozen=True, slots=True)
 class SortTrace:
-    """Ordered record of everything every slot did, phase by phase."""
+    """One run of the machine: its inputs and the result of each stage run.
 
-    n: int
-    slot_count: int
-    key_bits: int
-    phases: tuple[TracePhase, ...]
+    `bits` (the comparison matrix) is None until the compare phase has
+    run and `ranks` is None until the rank phase has.  The phase-by-phase
+    record of what every slot did is derived from these on demand.
+    """
+
+    layout: Layout
+    values: tuple[int, ...]
+    bits: tuple[tuple[int, ...], ...] | None = None
+    ranks: tuple[int, ...] | None = None
+
+    @property
+    def key_bits(self) -> int:
+        return max((abs(v).bit_length() for v in self.values), default=0)
+
+    @property
+    def phases(self) -> tuple[TracePhase, ...]:
+        by_name = {name: [] for name in PHASE_NAMES[:phase_count(self)]}
+        for name, ev in self.events():
+            by_name[name].append(ev)
+        return tuple(TracePhase(name, tuple(evs)) for name, evs in by_name.items())
 
     def events(self):
-        for phase in self.phases:
-            for ev in phase.events:
-                yield phase.name, ev
+        """Yield (phase name, event) for every event of the stages run, in order."""
+        slots, vals, bits = self.layout.slots, self.values, self.bits
+        first: dict[int, int] = {}
+        for s, c in enumerate(slots):
+            first.setdefault(c, s)
+        for c in sorted(first):
+            yield "clear", TraceEvent("clear_row", slot=first[c], row=c)
+        for s, c in enumerate(slots):
+            yield "load", TraceEvent("load", slot=s, row=c, value=vals[c])
+        if bits is None:
+            return
+        for left, exchange, reply, send, recv, signal, signal_recv in _DIRECTIONS:
+            points = [p for p in _crosspoints(slots) if (p[2] < p[3]) == left]
+            for small, big, small_slot, big_slot in points:
+                yield exchange, TraceEvent(send, slot=big_slot, value=vals[big])
+                yield exchange, TraceEvent(recv, slot=small_slot, value=vals[big])
+            for small, big, small_slot, big_slot in points:
+                if bits[small][big]:
+                    yield reply, TraceEvent("twrite", slot=small_slot, row=small, col=big, value=1)
+                    yield reply, TraceEvent(signal, slot=small_slot, value=0)
+                    yield reply, TraceEvent(signal_recv, slot=big_slot, value=0)
+                else:
+                    yield reply, TraceEvent(signal, slot=small_slot, value=1)
+                    yield reply, TraceEvent(signal_recv, slot=big_slot, value=1)
+                    yield reply, TraceEvent("twrite", slot=big_slot, row=big, col=small, value=1)
+        if self.ranks is None:
+            return
+        for i, r in enumerate(self.ranks):
+            yield "rank", TraceEvent("rank", slot=first[i], row=i, value=r)
 
     def to_jsonl(self) -> str:
         """One JSON object per event: phase, slot, action, payload."""
@@ -129,28 +172,26 @@ class RankVector:
         return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class SimulatorState:
-    """A loaded machine: every slot of class i holds values[i], matrix zeroed."""
-
-    layout: Layout
-    values: tuple[int, ...]
-    t: tuple[tuple[int, ...], ...]
-    phases: tuple[TracePhase, ...]
-
-
-def _key_bits(values: Sequence[int]) -> int:
-    return max((abs(v).bit_length() for v in values), default=0)
+# Per direction (small_slot < big_slot: the greater class sits right): the
+# exchange and reply phase names, then the actions of the send, the receive,
+# the reply signal and its receipt.
+_DIRECTIONS = (
+    (True, "left_exchange", "left_reply",
+     "send_left", "recv_right", "signal_send_right", "signal_recv_left"),
+    (False, "right_exchange", "right_reply",
+     "send_right", "recv_left", "signal_send_left", "signal_recv_right"),
+)
 
 
-def _first_slot_per_class(layout: Layout) -> dict[int, int]:
-    first: dict[int, int] = {}
-    for s, c in enumerate(layout.slots):
-        first.setdefault(c, s)
-    return first
+def _crosspoints(slots: Sequence[int]):
+    """Yield (small, big, small_slot, big_slot) for each crosspoint, left to right."""
+    for s, (a, b) in enumerate(zip(slots, slots[1:])):
+        if a == b:
+            raise ValueError(f"adjacent slots {s},{s + 1} share class {a}; cannot compare")
+        yield (a, b, s, s + 1) if a < b else (b, a, s + 1, s)
 
 
-def load_phase(layout: Layout, values: Sequence[int]) -> SimulatorState:
+def load_phase(layout: Layout, values: Sequence[int]) -> SortTrace:
     """Broadcast values[i] to every slot of class i and zero the matrix.
 
     Counts as two phases: one master clear per matrix row, then the
@@ -161,68 +202,26 @@ def load_phase(layout: Layout, values: Sequence[int]) -> SimulatorState:
     bad = next((c for c in layout.slots if not 0 <= c < layout.n), None)
     if bad is not None:
         raise ValueError(f"class id {bad} outside 0..{layout.n - 1}")
-    vals = tuple(values)
-    first = _first_slot_per_class(layout)
-    clear_events = tuple(
-        TraceEvent("clear_row", slot=first[c], row=c) for c in sorted(first)
-    )
-    load_events = tuple(
-        TraceEvent("load", slot=s, row=c, value=vals[c])
-        for s, c in enumerate(layout.slots)
-    )
-    phases = (TracePhase("clear", clear_events), TracePhase("load", load_events))
-    zeros = tuple((0,) * layout.n for _ in range(layout.n))
-    return SimulatorState(layout, vals, zeros, phases)
+    return SortTrace(layout, tuple(values))
 
 
-def compare_phase(state: SimulatorState) -> tuple[ComparisonMatrix, SortTrace]:
+def compare_phase(state: SortTrace) -> tuple[ComparisonMatrix, SortTrace]:
     """Run the four exchange/reply sub-phases over every crosspoint.
 
     Each crosspoint performs exactly one comparison, so a run makes
     slots - 1 comparisons total.  Redundant adjacencies (even n) write
-    the same cell twice with the same value; the duplicate writes stay
-    in the trace for conflict accounting.
+    the same cell twice with the same value; the trace keeps both writes
+    for conflict accounting.
     """
-    layout = state.layout
-    slots = layout.slots
     vals = state.values
-    t = [list(row) for row in state.t]
-
-    # Per direction (greater class on the right, then on the left): exchange
-    # events, reply events, and the action names of the send, the receive,
-    # the reply signal and its receipt.
-    left = ([], [], "send_left", "recv_right", "signal_send_right", "signal_recv_left")
-    right = ([], [], "send_right", "recv_left", "signal_send_left", "signal_recv_right")
-
-    for s, (a, b) in enumerate(zip(slots, slots[1:])):
-        if a == b:
-            raise ValueError(f"adjacent slots {s},{s + 1} share class {a}; cannot compare")
-        if b > a:
-            small, big, small_slot, big_slot, way = a, b, s, s + 1, left
-        else:
-            small, big, small_slot, big_slot, way = b, a, s + 1, s, right
-        exchange, reply, send, recv, signal, signal_recv = way
-        value = vals[big]
-        exchange.append(TraceEvent(send, slot=big_slot, value=value))
-        exchange.append(TraceEvent(recv, slot=small_slot, value=value))
-        if value < vals[small]:
+    t = [[0] * len(vals) for _ in vals]
+    for small, big, _, _ in _crosspoints(state.layout.slots):
+        if vals[big] < vals[small]:
             t[small][big] = 1
-            reply.append(TraceEvent("twrite", slot=small_slot, row=small, col=big, value=1))
-            reply.append(TraceEvent(signal, slot=small_slot, value=0))
-            reply.append(TraceEvent(signal_recv, slot=big_slot, value=0))
         else:
-            reply.append(TraceEvent(signal, slot=small_slot, value=1))
-            reply.append(TraceEvent(signal_recv, slot=big_slot, value=1))
             t[big][small] = 1
-            reply.append(TraceEvent("twrite", slot=big_slot, row=big, col=small, value=1))
-
-    phases = state.phases + tuple(
-        TracePhase(name, tuple(events))
-        for name, events in zip(PHASE_NAMES[2:6], left[:2] + right[:2])
-    )
-    matrix = ComparisonMatrix(tuple(tuple(row) for row in t))
-    trace = SortTrace(layout.n, len(slots), _key_bits(vals), phases)
-    return matrix, trace
+    bits = tuple(map(tuple, t))
+    return ComparisonMatrix(bits), replace(state, bits=bits)
 
 
 def rank_phase(matrix: ComparisonMatrix) -> RankVector:
@@ -238,26 +237,20 @@ def sort(layout: Layout, values: Sequence[int]) -> tuple[ComparisonMatrix, RankV
     sets exactly one matrix cell, so ranks summing to less than n(n-1)/2
     expose a layout that misses a pair; that raises ValueError.
     """
-    state = load_phase(layout, values)
-    matrix, trace = compare_phase(state)
+    matrix, trace = compare_phase(load_phase(layout, values))
     ranks = rank_phase(matrix)
     pairs = layout.n * (layout.n - 1) // 2
     covered = sum(ranks.ranks)
     if covered != pairs:
         raise ValueError(f"layout misses {pairs - covered} of its {pairs} class pairs")
-    first = _first_slot_per_class(layout)
-    rank_events = tuple(
-        TraceEvent("rank", slot=first[i], row=i, value=ranks.ranks[i])
-        for i in range(layout.n)
-    )
-    full = SortTrace(trace.n, trace.slot_count, trace.key_bits,
-                     trace.phases + (TracePhase("rank", rank_events),))
-    return matrix, ranks, full
+    return matrix, ranks, replace(trace, ranks=ranks.ranks)
 
 
 def phase_count(trace: SortTrace) -> int:
     """Number of synchronous phases executed; the same constant for every n."""
-    return len(trace.phases)
+    if trace.bits is None:
+        return 2
+    return 6 if trace.ranks is None else 7
 
 
 def detect_write_conflicts(trace: SortTrace) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -265,15 +258,21 @@ def detect_write_conflicts(trace: SortTrace) -> list[tuple[int, int, tuple[int, 
 
     Layouts that cover every pair exactly once never conflict; even-n
     layouts produce exactly n/2 - 1 doubled cells, each written with the
-    same value from both sides (benign).
+    same value from both sides (benign).  Writers are listed in the order
+    the trace commits them: the left sub-phases before the right ones.
     """
+    bits = trace.bits
+    if bits is None:
+        return []
     writers: dict[tuple[int, int], list[int]] = {}
-    for phase in trace.phases:
-        for ev in phase.events:
-            if ev.action == "twrite":
-                writers.setdefault((ev.row, ev.col), []).append(ev.slot)
-    return [
+    points = sorted(_crosspoints(trace.layout.slots), key=lambda p: p[2] > p[3])
+    for small, big, small_slot, big_slot in points:
+        if bits[small][big]:
+            writers.setdefault((small, big), []).append(small_slot)
+        else:
+            writers.setdefault((big, small), []).append(big_slot)
+    return sorted(
         (row, col, tuple(slot_list))
-        for (row, col), slot_list in sorted(writers.items())
+        for (row, col), slot_list in writers.items()
         if len(slot_list) > 1
-    ]
+    )

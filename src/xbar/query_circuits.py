@@ -151,18 +151,13 @@ def build_max_circuit(n: int) -> Netlist:
 def _exact_count_onehot(nb: NetBuilder, wires: list) -> list:
     """Exactly-m detectors for m = 0..len(wires)-1, one threshold pair each.
 
-    Detector m fires when at least m inputs are high but not m+1; the
-    m = 0 case needs only the inverted at-least-1 gate.
+    Detector m fires when at least m inputs are high but not m+1; for
+    m = 0 the at-least-0 gate folds to constant 1 and drops out.
     """
-    n = len(wires)
-    es = []
-    for m in range(n):
-        upper = nb.not_(nb.threshold(list(wires), m + 1))
-        if m == 0:
-            es.append(upper)
-        else:
-            es.append(nb.and_(upper, nb.threshold(list(wires), m)))
-    return es
+    return [
+        nb.and_(nb.not_(nb.threshold(wires, m + 1)), nb.threshold(wires, m))
+        for m in range(len(wires))
+    ]
 
 
 def build_ones_counter(n: int) -> Netlist:

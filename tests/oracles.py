@@ -49,3 +49,19 @@ def brute_cycles(n, j):
         pivot = cyc.index(min(cyc))
         cycles.append(tuple(cyc[pivot:] + cyc[:pivot]))
     return sorted(cycles)
+
+
+def twrite_conflicts(trace):
+    """Cells written by more than one slot, from a scan of every `twrite` event.
+
+    Slots are listed in the order the trace performs the writes.
+    """
+    writers = {}
+    for _, ev in trace.events():
+        if ev.action == "twrite":
+            writers.setdefault((ev.row, ev.col), []).append(ev.slot)
+    return [
+        (row, col, tuple(slots))
+        for (row, col), slots in sorted(writers.items())
+        if len(slots) > 1
+    ]

@@ -126,6 +126,18 @@ def test_validate_flags_missing_pairs_and_count():
     assert any("minimal" in v for v in report.violations)
 
 
+def test_validate_counts_missing_pairs_and_caps_class_lines():
+    # 30 classes, 4 slots: 3 of the 435 pairs covered, 26 classes with no slot.
+    report = validate(Layout(30, (0, 1, 2, 3, 4, 30), ("",) * 6))
+    assert "431 class pairs never adjacent, e.g. [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6)]" \
+        in report.violations
+    class_lines = [v for v in report.violations if v.startswith("class ")]
+    assert class_lines == [
+        f"class {c} has 1 slots, below its lower bound 15" for c in range(5)
+    ]
+    assert report.violations[-1] == "25 more classes below their slot lower bound"
+
+
 def test_validate_flags_out_of_range_ids():
     report = validate(Layout(3, (0, 1, 5, 0), ("",) * 4))
     assert any("out of range" in v for v in report.violations)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -49,6 +50,12 @@ def test_sort_text_even_case(capsys):
     assert out.startswith("0001\n1001\n1101\n0000\n")
     assert "R: 1 2 3 0" in out
     assert "conflict: T[2][1] slots 2,5" in out
+
+
+def test_sort_text_conflict_slots_in_trace_order(capsys):
+    code, out = run(capsys, "sort", "--n", "10", "--seed", "3")
+    assert code == 0
+    assert "conflict: T[5][1] slots 38,31" in out
 
 
 def test_sort_trace_file(tmp_path, capsys):
@@ -113,6 +120,18 @@ def test_validate_clean_and_violations(tmp_path, capsys):
     code, out = run(capsys, "validate", "--layout", str(bad), "--format", "json")
     assert code == 1
     assert json.loads(out)["violations"]
+
+
+def test_validate_bounded_by_slot_count_not_declared_n(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**6, "slots": [0, 1]}))
+    start = time.perf_counter()
+    code, out = run(capsys, "validate", "--layout", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    violations = [line for line in out.splitlines() if line.startswith("violation: ")]
+    assert 0 < len(violations) <= 20
+    assert f"violation: {10**6 * (10**6 - 1) // 2 - 1} class pairs never adjacent" in out
 
 
 def test_validate_roundtrip_through_build(tmp_path, capsys):
@@ -188,7 +207,13 @@ def test_rank_out_of_range(capsys):
     [1, 2],
     {"n": 4, "slots": 5},
     {"n": 3, "slots": [0, 1, 2, 0], "provenance": ["a", "b"]},
-], ids=["top-level-list", "slots-not-a-list", "provenance-length"])
+    {"n": None, "slots": [0, 1]},
+    {"n": 2, "slots": [[0], 1]},
+    {"n": 2.9, "slots": [0, 1]},
+    {"n": 2, "slots": [0, True]},
+    {"n": 2, "slots": [0, 1], "provenance": None},
+], ids=["top-level-list", "slots-not-a-list", "provenance-length", "n-null", "slot-is-a-list",
+        "n-float", "slot-bool", "provenance-null"])
 def test_validate_malformed_layout_exits_two(tmp_path, capsys, doc):
     path = tmp_path / "layout.json"
     path.write_text(json.dumps(doc))

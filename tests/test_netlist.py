@@ -129,6 +129,21 @@ def test_builder_constant_folding():
     assert [g.kind for g in nb.net.gates] == ["NOT"]
 
 
+def test_builder_folds_and_or_nor_alike():
+    nb = NetBuilder("fold")
+    a, b = nb.input("a"), nb.input("b")
+    assert (nb.and_(), nb.or_(), nb.nor_(0, 0)) == (1, 0, 1)
+    assert (nb.and_(1, 0, a), nb.or_(0, 1, a), nb.nor_(a, 1, b)) == (0, 1, 0)
+    assert nb.net.gates == []
+    nb.nor_(a, 0)
+    nb.nor_(0, a, b)
+    nb.and_(a, 1, b)
+    nb.or_(b, 0, a)
+    assert [(g.kind, g.inputs) for g in nb.net.gates] == [
+        ("NOT", ("a",)), ("NOR", ("a", "b")), ("AND", ("a", "b")), ("OR", ("b", "a")),
+    ]
+
+
 def test_text_format():
     nb = NetBuilder("fmt")
     a, b = nb.input("a"), nb.input("b")

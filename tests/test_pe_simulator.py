@@ -43,7 +43,7 @@ def test_load_phase_names_and_clear():
     state = load_phase(build(4), [3, 1, 2, 0])
     assert [p.name for p in state.phases] == ["clear", "load"]
     assert [ev.row for ev in state.phases[0].events] == [0, 1, 2, 3]
-    assert state.t == ((0, 0, 0, 0),) * 4
+    assert state.bits is None
 
 
 def test_load_rejects_length_mismatch():
@@ -111,6 +111,24 @@ def test_conflicts_even_and_odd():
     assert detect_write_conflicts(trace7) == []
     _, _, trace2 = sort(build(2), [9, 1])
     assert detect_write_conflicts(trace2) == []
+
+
+def test_conflict_writers_in_trace_order():
+    # The left sub-phases commit before the right ones, so T[5][1] lists
+    # slot 38 (a left crosspoint) before slot 31 (a right one).
+    _, _, trace = sort(build(10), [30, 75, 69, 16, 47, 77, 60, 80, 74, 8])
+    assert detect_write_conflicts(trace) == [
+        (2, 6, (28, 44)), (5, 1, (38, 31)), (7, 3, (41, 45)), (8, 4, (27, 47)),
+    ]
+
+
+def test_phase_count_matches_phases_after_each_stage():
+    state = load_phase(build(5), [8, 6, 9, 5, 7])
+    assert phase_count(state) == len(state.phases) == 2
+    _, compared = compare_phase(state)
+    assert phase_count(compared) == len(compared.phases) == 6
+    _, _, trace = sort(build(5), [8, 6, 9, 5, 7])
+    assert phase_count(trace) == len(trace.phases) == 7
 
 
 def test_comparison_count_equals_crosspoints():

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xbar.array_builder import build
-from xbar.pe_simulator import sort
+from xbar.pe_simulator import detect_write_conflicts, sort
 
-from oracles import oracle_ranks
+from oracles import oracle_ranks, twrite_conflicts
 
 # Negatives, duplicates (small range) and values well past 2**64.
 keys = st.one_of(
@@ -37,3 +37,11 @@ def test_sort_matches_oracle_and_tie_rule(values):
                 assert values[col] < values[row] or (
                     values[col] == values[row] and col < row
                 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=24).flatmap(
+    lambda n: st.lists(st.integers(), min_size=n, max_size=n)))
+def test_conflicts_match_twrite_scan(values):
+    _, _, trace = sort(build(len(values)), values)
+    assert detect_write_conflicts(trace) == twrite_conflicts(trace)
