@@ -22,7 +22,8 @@ from itertools import islice
 
 from .cyclic_perm import _partition_q
 
-END_PLACEMENTS = ("interior", "same_class_both_ends", "distinct_class_at_end")
+# Where a class sits, indexed by the number of array ends it owns.
+END_PLACEMENTS = ("interior", "distinct_class_at_end", "same_class_both_ends")
 
 # `validate` names at most this many offending pairs or classes per finding.
 EXAMPLES = 5
@@ -88,13 +89,18 @@ class ValidationReport:
     expected_pe_count: int
     pair_coverage: dict[tuple[int, int], int]
     redundant_pairs: list[tuple[int, int]]
-    replicate_counts: list[int]
+    slot_counts: Counter
     end_classes: tuple[int, int]
     violations: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def replicate_counts(self) -> list[int]:
+        """Slots per class 0..n-1; built on each read, so O(n) in the declared n."""
+        return [self.slot_counts[c] for c in range(max(self.n, 0))]
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,18 +130,16 @@ def replicate_lower_bound(n: int, at_end: str = "interior") -> int:
     """Fewest slots a single class needs to reach all n-1 other classes.
 
     `at_end` selects the class's situation: "interior" (no end slot),
-    "same_class_both_ends" (it owns both array ends), or
-    "distinct_class_at_end" (it owns exactly one end).
+    "distinct_class_at_end" (it owns exactly one end), or
+    "same_class_both_ends" (it owns both array ends).  An interior slot
+    meets two neighbors and an end slot one, so a class owning `ends`
+    array ends needs ceil((n - 1 + ends) / 2) slots.
     """
     if n < 2:
         raise ValueError(f"need at least 2 classes, got n={n}")
-    if at_end == "interior":
-        return n // 2  # ceil((n-1)/2)
-    if at_end == "same_class_both_ends":
-        return (n + 2) // 2  # ceil((n+1)/2)
-    if at_end == "distinct_class_at_end":
-        return (n + 1) // 2  # ceil(n/2)
-    raise ValueError(f"at_end must be one of {END_PLACEMENTS}, got {at_end!r}")
+    if at_end not in END_PLACEMENTS:
+        raise ValueError(f"at_end must be one of {END_PLACEMENTS}, got {at_end!r}")
+    return (n + END_PLACEMENTS.index(at_end)) // 2
 
 
 def _q_blocks(m: int) -> tuple[list[list[int]], list[list[str]]]:
@@ -222,12 +226,13 @@ def validate(layout: Layout) -> ValidationReport:
     n = layout.n
     slots = layout.slots
     violations: list[str] = []
+    counts = Counter(slots)
 
     if n < 2:
         violations.append(f"class count n={n} below 2")
     if not slots:
         violations.append("layout has no slots")
-        return ValidationReport(n, 0, 0, {}, [], [0] * max(n, 0), (-1, -1), violations)
+        return ValidationReport(n, 0, 0, {}, [], counts, (-1, -1), violations)
 
     out_of_range = sorted({c for c in slots if not 0 <= c < n})
     if out_of_range:
@@ -268,20 +273,20 @@ def validate(layout: Layout) -> ValidationReport:
                 f"even n: {len(redundant)} doubled pairs, expected exactly {n // 2 - 1}"
             )
 
-    counts = Counter(slots)
-    replicate_counts = [counts.get(c, 0) for c in range(max(n, 0))]
-    left_end, right_end = slots[0], slots[-1]
+    ends = (slots[0], slots[-1])
     if n >= 2:
-        # A class's bound depends only on how many array ends it owns.
-        bounds = [replicate_lower_bound(n, at_end) for at_end in
-                  ("interior", "distinct_class_at_end", "same_class_both_ends")]
-        ends = (left_end, right_end)
-        short = [c for c in range(n) if replicate_counts[c] < bounds[ends.count(c)]]
-        for c in short[:EXAMPLES]:
-            violations.append(f"class {c} has {replicate_counts[c]} slots, "
-                              f"below its lower bound {bounds[ends.count(c)]}")
-        if len(short) > EXAMPLES:
-            violations.append(f"{len(short) - EXAMPLES} more classes below their slot lower bound")
+        def bound(c: int) -> int:
+            return replicate_lower_bound(n, END_PLACEMENTS[ends.count(c)])
+
+        # Every bound is at least 1, so every class without a slot is short.
+        # Those are counted, not listed, and the walk for the first examples
+        # meets at most one class per slot before it has found them.
+        held = [c for c in counts if 0 <= c < n]
+        short = n - len(held) + sum(counts[c] < bound(c) for c in held)
+        for c in islice((c for c in range(n) if counts[c] < bound(c)), EXAMPLES):
+            violations.append(f"class {c} has {counts[c]} slots, below its lower bound {bound(c)}")
+        if short > EXAMPLES:
+            violations.append(f"{short - EXAMPLES} more classes below their slot lower bound")
 
     return ValidationReport(
         n=n,
@@ -289,7 +294,7 @@ def validate(layout: Layout) -> ValidationReport:
         expected_pe_count=expected,
         pair_coverage=dict(coverage),
         redundant_pairs=redundant,
-        replicate_counts=replicate_counts,
-        end_classes=(left_end, right_end),
+        slot_counts=counts,
+        end_classes=ends,
         violations=violations,
     )

@@ -1,9 +1,8 @@
 """Combinational gate netlists: construction, evaluation, depth accounting.
 
 A netlist is an ordered list of gates over named wires.  Gate kinds are
-AND, OR, NOR, NOT, THRESHOLD(m), HALF_ADD and FULL_ADD; a gate's id
-doubles as its output wire name.  HALF_ADD is the two-input sum cell
-(xor) and FULL_ADD the three-input sum cell (odd parity); carries are
+AND, OR, NOR, NOT, THRESHOLD(m) and HALF_ADD; a gate's id doubles as its
+output wire name.  HALF_ADD is the two-input sum cell (xor); carries are
 built from AND/OR explicitly.  THRESHOLD(m) outputs 1 when at least m
 of its inputs are 1 and is charged unit delay regardless of fan-in.
 
@@ -15,9 +14,8 @@ of input vectors can be evaluated in one pass.
 `depth` measures the critical path in gate levels.  Under a finite
 fan-in limit b, every AND/OR/NOR gate wider than b is first legalized
 into a balanced tree of b-input gates (a NOR becomes an OR tree with a
-NOR root), FULL_ADD decomposes into HALF_ADD pairs, and THRESHOLD gates
-are exempt but their widths are reported alongside the depth so the
-unit-delay assumption stays visible.
+NOR root).  THRESHOLD gates are exempt, but their widths are reported
+alongside the depth so the unit-delay assumption stays visible.
 
 Structural text format: one gate per line, ``gateId KIND[param] <- wire,wire,...``.
 """
@@ -150,16 +148,6 @@ class NetBuilder:
             return a if b == 0 else self.not_(a)
         return self._emit("HALF_ADD", (a, b))
 
-    def parity3(self, a: "Wire | int", b: "Wire | int", c: "Wire | int") -> "Wire | int":
-        consts = [x for x in (a, b, c) if isinstance(x, int)]
-        wires = [x for x in (a, b, c) if not isinstance(x, int)]
-        if len(wires) < 3:
-            acc: "Wire | int" = sum(consts) & 1
-            for w in wires:
-                acc = self.xor2(acc, w)
-            return acc
-        return self._emit("FULL_ADD", (a, b, c))
-
     def threshold(self, ins: "list[Wire | int]", m: int) -> "Wire | int":
         wires = []
         for x in ins:
@@ -183,7 +171,7 @@ class NetBuilder:
 # NOT then invert the result and THRESHOLD compares the sum with its param.
 _FOLDS = {
     "AND": operator.and_, "OR": operator.or_, "NOR": operator.or_, "NOT": operator.or_,
-    "THRESHOLD": operator.add, "HALF_ADD": operator.xor, "FULL_ADD": operator.xor,
+    "THRESHOLD": operator.add, "HALF_ADD": operator.xor,
 }
 
 
@@ -247,8 +235,6 @@ def legalize(net: Netlist, b: int) -> Netlist:
         ins = [wire_map[w] for w in g.inputs]
         if g.kind in ("AND", "OR", "NOR") and len(ins) > b:
             new = _legal_tree(emit, g.kind, ins, b)
-        elif g.kind == "FULL_ADD" and b < 3:
-            new = emit("HALF_ADD", (emit("HALF_ADD", (ins[0], ins[1])), ins[2]))
         else:
             new = emit(g.kind, tuple(ins), g.param)
         wire_map[g.gid] = new

@@ -26,7 +26,7 @@ import io
 import json
 from csv import writer as csv_writer
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .array_builder import Layout
 
@@ -41,13 +41,17 @@ PHASE_NAMES = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    action: str
+class TraceEvent(NamedTuple):
     slot: int
+    action: str
     value: int | None = None
     row: int | None = None
     col: int | None = None
+
+
+# The trace format: one row per event, its phase name then the event's
+# fields.  Both serialisers write exactly these columns in this order.
+COLUMNS = ("phase", *TraceEvent._fields)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,57 +92,43 @@ class SortTrace:
         for s, c in enumerate(slots):
             first.setdefault(c, s)
         for c in sorted(first):
-            yield "clear", TraceEvent("clear_row", slot=first[c], row=c)
+            yield "clear", TraceEvent(first[c], "clear_row", None, c)
         for s, c in enumerate(slots):
-            yield "load", TraceEvent("load", slot=s, row=c, value=vals[c])
+            yield "load", TraceEvent(s, "load", vals[c], c)
         if bits is None:
             return
         for left, exchange, reply, send, recv, signal, signal_recv in _DIRECTIONS:
             points = [p for p in _crosspoints(slots) if (p[2] < p[3]) == left]
             for small, big, small_slot, big_slot in points:
-                yield exchange, TraceEvent(send, slot=big_slot, value=vals[big])
-                yield exchange, TraceEvent(recv, slot=small_slot, value=vals[big])
+                yield exchange, TraceEvent(big_slot, send, vals[big])
+                yield exchange, TraceEvent(small_slot, recv, vals[big])
             for small, big, small_slot, big_slot in points:
                 if bits[small][big]:
-                    yield reply, TraceEvent("twrite", slot=small_slot, row=small, col=big, value=1)
-                    yield reply, TraceEvent(signal, slot=small_slot, value=0)
-                    yield reply, TraceEvent(signal_recv, slot=big_slot, value=0)
+                    yield reply, TraceEvent(small_slot, "twrite", 1, small, big)
+                    yield reply, TraceEvent(small_slot, signal, 0)
+                    yield reply, TraceEvent(big_slot, signal_recv, 0)
                 else:
-                    yield reply, TraceEvent(signal, slot=small_slot, value=1)
-                    yield reply, TraceEvent(signal_recv, slot=big_slot, value=1)
-                    yield reply, TraceEvent("twrite", slot=big_slot, row=big, col=small, value=1)
+                    yield reply, TraceEvent(small_slot, signal, 1)
+                    yield reply, TraceEvent(big_slot, signal_recv, 1)
+                    yield reply, TraceEvent(big_slot, "twrite", 1, big, small)
         if self.ranks is None:
             return
         for i, r in enumerate(self.ranks):
-            yield "rank", TraceEvent("rank", slot=first[i], row=i, value=r)
+            yield "rank", TraceEvent(first[i], "rank", r, i)
 
     def to_jsonl(self) -> str:
-        """One JSON object per event: phase, slot, action, payload."""
-        lines = []
-        for name, ev in self.events():
-            doc = {"phase": name, "slot": ev.slot, "action": ev.action}
-            if ev.value is not None:
-                doc["value"] = ev.value
-            if ev.row is not None:
-                doc["row"] = ev.row
-            if ev.col is not None:
-                doc["col"] = ev.col
-            lines.append(json.dumps(doc))
-        return "\n".join(lines) + "\n"
+        """One JSON object per event over COLUMNS, leaving out absent payload keys."""
+        return "\n".join(
+            json.dumps({k: v for k, v in zip(COLUMNS, (name, *ev)) if v is not None})
+            for name, ev in self.events()
+        ) + "\n"
 
     def to_csv(self) -> str:
+        """A COLUMNS header, then one row per event; absent payload fields are empty."""
         out = io.StringIO()
         w = csv_writer(out)
-        w.writerow(["phase", "slot", "action", "value", "row", "col"])
-        for name, ev in self.events():
-            w.writerow([
-                name,
-                ev.slot,
-                ev.action,
-                "" if ev.value is None else ev.value,
-                "" if ev.row is None else ev.row,
-                "" if ev.col is None else ev.col,
-            ])
+        w.writerow(COLUMNS)
+        w.writerows((name, *ev) for name, ev in self.events())
         return out.getvalue()
 
 

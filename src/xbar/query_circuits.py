@@ -268,17 +268,32 @@ def rank_via_adder_tree(t: ComparisonMatrix) -> tuple[RankVector, DepthReport]:
     return RankVector(ranks), depth(net, 2)
 
 
+def _check_sorted_matrix(t: ComparisonMatrix) -> None:
+    """Raise ValueError unless `t` could come from a full sort.
+
+    That needs a zero diagonal and row sums forming a permutation of
+    0..n-1.  Only then is every row flag of the min, max and select-rank
+    circuits one-hot; otherwise their encoders OR several rows (or none)
+    into an index that can lie outside 0..n-1.
+    """
+    n = t.n
+    if any(t.bits[i][i] for i in range(n)) or sorted(t.row_sums()) != list(range(n)):
+        raise ValueError("matrix is not from a full sort: it needs a zero diagonal "
+                         f"and row sums forming a permutation of 0..{n - 1}")
+
+
 def select_rank(t: ComparisonMatrix, r: int) -> RankQueryResult:
     """Index of the unique row whose popcount equals r.
 
     Circuit route: per-row popcount tree, add the two's complement of r
     over ceil(lg n) + 1 bits, NOR the difference bits into a zero flag,
-    encode the one-hot flags.  Valid on any matrix from a full sort,
-    where ranks form a permutation.
+    encode the one-hot flags.  Raises ValueError on a matrix that no full
+    sort produces.
     """
     n = t.n
     if not 0 <= r <= n - 1:
         raise ValueError(f"rank {r} outside 0..{n - 1}")
+    _check_sorted_matrix(t)
     width = (n - 1).bit_length() + 1
     comp = (~r) & ((1 << width) - 1)
     comp_bits = [(comp >> b) & 1 for b in range(width)]
@@ -340,12 +355,14 @@ def search(layout: Layout, values: Sequence[int], key) -> RankQueryResult:
 
 
 def min_index(t: ComparisonMatrix) -> int:
-    """Evaluate the min circuit on a matrix."""
+    """Evaluate the min circuit on a matrix from a full sort (else ValueError)."""
+    _check_sorted_matrix(t)
     return decode_bits(evaluate(build_min_circuit(t.n), matrix_assignments(t, diagonal=False)))
 
 
 def max_index(t: ComparisonMatrix) -> int:
-    """Evaluate the max circuit on a matrix."""
+    """Evaluate the max circuit on a matrix from a full sort (else ValueError)."""
+    _check_sorted_matrix(t)
     return decode_bits(evaluate(build_max_circuit(t.n), matrix_assignments(t, diagonal=False)))
 
 

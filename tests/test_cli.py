@@ -122,16 +122,23 @@ def test_validate_clean_and_violations(tmp_path, capsys):
     assert json.loads(out)["violations"]
 
 
-def test_validate_bounded_by_slot_count_not_declared_n(tmp_path, capsys):
+@pytest.mark.parametrize("doc, expected", [
+    ({"n": 10**6, "slots": [0, 1]},
+     f"violation: {10**6 * (10**6 - 1) // 2 - 1} class pairs never adjacent"),
+    ({"n": 10**12, "slots": [0, 1]},
+     f"violation: {10**12 * (10**12 - 1) // 2 - 1} class pairs never adjacent"),
+    ({"n": 10**12, "slots": []}, "violation: layout has no slots"),
+], ids=["n-1e6", "n-1e12", "no-slots"])
+def test_validate_bounded_by_slot_count_not_declared_n(tmp_path, capsys, doc, expected):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"n": 10**6, "slots": [0, 1]}))
+    path.write_text(json.dumps(doc))
     start = time.perf_counter()
     code, out = run(capsys, "validate", "--layout", str(path))
     assert time.perf_counter() - start < 5
     assert code == 1
     violations = [line for line in out.splitlines() if line.startswith("violation: ")]
     assert 0 < len(violations) <= 20
-    assert f"violation: {10**6 * (10**6 - 1) // 2 - 1} class pairs never adjacent" in out
+    assert expected in out
 
 
 def test_validate_roundtrip_through_build(tmp_path, capsys):
@@ -222,3 +229,11 @@ def test_validate_malformed_layout_exits_two(tmp_path, capsys, doc):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: cannot read layout")
+
+
+def test_validate_deeply_nested_layout_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["validate", "--layout", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot read layout")

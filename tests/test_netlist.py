@@ -16,7 +16,6 @@ def _wide_sample_net():
     nb.output("not0", nb.not_(w[0]))
     nb.output("thr3", nb.threshold(w, 3))
     nb.output("xor", nb.xor2(w[0], w[1]))
-    nb.output("par", nb.parity3(w[0], w[1], w[2]))
     return nb.build()
 
 
@@ -29,7 +28,6 @@ def _truth(bits):
         "not0": 1 - i0,
         "thr3": int(sum(bits) >= 3),
         "xor": i0 ^ i1,
-        "par": i0 ^ i1 ^ i2,
     }
 
 

@@ -1,14 +1,20 @@
-"""Hypothesis properties of the sort over both compare directions.
+"""Hypothesis properties of the sort, its trace and the `validate` command.
 
 Every layout from `build(n)` has crosspoints whose greater class sits on
 the right and others whose greater class sits on the left, so arbitrary
 inputs at every n in 2..12 exercise both exchange/reply directions.
 """
 
+import contextlib
+import csv
+import io
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xbar.array_builder import build
+from xbar.cli import main
 from xbar.pe_simulator import detect_write_conflicts, sort
 
 from oracles import oracle_ranks, twrite_conflicts
@@ -39,9 +45,51 @@ def test_sort_matches_oracle_and_tie_rule(values):
                 )
 
 
+int_lists = st.integers(min_value=2, max_value=24).flatmap(
+    lambda n: st.lists(st.integers(), min_size=n, max_size=n))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=2, max_value=24).flatmap(
-    lambda n: st.lists(st.integers(), min_size=n, max_size=n)))
+@given(int_lists)
 def test_conflicts_match_twrite_scan(values):
     _, _, trace = sort(build(len(values)), values)
     assert detect_write_conflicts(trace) == twrite_conflicts(trace)
+
+
+@settings(max_examples=50, deadline=None)
+@given(int_lists)
+def test_csv_rows_match_jsonl_objects(values):
+    _, _, trace = sort(build(len(values)), values)
+    header, *rows = csv.reader(io.StringIO(trace.to_csv()))
+    objects = [json.loads(line) for line in trace.to_jsonl().splitlines()]
+    assert header == ["phase", "slot", "action", "value", "row", "col"]
+    assert len(rows) == len(objects)
+    for row, obj in zip(rows, objects):
+        assert list(obj) == [k for k in header if k in obj]
+        assert row == [str(obj.get(k, "")) for k in header]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=10,
+)
+class_ids = st.integers(min_value=-2, max_value=30) | st.integers(max_value=10**12)
+layout_docs = json_values | st.fixed_dictionaries(
+    {
+        "n": st.integers(min_value=-2, max_value=30) | st.integers(max_value=10**12) | json_values,
+        "slots": st.lists(class_ids, max_size=40) | st.lists(json_values, max_size=4) | json_values,
+    },
+    optional={"provenance": st.lists(st.text(), max_size=40) | json_values},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout_docs)
+def test_validate_fuzzed_layout_documents_exit_cleanly(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-layout.json"
+    path.write_text(json.dumps(doc))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(["validate", "--layout", str(path)])
+    assert code in (0, 1, 2)

@@ -199,6 +199,19 @@ def test_select_rank_every_rank():
         select_rank(t, 5)
 
 
+# Matrices no full sort produces: their row sums are not a permutation of
+# 0..n-1, so the row flags are not one-hot and the encoders would return
+# an index outside 0..n-1.
+@pytest.mark.parametrize("query, bits", [
+    (lambda t: select_rank(t, 1), ((0, 1, 0), (0, 0, 1), (0, 0, 1))),
+    (min_index, ((0, 0, 0),) * 3),
+    (max_index, ((0, 0, 0, 0), (1, 0, 1, 1), (1, 1, 0, 1), (0, 0, 0, 0))),
+], ids=["select_rank-repeated-sums", "min-all-zero", "max-two-all-ones-rows"])
+def test_queries_reject_non_permutation_matrices(query, bits):
+    with pytest.raises(ValueError, match="not from a full sort"):
+        query(ComparisonMatrix(bits))
+
+
 def test_probabilistic_rank_examples():
     row = [1, 1] + [0] * 14
     verdict, _ = rank_at_least_probabilistic(row, 2, 2)
