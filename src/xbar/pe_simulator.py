@@ -24,6 +24,7 @@ with k < i; row sums are therefore the ranks of a stable sort.
 
 import io
 import json
+from collections import Counter
 from csv import writer as csv_writer
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -254,15 +255,14 @@ def detect_write_conflicts(trace: SortTrace) -> list[tuple[int, int, tuple[int, 
     bits = trace.bits
     if bits is None:
         return []
+    points = list(_crosspoints(trace.layout.slots))
+    # A pair's comparison sets one cell, so only pairs seen twice can conflict.
+    seen = Counter((small, big) for small, big, _, _ in points)
+    doubled = sorted((p for p in points if seen[p[0], p[1]] > 1), key=lambda p: p[2] > p[3])
     writers: dict[tuple[int, int], list[int]] = {}
-    points = sorted(_crosspoints(trace.layout.slots), key=lambda p: p[2] > p[3])
-    for small, big, small_slot, big_slot in points:
+    for small, big, small_slot, big_slot in doubled:
         if bits[small][big]:
             writers.setdefault((small, big), []).append(small_slot)
         else:
             writers.setdefault((big, small), []).append(big_slot)
-    return sorted(
-        (row, col, tuple(slot_list))
-        for (row, col), slot_list in writers.items()
-        if len(slot_list) > 1
-    )
+    return sorted((row, col, tuple(slot_list)) for (row, col), slot_list in writers.items())

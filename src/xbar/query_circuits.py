@@ -15,8 +15,8 @@ Circuits provided:
   resulting one-hot feeds the encoder;
 * popcount adder trees built from fan-in-2 carry-prefix adders
   (HALF_ADD sum cells, AND/OR carry cells), used both to rank rows and
-  to select the row whose rank equals a target via two's-complement
-  subtraction and a zero detector;
+  to select the row whose rank equals a target (one row circuit with a
+  two's-complement subtraction and a zero detector, run on every row);
 * a probabilistic rank-at-least-j test that sums row bits in k-wide
   chunks, with its exact miss probability as a fraction.
 
@@ -285,10 +285,11 @@ def _check_sorted_matrix(t: ComparisonMatrix) -> None:
 def select_rank(t: ComparisonMatrix, r: int) -> RankQueryResult:
     """Index of the unique row whose popcount equals r.
 
-    Circuit route: per-row popcount tree, add the two's complement of r
-    over ceil(lg n) + 1 bits, NOR the difference bits into a zero flag,
-    encode the one-hot flags.  Raises ValueError on a matrix that no full
-    sort produces.
+    Circuit route: one row circuit, built once and run on every row:
+    popcount tree, add the two's complement of r over ceil(lg n) + 1
+    bits, NOR the difference bits into a zero flag.  The encoder turns
+    the one-hot flags into the index.  Raises ValueError on a matrix
+    that no full sort produces.
     """
     n = t.n
     if not 0 <= r <= n - 1:
@@ -298,13 +299,12 @@ def select_rank(t: ComparisonMatrix, r: int) -> RankQueryResult:
     comp = (~r) & ((1 << width) - 1)
     comp_bits = [(comp >> b) & 1 for b in range(width)]
     nb = NetBuilder(f"select_rank{n}")
-    flags = []
-    for row in _matrix_rows(nb, n, diagonal=True):
-        total = (_popcount_bits(nb, row) + [0] * width)[:width]
-        diff = _bk_add(nb, total, comp_bits, cin=1)[:width]
-        flags.append(nb.nor_(*diff))
-    _encoder(nb, flags)
-    out = evaluate(nb.build(), matrix_assignments(t))
+    total = (_popcount_bits(nb, [nb.input(f"b{k}") for k in range(n)]) + [0] * width)[:width]
+    diff = _bk_add(nb, total, comp_bits, cin=1)[:width]
+    nb.output("hit", nb.nor_(*diff))
+    row_net = nb.build()
+    flags = [evaluate(row_net, row_assignments(row))["hit"] for row in t.bits]
+    out = evaluate(build_encoder(n, with_valid=False), row_assignments(flags, "x"))
     return RankQueryResult(index=decode_bits(out), exact=True)
 
 

@@ -108,14 +108,19 @@ ENCODER_NO_VALID_DIGESTS = (
     "89ae9bed4d32e0e51359934a015ad8fe1b6e311ddeb1c69d3c66dddeea2a299d",
 )
 
-# select_rank(reversed-order matrix, r = n // 2) builds its netlist internally.
-SELECT_RANK_DIGESTS = (
-    "4658869e8feeac8baf0a9138c5577123471eb524efe0a0b1f703260511466e98",
-    "f2e37f07e91598be48f7786e7cfeb4a96f617ba03f6f8b8bdfc2e268d4a0d5f6",
-    "89441617c14da9593562219436931ddbaefa1c2f319832c2226395e63b8d6843",
-    "9a067c2f08f70fc7b15e44a135bd42675007a6b5280af8b8b571b07c14108cb3",
-    "a209cf2ac92e18244562151c02990b83555f1dfaf56239792ae8bb4b719ab2fb",
+# select_rank(reversed-order matrix, r = n // 2) builds one row netlist
+# internally: sha256 of its to_text() for each n in SIZES.
+SELECT_RANK_ROW_DIGESTS = (
+    "290998ee25547d3a58af9e966e43fd0f3343e34bc88553aa8ce830adfb4556e5",
+    "a5af15a3466c5071a865bf3bda740f69c3d6f36f3f6ec0a2155d32942970babd",
+    "93851633051d4b7f7f42fc431d294c5236fe9e66029b42101caa44f915fa8450",
+    "454fe7d62fbce47340ecfb59693af906ea30c4f93e3b627694fcf4043517dc50",
+    "f111c5d9750b51362e90cafb28fb2ef952340807182a3caa3dd52579fa2a0175",
 )
+
+# Gates evaluated per query: the row netlist n times plus the encoder,
+# exactly as many as one netlist holding n row circuits and the encoder.
+SELECT_RANK_GATES = (18, 54, 192, 435, 1908)
 
 
 @pytest.mark.parametrize("name", sorted(NETLIST_DIGESTS))
@@ -130,16 +135,21 @@ def test_encoder_without_valid_bytes():
     assert got == ENCODER_NO_VALID_DIGESTS
 
 
-def test_select_rank_netlist_bytes(monkeypatch):
-    built = []
+def test_select_rank_row_netlist_bytes(monkeypatch):
+    evaluated = []
     evaluate = query_circuits.evaluate
 
     def recording(net, assignment):
-        built.append(net)
+        evaluated.append(net)
         return evaluate(net, assignment)
 
     monkeypatch.setattr(query_circuits, "evaluate", recording)
-    for n, digest in zip(SIZES, SELECT_RANK_DIGESTS):
+    for n, digest, gates in zip(SIZES, SELECT_RANK_ROW_DIGESTS, SELECT_RANK_GATES):
+        evaluated.clear()
         t, _, _ = sort(build(n), list(range(n, 0, -1)))
         assert query_circuits.select_rank(t, n // 2).index == n - 1 - n // 2
-        assert _sha(built[-1].to_text()) == digest
+        *rows, encoder = evaluated
+        assert len(rows) == n and all(net is rows[0] for net in rows)
+        assert _sha(rows[0].to_text()) == digest
+        assert encoder.to_text() == query_circuits.build_encoder(n, with_valid=False).to_text()
+        assert sum(net.gate_count() for net in evaluated) == gates

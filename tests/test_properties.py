@@ -1,4 +1,5 @@
-"""Hypothesis properties of the sort, its trace and the `validate` command.
+"""Hypothesis properties of the sort, its trace, the query circuits and
+the `validate` command.
 
 Every layout from `build(n)` has crosspoints whose greater class sits on
 the right and others whose greater class sits on the left, so arbitrary
@@ -13,8 +14,10 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xbar import query_circuits
 from xbar.array_builder import build
 from xbar.cli import main
+from xbar.netlist import evaluate, legalize
 from xbar.pe_simulator import detect_write_conflicts, sort
 
 from oracles import oracle_ranks, twrite_conflicts
@@ -54,6 +57,45 @@ int_lists = st.integers(min_value=2, max_value=24).flatmap(
 def test_conflicts_match_twrite_scan(values):
     _, _, trace = sort(build(len(values)), values)
     assert detect_write_conflicts(trace) == twrite_conflicts(trace)
+
+
+tied_lists = st.integers(min_value=2, max_value=24).flatmap(
+    lambda n: st.lists(keys, min_size=n, max_size=n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(tied_lists)
+def test_select_rank_matches_sorted_order(values):
+    t, ranks, _ = sort(build(len(values)), values)
+    order = ranks.order()
+    for r in range(len(values)):
+        assert query_circuits.select_rank(t, r).index == order[r]
+
+
+LEGALIZED_BUILDERS = ("build_min_circuit", "build_max_circuit", "build_priority_encoder",
+                      "build_popcount_tree", "build_ones_counter")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LEGALIZED_BUILDERS), st.integers(min_value=2, max_value=9),
+       st.integers(min_value=2, max_value=5), st.data())
+def test_legalize_preserves_outputs(builder, n, b, data):
+    net = getattr(query_circuits, builder)(n)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=len(net.inputs),
+                              max_size=len(net.inputs)))
+    assignment = dict(zip(net.inputs, bits))
+    assert evaluate(legalize(net, b), assignment) == evaluate(net, assignment)
+
+
+def test_built_layouts_round_trip_through_validate(tmp_path):
+    path = tmp_path / "layout.json"
+    for n in range(2, 65):
+        path.write_text(build(n).to_json())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["validate", "--layout", str(path)])
+        assert code == 0, n
+        assert out.getvalue().splitlines()[-1] == "ok", n
 
 
 @settings(max_examples=50, deadline=None)
