@@ -101,6 +101,8 @@ def _cmd_validate(args) -> int:
             raise DataError(f"cannot read layout from {args.layout}: {exc}") from None
     else:
         layout = array_builder.build(args.n)
+    if args.format == "json" and layout.n > len(layout.slots):
+        raise DataError(f"--format json needs n <= slots: n {layout.n}, {len(layout.slots)} slots")
     report = array_builder.validate(layout)
     if args.format == "json":
         _emit_json(report.to_json_dict())

@@ -118,11 +118,21 @@ class SortTrace:
             yield "rank", TraceEvent(first[i], "rank", r, i)
 
     def to_jsonl(self) -> str:
-        """One JSON object per event over COLUMNS, leaving out absent payload keys."""
-        return "\n".join(
-            json.dumps({k: v for k, v in zip(COLUMNS, (name, *ev)) if v is not None})
-            for name, ev in self.events()
-        ) + "\n"
+        """One JSON object per event over COLUMNS, leaving out absent payload keys.
+
+        Lines fill one %-template per (phase, action, present payload columns):
+        names are their json.dumps text, ints %d, and %.0s swallows the action and
+        absent columns; for int payloads that equals json.dumps (default separators).
+        """
+        templates, lines = {}, []
+        for name, ev in self.events():
+            key = (name, ev.action, ev.value is None, ev.row is None, ev.col is None)
+            if (template := templates.get(key)) is None:
+                cells = ("%.0s" if v is None else f', "{k}": %d' for k, v in zip(COLUMNS[3:], ev[2:]))
+                template = templates[key] = (f'{{"phase": {json.dumps(name)}, "slot": %d%.0s, '
+                                             f'"action": {json.dumps(ev.action)}{"".join(cells)}}}')
+            lines.append(template % ev)
+        return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
         """A COLUMNS header, then one row per event; absent payload fields are empty."""
@@ -190,6 +200,9 @@ def load_phase(layout: Layout, values: Sequence[int]) -> SortTrace:
     """
     if len(values) != layout.n:
         raise ValueError(f"got {len(values)} values for {layout.n} classes")
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"value {v!r} is a {type(v).__name__}, not an int")
     bad = next((c for c in layout.slots if not 0 <= c < layout.n), None)
     if bad is not None:
         raise ValueError(f"class id {bad} outside 0..{layout.n - 1}")

@@ -4,7 +4,10 @@ Everything here is deliberately naive and independent of the library's
 own code paths.
 """
 
+import json
 from collections import Counter
+
+from xbar.pe_simulator import COLUMNS
 
 
 def oracle_ranks(values):
@@ -65,3 +68,11 @@ def twrite_conflicts(trace):
         for (row, col), slots in sorted(writers.items())
         if len(slots) > 1
     ]
+
+
+def jsonl_reference(trace):
+    """The trace as JSON lines: one `json.dumps` of a dict per event."""
+    return "\n".join(
+        json.dumps({k: v for k, v in zip(COLUMNS, (name, *ev)) if v is not None})
+        for name, ev in trace.events()
+    ) + "\n"

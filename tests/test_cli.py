@@ -1,9 +1,12 @@
+import hashlib
 import json
 import time
 
 import pytest
 
 from xbar.cli import main
+
+from test_golden_bytes import TRACE_DIGESTS
 
 
 def run(capsys, *argv):
@@ -66,6 +69,16 @@ def test_sort_trace_file(tmp_path, capsys):
     docs = [json.loads(line) for line in lines]
     assert docs[0]["phase"] == "clear"
     assert docs[-1]["phase"] == "rank"
+
+
+def test_sort_trace_file_bytes_match_golden(tmp_path, capsys):
+    # The n=9 pin of test_golden_bytes, reached the way `sort --trace` writes it.
+    values, _, jsonl_digest, _ = TRACE_DIGESTS[-1]
+    path = tmp_path / "trace.jsonl"
+    code, _ = run(capsys, "sort", "--n", "9", "--input", ",".join(map(str, values)),
+                  "--trace", str(path), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == jsonl_digest
 
 
 def test_sort_csv_is_trace(capsys):
@@ -139,6 +152,36 @@ def test_validate_bounded_by_slot_count_not_declared_n(tmp_path, capsys, doc, ex
     violations = [line for line in out.splitlines() if line.startswith("violation: ")]
     assert 0 < len(violations) <= 20
     assert expected in out
+
+
+def test_validate_json_rejects_n_above_slot_count(tmp_path, capsys):
+    # --format json lists one count per declared class, so n must be bounded.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**9, "slots": [0, 1]}))
+    start = time.perf_counter()
+    code = main(["validate", "--layout", str(path), "--format", "json"])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{10**9}" in captured.err and "2 slots" in captured.err
+
+
+def test_validate_json_keeps_report_when_n_fits_slot_count(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"n": 5, "slots": [0, 1, 2, 0, 1]}))
+    code, out = run(capsys, "validate", "--layout", str(path), "--format", "json")
+    assert code == 1
+    assert out == (
+        '{"n": 5, "pe_count": 5, "expected_pe_count": 11, "pair_coverage": '
+        '{"0-1": 2, "0-2": 1, "1-2": 1}, "redundant_pairs": [[0, 1]], '
+        '"replicate_counts": [2, 2, 1, 0, 0], "end_classes": [0, 1], "violations": '
+        '["pe count 5 != minimal 11", "7 class pairs never adjacent, e.g. [(0, 3), (0, 4), '
+        '(1, 3), (1, 4), (2, 3)]", "odd n: pairs adjacent more than once: [(0, 1)]", '
+        '"class 0 has 2 slots, below its lower bound 3", "class 1 has 2 slots, below its '
+        'lower bound 3", "class 2 has 1 slots, below its lower bound 2", "class 3 has 0 '
+        'slots, below its lower bound 2", "class 4 has 0 slots, below its lower bound 2"]}\n'
+    )
 
 
 def test_validate_roundtrip_through_build(tmp_path, capsys):

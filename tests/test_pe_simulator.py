@@ -195,3 +195,10 @@ def test_sort_rejects_layout_missing_pairs():
 def test_load_rejects_class_ids_out_of_range(slots):
     with pytest.raises(ValueError, match="class id"):
         load_phase(Layout(3, slots, ("",) * len(slots)), [1, 2, 3])
+
+
+@pytest.mark.parametrize("values", [[1, 2.5, 0], [True, 0, 1]], ids=["float", "bool"])
+def test_load_rejects_values_that_are_not_exact_ints(values):
+    # The trace writes each value as a JSON integer, which a float or a bool is not.
+    with pytest.raises(ValueError, match="not an int"):
+        load_phase(build(3), values)

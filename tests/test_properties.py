@@ -18,9 +18,9 @@ from xbar import query_circuits
 from xbar.array_builder import build
 from xbar.cli import main
 from xbar.netlist import evaluate, legalize
-from xbar.pe_simulator import detect_write_conflicts, sort
+from xbar.pe_simulator import compare_phase, detect_write_conflicts, load_phase, sort
 
-from oracles import oracle_ranks, twrite_conflicts
+from oracles import jsonl_reference, oracle_ranks, twrite_conflicts
 
 # Negatives, duplicates (small range) and values well past 2**64.
 keys = st.one_of(
@@ -109,6 +109,22 @@ def test_csv_rows_match_jsonl_objects(values):
     for row, obj in zip(rows, objects):
         assert list(obj) == [k for k in header if k in obj]
         assert row == [str(obj.get(k, "")) for k in header]
+
+
+STAGES = {
+    "load": load_phase,
+    "compare": lambda layout, values: compare_phase(load_phase(layout, values))[1],
+    "sort": lambda layout, values: sort(layout, values)[2],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(STAGES)), int_lists)
+def test_jsonl_templates_match_json_dumps(stage, values):
+    # Each stage adds phases, so together they reach every template key.
+    trace = STAGES[stage](build(len(values)), values)
+    # Bytes, not str: pytest's str diff of a long mismatch is slow to build.
+    assert trace.to_jsonl().encode() == jsonl_reference(trace).encode()
 
 
 json_values = st.recursive(
