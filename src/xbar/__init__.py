@@ -7,7 +7,6 @@ from .array_builder import (
     build_even,
     build_odd,
     min_pe_count,
-    neighbors,
     replicate_lower_bound,
     validate,
 )

@@ -15,7 +15,6 @@ slot between consecutive groups, drops class n-1 into every gap, and
 finishes with class n-1 followed by class 0.
 """
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -41,22 +40,12 @@ class Layout:
     def crosspoint_count(self) -> int:
         return max(len(self.slots) - 1, 0)
 
-    def adjacent_pairs(self) -> list[tuple[int, int]]:
-        """Unordered class pairs (a, b), a < b, one entry per crosspoint."""
-        return [
-            (min(a, b), max(a, b))
-            for a, b in zip(self.slots, self.slots[1:])
-        ]
-
     def to_text(self) -> str:
         """One-line rendering, class ids joined by dashes."""
         return "-".join(str(c) for c in self.slots)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "slots": list(self.slots), "provenance": list(self.provenance)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Layout":
@@ -113,9 +102,6 @@ class ValidationReport:
             "end_classes": list(self.end_classes),
             "violations": list(self.violations),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def min_pe_count(n: int) -> int:
@@ -203,15 +189,6 @@ def build(n: int) -> Layout:
     if n == 2:
         return Layout(2, (0, 1), ("trivial-pair", "trivial-pair"))
     return build_odd(n) if n % 2 else build_even(n)
-
-
-def neighbors(layout: Layout, slot_index: int) -> tuple[int | None, int | None]:
-    """Class ids of the physically adjacent slots; None past either array end."""
-    if not 0 <= slot_index < len(layout.slots):
-        raise IndexError(f"slot index {slot_index} out of range 0..{len(layout.slots) - 1}")
-    left = layout.slots[slot_index - 1] if slot_index > 0 else None
-    right = layout.slots[slot_index + 1] if slot_index < len(layout.slots) - 1 else None
-    return left, right
 
 
 def validate(layout: Layout) -> ValidationReport:

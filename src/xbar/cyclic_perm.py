@@ -5,8 +5,8 @@ disjoint-cycle decompositions, and the grouping of those cycles by
 smallest element (the Q partition) are the raw material from which
 crosspoint-array layouts are built.
 
-Permutations are stored as the pair (n, j) and the mapping is computed
-on demand, so very large n stays cheap.
+Permutations are stored as the pair (n, j) and applied on demand, so
+very large n stays cheap.
 """
 
 from dataclasses import dataclass
@@ -31,14 +31,6 @@ class Permutation:
 
     def apply(self, i: int) -> int:
         return (i + self.j) % self.n
-
-    def mapping(self) -> tuple[int, ...]:
-        """The images of 0..n-1 in order."""
-        return tuple((i + self.j) % self.n for i in range(self.n))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.j == self.n
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,9 +7,10 @@ built from AND/OR explicitly.  THRESHOLD(m) outputs 1 when at least m
 of its inputs are 1 and is charged unit delay regardless of fan-in.
 
 `evaluate` walks the gate list once in construction order (netlists are
-built topologically).  Wire values may be plain 0/1 ints or numpy-style
-integer arrays; all gate functions apply elementwise, so a whole batch
-of input vectors can be evaluated in one pass.
+built topologically) and is bit-sliced: bit i of a wire's int is lane i,
+so one pass evaluates `lanes` input vectors.  Gates are bitwise (NOT and
+NOR XOR the all-lanes mask, THRESHOLD compares a bit-sliced counter with
+its param), so at one lane numpy 0/1 arrays work elementwise too.
 
 `depth` measures the critical path in gate levels.  Under a finite
 fan-in limit b, every AND/OR/NOR gate wider than b is first legalized
@@ -20,7 +21,6 @@ alongside the depth so the unit-delay assumption stays visible.
 Structural text format: one gate per line, ``gateId KIND[param] <- wire,wire,...``.
 """
 
-import json
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
@@ -79,9 +79,6 @@ class DepthReport:
             "gate_count": self.gate_count,
             "max_threshold_fanin": self.max_threshold_fanin,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 class NetBuilder:
@@ -168,35 +165,52 @@ class NetBuilder:
 
 
 # The operation each gate kind folds over its inputs, left to right; NOR and
-# NOT then invert the result and THRESHOLD compares the sum with its param.
+# NOT then invert the result.  THRESHOLD counts its inputs instead.
 _FOLDS = {
     "AND": operator.and_, "OR": operator.or_, "NOR": operator.or_, "NOT": operator.or_,
-    "THRESHOLD": operator.add, "HALF_ADD": operator.xor,
+    "HALF_ADD": operator.xor,
 }
 
 
-def evaluate(net: Netlist, assignments: dict) -> dict:
-    """Evaluate the netlist; returns {output name: value}.
+def _at_least(ins: list, m: int, mask):
+    """Lanes where at least m of `ins` are 1: a bit-sliced ripple counter, then count >= m.
 
-    `assignments` must bind every primary input.  Values may be 0/1 ints
-    or numpy-style integer arrays of a common shape.
+    After input i the count is at most i + 1, so only its low bits can carry.
     """
+    count = [0] * max(len(ins), m).bit_length()
+    for i, carry in enumerate(ins):
+        for k in range((i + 1).bit_length()):
+            count[k], carry = count[k] ^ carry, count[k] & carry
+    ge = mask  # count >= m, decided from the low bits up
+    for k, c in enumerate(count):
+        ge = c & ge if (m >> k) & 1 else c | ge
+    return ge
+
+
+def evaluate(net: Netlist, assignments: dict, lanes: int = 1) -> dict:
+    """Evaluate the netlist on `lanes` input vectors; returns {output name: value}.
+
+    `assignments` binds every primary input to an int holding its lane i
+    at bit i; outputs are packed alike, a constant one as 0 or all lanes.
+    At one lane, numpy-style 0/1 arrays of a common shape work too.
+    """
+    mask = (1 << lanes) - 1
     values = {}
     for name in net.inputs:
         if name not in assignments:
             raise KeyError(f"missing value for input wire {name!r}")
         values[name] = assignments[name]
     for g in net.gates:
-        if g.kind not in _FOLDS:
+        ins = [values[w] for w in g.inputs]
+        if g.kind == "THRESHOLD":
+            v = _at_least(ins, g.param, mask)
+        elif g.kind in _FOLDS:
+            v = reduce(_FOLDS[g.kind], ins)
+        else:
             raise ValueError(f"unknown gate kind {g.kind}")
-        v = reduce(_FOLDS[g.kind], [values[w] for w in g.inputs])
-        if g.kind in ("NOR", "NOT"):
-            v = v ^ 1
-        elif g.kind == "THRESHOLD":
-            v = (v >= g.param) * 1
-        values[g.gid] = v
+        values[g.gid] = v ^ mask if g.kind in ("NOR", "NOT") else v
     return {
-        name: (wire if isinstance(wire, int) else values[wire])
+        name: (-wire & mask if isinstance(wire, int) else values[wire])
         for name, wire in net.outputs.items()
     }
 
@@ -245,13 +259,6 @@ def legalize(net: Netlist, b: int) -> Netlist:
     return out
 
 
-def wire_levels(net: Netlist) -> dict[Wire, int]:
-    levels = {w: 0 for w in net.inputs}
-    for g in net.gates:
-        levels[g.gid] = 1 + max((levels[w] for w in g.inputs), default=0)
-    return levels
-
-
 def depth(net: Netlist, fanin_limit: "str | int" = "unbounded") -> DepthReport:
     """Critical-path depth in gate levels under the chosen fan-in model.
 
@@ -262,7 +269,9 @@ def depth(net: Netlist, fanin_limit: "str | int" = "unbounded") -> DepthReport:
         target = net
     else:
         target = legalize(net, int(fanin_limit))
-    levels = wire_levels(target)
+    levels = {w: 0 for w in target.inputs}
+    for g in target.gates:
+        levels[g.gid] = 1 + max((levels[w] for w in g.inputs), default=0)
     d = max(
         (0 if isinstance(w, int) else levels[w] for w in target.outputs.values()),
         default=0,

@@ -203,9 +203,9 @@ def load_phase(layout: Layout, values: Sequence[int]) -> SortTrace:
     for v in values:
         if type(v) is not int:
             raise ValueError(f"value {v!r} is a {type(v).__name__}, not an int")
-    bad = next((c for c in layout.slots if not 0 <= c < layout.n), None)
-    if bad is not None:
-        raise ValueError(f"class id {bad} outside 0..{layout.n - 1}")
+    for c in layout.slots:
+        if type(c) is not int or not 0 <= c < layout.n:
+            raise ValueError(f"class id {c!r} is not an int in 0..{layout.n - 1}")
     return SortTrace(layout, tuple(values))
 
 

@@ -15,10 +15,14 @@ Circuits provided:
   resulting one-hot feeds the encoder;
 * popcount adder trees built from fan-in-2 carry-prefix adders
   (HALF_ADD sum cells, AND/OR carry cells), used both to rank rows and
-  to select the row whose rank equals a target (one row circuit with a
-  two's-complement subtraction and a zero detector, run on every row);
+  to select the row whose rank equals a target (a two's-complement
+  subtraction and a zero detector after the tree);
 * a probabilistic rank-at-least-j test that sums row bits in k-wide
   chunks, with its exact miss probability as a fraction.
+
+The min, max, select-rank and adder-tree queries run one row circuit
+over all n rows in a single bit-sliced evaluation, lane i being row i;
+the n-row builders lay the same circuits out for depth accounting.
 
 Depth accounting comes from `xbar.netlist.depth`; unit-delay THRESHOLD
 gates are reported with their fan-in so the optimism is visible.
@@ -48,7 +52,6 @@ __all__ = [
     "search",
     "min_index",
     "max_index",
-    "matrix_assignments",
     "row_assignments",
     "decode_bits",
     "ADDER_TREE_DEPTH_MARGIN",
@@ -257,55 +260,70 @@ def build_popcount_tree(n: int) -> Netlist:
     return nb.build()
 
 
-def rank_via_adder_tree(t: ComparisonMatrix) -> tuple[RankVector, DepthReport]:
-    """Rank every row by evaluating the popcount adder tree on it.
+def _run_rows(t: ComparisonMatrix, row_net: Netlist, diagonal: int = 0) -> dict:
+    """Evaluate `row_net` once on every row: input `b<k>` packs column k, lane i = row i.
 
-    Returns the ranks together with the measured critical-path depth of
-    the tree at fan-in 2.
+    The diagonal bit is read as `diagonal`, the row gate's identity.
     """
-    net = build_popcount_tree(t.n)
-    ranks = tuple(decode_bits(evaluate(net, row_assignments(row))) for row in t.bits)
-    return RankVector(ranks), depth(net, 2)
+    columns = {}
+    for k, column in enumerate(zip(*t.bits)):
+        packed = int("".join(map(str, reversed(column))), 2)
+        columns[f"b{k}"] = packed & ~(1 << k) | diagonal << k
+    return evaluate(row_net, columns, lanes=t.n)
 
 
-def _check_sorted_matrix(t: ComparisonMatrix) -> None:
-    """Raise ValueError unless `t` could come from a full sort.
+def _hit_index(t: ComparisonMatrix, hit, diagonal: int = 0) -> int:
+    """Run the row circuit `hit(nb, [b0..b<n-1>])` on every row; encode the hot row.
 
-    That needs a zero diagonal and row sums forming a permutation of
-    0..n-1.  Only then is every row flag of the min, max and select-rank
-    circuits one-hot; otherwise their encoders OR several rows (or none)
+    The flags are one-hot only on a matrix a full sort produces: a zero
+    diagonal and row sums forming a permutation of 0..n-1.  Any other
+    raises ValueError, as the encoder would OR several rows (or none)
     into an index that can lie outside 0..n-1.
     """
     n = t.n
     if any(t.bits[i][i] for i in range(n)) or sorted(t.row_sums()) != list(range(n)):
         raise ValueError("matrix is not from a full sort: it needs a zero diagonal "
                          f"and row sums forming a permutation of 0..{n - 1}")
+    nb = NetBuilder()
+    nb.output("hit", hit(nb, [nb.input(f"b{k}") for k in range(n)]))
+    hits = _run_rows(t, nb.build(), diagonal)["hit"]
+    flags = [(hits >> i) & 1 for i in range(n)]
+    return decode_bits(evaluate(build_encoder(n, with_valid=False), row_assignments(flags, "x")))
+
+
+def rank_via_adder_tree(t: ComparisonMatrix) -> tuple[RankVector, DepthReport]:
+    """Rank every row (diagonal read as 0) with the popcount adder tree.
+
+    Returns the ranks together with the measured critical-path depth of
+    the tree at fan-in 2.
+    """
+    net = build_popcount_tree(t.n)
+    out = _run_rows(t, net)
+    ranks = tuple(decode_bits({k: (v >> i) & 1 for k, v in out.items()}) for i in range(t.n))
+    return RankVector(ranks), depth(net, 2)
 
 
 def select_rank(t: ComparisonMatrix, r: int) -> RankQueryResult:
     """Index of the unique row whose popcount equals r.
 
-    Circuit route: one row circuit, built once and run on every row:
-    popcount tree, add the two's complement of r over ceil(lg n) + 1
-    bits, NOR the difference bits into a zero flag.  The encoder turns
-    the one-hot flags into the index.  Raises ValueError on a matrix
-    that no full sort produces.
+    Circuit route: one row circuit (popcount tree, add the two's
+    complement of r over ceil(lg n) + 1 bits, NOR the difference bits
+    into a zero flag), evaluated once over all rows as bit-sliced lanes.
+    The encoder turns the one-hot flags into the index.  Raises
+    ValueError on a matrix that no full sort produces.
     """
     n = t.n
     if not 0 <= r <= n - 1:
         raise ValueError(f"rank {r} outside 0..{n - 1}")
-    _check_sorted_matrix(t)
     width = (n - 1).bit_length() + 1
     comp = (~r) & ((1 << width) - 1)
     comp_bits = [(comp >> b) & 1 for b in range(width)]
-    nb = NetBuilder(f"select_rank{n}")
-    total = (_popcount_bits(nb, [nb.input(f"b{k}") for k in range(n)]) + [0] * width)[:width]
-    diff = _bk_add(nb, total, comp_bits, cin=1)[:width]
-    nb.output("hit", nb.nor_(*diff))
-    row_net = nb.build()
-    flags = [evaluate(row_net, row_assignments(row))["hit"] for row in t.bits]
-    out = evaluate(build_encoder(n, with_valid=False), row_assignments(flags, "x"))
-    return RankQueryResult(index=decode_bits(out), exact=True)
+
+    def rank_is_r(nb: NetBuilder, row: list):
+        total = (_popcount_bits(nb, row) + [0] * width)[:width]
+        return nb.nor_(*_bk_add(nb, total, comp_bits, cin=1)[:width])
+
+    return RankQueryResult(index=_hit_index(t, rank_is_r), exact=True)
 
 
 def rank_at_least_probabilistic(
@@ -355,25 +373,13 @@ def search(layout: Layout, values: Sequence[int], key) -> RankQueryResult:
 
 
 def min_index(t: ComparisonMatrix) -> int:
-    """Evaluate the min circuit on a matrix from a full sort (else ValueError)."""
-    _check_sorted_matrix(t)
-    return decode_bits(evaluate(build_min_circuit(t.n), matrix_assignments(t, diagonal=False)))
+    """Index of the all-zero row: a NOR over every row, then the encoder."""
+    return _hit_index(t, lambda nb, row: nb.nor_(*row))
 
 
 def max_index(t: ComparisonMatrix) -> int:
-    """Evaluate the max circuit on a matrix from a full sort (else ValueError)."""
-    _check_sorted_matrix(t)
-    return decode_bits(evaluate(build_max_circuit(t.n), matrix_assignments(t, diagonal=False)))
-
-
-def matrix_assignments(t: ComparisonMatrix, diagonal: bool = True) -> dict[str, int]:
-    """Bind matrix bits to the `t_<row>_<col>` input wires."""
-    return {
-        f"t_{i}_{k}": t.bits[i][k]
-        for i in range(t.n)
-        for k in range(t.n)
-        if diagonal or i != k
-    }
+    """Index of the all-ones row (diagonal read as 1): an AND over every row."""
+    return _hit_index(t, lambda nb, row: nb.and_(*row), diagonal=1)
 
 
 def row_assignments(bits: Sequence[int], prefix: str = "b") -> dict[str, int]:

@@ -5,7 +5,9 @@ own code paths.
 """
 
 import json
+import operator
 from collections import Counter
+from functools import reduce
 
 from xbar.pe_simulator import COLUMNS
 
@@ -76,3 +78,27 @@ def jsonl_reference(trace):
         json.dumps({k: v for k, v in zip(COLUMNS, (name, *ev)) if v is not None})
         for name, ev in trace.events()
     ) + "\n"
+
+
+# Per gate kind, the operation folded over its inputs; NOR and NOT then
+# invert the result and THRESHOLD compares the sum with its param.
+_FOLDS = {
+    "AND": operator.and_, "OR": operator.or_, "NOR": operator.or_, "NOT": operator.or_,
+    "THRESHOLD": operator.add, "HALF_ADD": operator.xor,
+}
+
+
+def evaluate_reference(net, assignments):
+    """One input vector of 0/1 ints through the netlist, gate by gate."""
+    values = {name: assignments[name] for name in net.inputs}
+    for g in net.gates:
+        v = reduce(_FOLDS[g.kind], [values[w] for w in g.inputs])
+        if g.kind in ("NOR", "NOT"):
+            v = v ^ 1
+        elif g.kind == "THRESHOLD":
+            v = int(v >= g.param)
+        values[g.gid] = v
+    return {
+        name: (wire if isinstance(wire, int) else values[wire])
+        for name, wire in net.outputs.items()
+    }

@@ -8,7 +8,6 @@ from xbar.array_builder import (
     build_even,
     build_odd,
     min_pe_count,
-    neighbors,
     replicate_lower_bound,
     validate,
 )
@@ -89,17 +88,6 @@ def test_odd_provenance_tags():
     assert fills == [6, 6]
 
 
-def test_neighbors():
-    layout = build_odd(7)
-    assert neighbors(layout, 0) == (None, 1)
-    assert neighbors(layout, 21) == (6, None)
-    assert neighbors(layout, 5) == (layout.slots[4], layout.slots[6])
-    with pytest.raises(IndexError):
-        neighbors(layout, 22)
-    with pytest.raises(IndexError):
-        neighbors(layout, -1)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 10, 13, 16, 21, 24, 33])
 def test_built_layouts_validate_clean(n):
     layout = build(n)
@@ -151,7 +139,7 @@ def test_validate_flags_odd_duplicates():
 
 def test_layout_json_roundtrip():
     layout = build(7)
-    doc = json.loads(layout.to_json())
+    doc = json.loads(json.dumps(layout.to_json_dict()))
     assert doc["n"] == 7
     assert doc["slots"] == list(layout.slots)
     again = Layout.from_json_dict(doc)

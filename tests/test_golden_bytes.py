@@ -118,9 +118,9 @@ SELECT_RANK_ROW_DIGESTS = (
     "f111c5d9750b51362e90cafb28fb2ef952340807182a3caa3dd52579fa2a0175",
 )
 
-# Gates evaluated per query: the row netlist n times plus the encoder,
-# exactly as many as one netlist holding n row circuits and the encoder.
-SELECT_RANK_GATES = (18, 54, 192, 435, 1908)
+# Gates evaluated per query, (row netlist, encoder): the row netlist runs
+# once over n lanes, then the encoder once.
+SELECT_RANK_GATES = ((9, 0), (18, 0), (38, 2), (54, 3), (119, 4))
 
 
 @pytest.mark.parametrize("name", sorted(NETLIST_DIGESTS))
@@ -139,17 +139,17 @@ def test_select_rank_row_netlist_bytes(monkeypatch):
     evaluated = []
     evaluate = query_circuits.evaluate
 
-    def recording(net, assignment):
-        evaluated.append(net)
-        return evaluate(net, assignment)
+    def recording(net, assignment, lanes=1):
+        evaluated.append((net, lanes))
+        return evaluate(net, assignment, lanes)
 
     monkeypatch.setattr(query_circuits, "evaluate", recording)
     for n, digest, gates in zip(SIZES, SELECT_RANK_ROW_DIGESTS, SELECT_RANK_GATES):
         evaluated.clear()
         t, _, _ = sort(build(n), list(range(n, 0, -1)))
         assert query_circuits.select_rank(t, n // 2).index == n - 1 - n // 2
-        *rows, encoder = evaluated
-        assert len(rows) == n and all(net is rows[0] for net in rows)
-        assert _sha(rows[0].to_text()) == digest
+        (row, row_lanes), (encoder, encoder_lanes) = evaluated
+        assert (row_lanes, encoder_lanes) == (n, 1)
+        assert _sha(row.to_text()) == digest
         assert encoder.to_text() == query_circuits.build_encoder(n, with_valid=False).to_text()
-        assert sum(net.gate_count() for net in evaluated) == gates
+        assert (row.gate_count(), encoder.gate_count()) == gates

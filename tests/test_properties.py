@@ -20,7 +20,7 @@ from xbar.cli import main
 from xbar.netlist import evaluate, legalize
 from xbar.pe_simulator import compare_phase, detect_write_conflicts, load_phase, sort
 
-from oracles import jsonl_reference, oracle_ranks, twrite_conflicts
+from oracles import evaluate_reference, jsonl_reference, oracle_ranks, twrite_conflicts
 
 # Negatives, duplicates (small range) and values well past 2**64.
 keys = st.one_of(
@@ -70,6 +70,27 @@ def test_select_rank_matches_sorted_order(values):
     order = ranks.order()
     for r in range(len(values)):
         assert query_circuits.select_rank(t, r).index == order[r]
+    assert query_circuits.min_index(t) == order[0]
+    assert query_circuits.max_index(t) == order[-1]
+    assert query_circuits.rank_via_adder_tree(t)[0] == ranks
+
+
+BUILDERS = sorted(name for name in query_circuits.__all__ if name.startswith("build_"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BUILDERS), st.integers(min_value=2, max_value=9),
+       st.integers(min_value=1, max_value=70), st.data())
+def test_packed_lanes_match_reference_per_lane(builder, n, lanes, data):
+    # Bit i of every packed input and output is lane i, one vector each.
+    net = getattr(query_circuits, builder)(n)
+    packed = data.draw(st.lists(st.integers(0, (1 << lanes) - 1), min_size=len(net.inputs),
+                                max_size=len(net.inputs)))
+    assignment = dict(zip(net.inputs, packed))
+    out = evaluate(net, assignment, lanes=lanes)
+    for i in range(lanes):
+        want = evaluate_reference(net, {w: (v >> i) & 1 for w, v in assignment.items()})
+        assert {o: (v >> i) & 1 for o, v in out.items()} == want, (i, builder, n)
 
 
 LEGALIZED_BUILDERS = ("build_min_circuit", "build_max_circuit", "build_priority_encoder",
@@ -90,7 +111,7 @@ def test_legalize_preserves_outputs(builder, n, b, data):
 def test_built_layouts_round_trip_through_validate(tmp_path):
     path = tmp_path / "layout.json"
     for n in range(2, 65):
-        path.write_text(build(n).to_json())
+        path.write_text(json.dumps(build(n).to_json_dict()))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(["validate", "--layout", str(path)])

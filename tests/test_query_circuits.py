@@ -17,7 +17,6 @@ from xbar.query_circuits import (
     build_priority_encoder,
     build_rank_circuit_threshold,
     decode_bits,
-    matrix_assignments,
     max_index,
     min_index,
     rank_at_least_probabilistic,
@@ -104,7 +103,8 @@ def test_legalized_min_circuit_still_selects_min():
     values = [7, 2, 9, 2, 5, 8, 1, 1]
     t = _matrix_for(values)
     legal = legalize(build_min_circuit(8), 2)
-    out = evaluate(legal, matrix_assignments(t, diagonal=False))
+    bits = {f"t_{i}_{k}": t.bits[i][k] for i in range(8) for k in range(8) if i != k}
+    out = evaluate(legal, bits)
     assert decode_bits(out) == argmin_index(values)
 
 
@@ -143,7 +143,7 @@ def test_ones_counter_random_wide_rows():
 
 def test_full_rank_circuit_rows():
     net = build_rank_circuit_threshold(5)
-    out = evaluate(net, matrix_assignments(T5))
+    out = evaluate(net, {f"t_{i}_{k}": T5.bits[i][k] for i in range(5) for k in range(5)})
     got = [decode_bits(out, prefix=f"rank{i}_bit") for i in range(5)]
     assert got == [3, 1, 4, 0, 2]
 
