@@ -16,17 +16,18 @@ operation mirrored: they differ only in the direction the value travels.
 All sends in a sub-phase read pre-phase state and all writes commit at the
 sub-phase end, so the run is deterministic.  A run computes only the matrix
 and the ranks; its trace is derived on demand from the layout, the values,
-the matrix and the ranks (`SortTrace.events`).
+the matrix and the ranks, one group of events per class, slot or crosspoint.
+`to_jsonl` and `to_csv` fill one %-template per group form; the lines equal
+`json.dumps` and `csv.writer` output, as every payload is an exact int.
 
 The final matrix satisfies bits[i][k] = 1 iff A[k] < A[i], or A[k] == A[i]
 with k < i; row sums are therefore the ranks of a stable sort.
 """
 
-import io
 import json
 from collections import Counter
-from csv import writer as csv_writer
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .array_builder import Layout
@@ -86,61 +87,55 @@ class SortTrace:
             by_name[name].append(ev)
         return tuple(TracePhase(name, tuple(evs)) for name, evs in by_name.items())
 
-    def events(self):
-        """Yield (phase name, event) for every event of the stages run, in order."""
+    def _groups(self, per_form):
+        """Yield (per_form(form), ints) per class, slot and crosspoint, in trace order."""
         slots, vals, bits = self.layout.slots, self.values, self.bits
-        first: dict[int, int] = {}
-        for s, c in enumerate(slots):
-            first.setdefault(c, s)
+        first = {c: s for s, c in reversed(list(enumerate(slots)))}
+        clear, load, rank = map(per_form, (_CLEAR, _LOAD, _RANK))
         for c in sorted(first):
-            yield "clear", TraceEvent(first[c], "clear_row", None, c)
+            yield clear, (first[c], c)
         for s, c in enumerate(slots):
-            yield "load", TraceEvent(s, "load", vals[c], c)
+            yield load, (s, vals[c], c)
         if bits is None:
             return
-        for left, exchange, reply, send, recv, signal, signal_recv in _DIRECTIONS:
-            points = [p for p in _crosspoints(slots) if (p[2] < p[3]) == left]
+        crosspoints = list(_crosspoints(slots))
+        for left, *forms in _DIRECTIONS:
+            exchange, win, lose = map(per_form, forms)
+            points = [p for p in crosspoints if (p[2] < p[3]) == left]
             for small, big, small_slot, big_slot in points:
-                yield exchange, TraceEvent(big_slot, send, vals[big])
-                yield exchange, TraceEvent(small_slot, recv, vals[big])
+                yield exchange, (big_slot, vals[big], small_slot, vals[big])
             for small, big, small_slot, big_slot in points:
                 if bits[small][big]:
-                    yield reply, TraceEvent(small_slot, "twrite", 1, small, big)
-                    yield reply, TraceEvent(small_slot, signal, 0)
-                    yield reply, TraceEvent(big_slot, signal_recv, 0)
+                    yield win, (small_slot, 1, small, big, small_slot, 0, big_slot, 0)
                 else:
-                    yield reply, TraceEvent(small_slot, signal, 1)
-                    yield reply, TraceEvent(big_slot, signal_recv, 1)
-                    yield reply, TraceEvent(big_slot, "twrite", 1, big, small)
-        if self.ranks is None:
-            return
-        for i, r in enumerate(self.ranks):
-            yield "rank", TraceEvent(first[i], "rank", r, i)
+                    yield lose, (small_slot, 1, big_slot, 1, big_slot, 1, big, small)
+        for i, r in enumerate(self.ranks or ()):
+            yield rank, (first[i], r, i)
+
+    def events(self):
+        """Yield (phase name, event) for every event of the stages run, in order."""
+        new = tuple.__new__  # fills a TraceEvent from one C call, not its Python __new__
+        for (phase, tail, getters), ints in self._groups(_recipe):
+            ints += tail
+            for fields in getters:
+                yield phase, new(TraceEvent, fields(ints))
+
+    def _render(self, line) -> str:
+        """Fill each group's form template, made of line(phase, action, cols) per line."""
+        groups = self._groups(lambda form: "".join(line(form[0], *ac) for ac in form[1]))
+        return "".join([template % ints for template, ints in groups])
 
     def to_jsonl(self) -> str:
-        """One JSON object per event over COLUMNS, leaving out absent payload keys.
-
-        Lines fill one %-template per (phase, action, present payload columns):
-        names are their json.dumps text, ints %d, and %.0s swallows the action and
-        absent columns; for int payloads that equals json.dumps (default separators).
-        """
-        templates, lines = {}, []
-        for name, ev in self.events():
-            key = (name, ev.action, ev.value is None, ev.row is None, ev.col is None)
-            if (template := templates.get(key)) is None:
-                cells = ("%.0s" if v is None else f', "{k}": %d' for k, v in zip(COLUMNS[3:], ev[2:]))
-                template = templates[key] = (f'{{"phase": {json.dumps(name)}, "slot": %d%.0s, '
-                                             f'"action": {json.dumps(ev.action)}{"".join(cells)}}}')
-            lines.append(template % ev)
-        return "\n".join(lines) + "\n"
+        """One JSON object per event over COLUMNS, leaving out absent payload keys."""
+        return self._render(lambda phase, action, cols: (
+            f'{{"phase": {json.dumps(phase)}, "slot": %d, "action": {json.dumps(action)}'
+            + "".join(f', "{k}": %d' for k in cols) + "}\n"))
 
     def to_csv(self) -> str:
         """A COLUMNS header, then one row per event; absent payload fields are empty."""
-        out = io.StringIO()
-        w = csv_writer(out)
-        w.writerow(COLUMNS)
-        w.writerows((name, *ev) for name, ev in self.events())
-        return out.getvalue()
+        return ",".join(COLUMNS) + "\r\n" + self._render(lambda phase, action, cols: (
+            f"{phase},%d,{action}" + "".join(",%d" if k in cols else "," for k in COLUMNS[3:])
+            + "\r\n"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,15 +168,29 @@ class RankVector:
         return tuple(out)
 
 
-# Per direction (small_slot < big_slot: the greater class sits right): the
-# exchange and reply phase names, then the actions of the send, the receive,
-# the reply signal and its receipt.
-_DIRECTIONS = (
-    (True, "left_exchange", "left_reply",
-     "send_left", "recv_right", "signal_send_right", "signal_recv_left"),
-    (False, "right_exchange", "right_reply",
-     "send_right", "recv_left", "signal_send_left", "signal_recv_right"),
-)
+# A form is a group's phase and each line's (action, payload columns); the group's
+# ints are each line's slot, then its payload.  Per direction (small_slot < big_slot:
+# the greater class sits right): exchange, then reply on a win and a loss of small.
+_CLEAR = ("clear", (("clear_row", ("row",)),))
+_LOAD = ("load", (("load", ("value", "row")),))
+_RANK = ("rank", (("rank", ("value", "row")),))
+_DIRECTIONS = tuple(
+    (left, (f"{side}_exchange", ((send, ("value",)), (recv, ("value",)))),
+     (f"{side}_reply", (("twrite", COLUMNS[3:]), (signal, ("value",)), (receipt, ("value",)))),
+     (f"{side}_reply", ((signal, ("value",)), (receipt, ("value",)), ("twrite", COLUMNS[3:]))))
+    for left, side, send, recv, signal, receipt in (
+        (True, "left", "send_left", "recv_right", "signal_send_right", "signal_recv_left"),
+        (False, "right", "send_right", "recv_left", "signal_send_left", "signal_recv_right")))
+
+
+def _recipe(form):
+    """A form's phase, its ints tail (its actions, then None) and per line its event getter."""
+    tail, k, getters = (*(action for action, _ in form[1]), None), 0, []
+    for j, (_, cols) in enumerate(form[1]):
+        payload = (k + 1 + cols.index(c) if c in cols else -1 for c in COLUMNS[3:])
+        getters.append(itemgetter(k, j - len(tail), *payload))
+        k += 1 + len(cols)
+    return form[0], tail, getters
 
 
 def _crosspoints(slots: Sequence[int]):

@@ -4,12 +4,14 @@ Everything here is deliberately naive and independent of the library's
 own code paths.
 """
 
+import csv
+import io
 import json
 import operator
 from collections import Counter
 from functools import reduce
 
-from xbar.pe_simulator import COLUMNS
+from xbar.pe_simulator import COLUMNS, TraceEvent
 
 
 def oracle_ranks(values):
@@ -56,13 +58,61 @@ def brute_cycles(n, j):
     return sorted(cycles)
 
 
+# Per direction: whether the greater class sits right, the exchange and reply
+# phase names, then the actions of the send, the receive, the reply signal and
+# its receipt.
+_DIRECTIONS = (
+    (True, "left_exchange", "left_reply",
+     "send_left", "recv_right", "signal_send_right", "signal_recv_left"),
+    (False, "right_exchange", "right_reply",
+     "send_right", "recv_left", "signal_send_left", "signal_recv_right"),
+)
+
+
+def events_reference(trace):
+    """Yield (phase name, event) for every event of the stages run, one at a time."""
+    slots, vals, bits = trace.layout.slots, trace.values, trace.bits
+    first = {}
+    for s, c in enumerate(slots):
+        first.setdefault(c, s)
+    for c in sorted(first):
+        yield "clear", TraceEvent(first[c], "clear_row", None, c)
+    for s, c in enumerate(slots):
+        yield "load", TraceEvent(s, "load", vals[c], c)
+    if bits is None:
+        return
+    for left, exchange, reply, send, recv, signal, signal_recv in _DIRECTIONS:
+        points = []
+        for s, (a, b) in enumerate(zip(slots, slots[1:])):
+            if a == b:
+                raise ValueError(f"adjacent slots {s},{s + 1} share class {a}")
+            if (a < b) == left:
+                points.append((a, b, s, s + 1) if a < b else (b, a, s + 1, s))
+        for small, big, small_slot, big_slot in points:
+            yield exchange, TraceEvent(big_slot, send, vals[big])
+            yield exchange, TraceEvent(small_slot, recv, vals[big])
+        for small, big, small_slot, big_slot in points:
+            if bits[small][big]:
+                yield reply, TraceEvent(small_slot, "twrite", 1, small, big)
+                yield reply, TraceEvent(small_slot, signal, 0)
+                yield reply, TraceEvent(big_slot, signal_recv, 0)
+            else:
+                yield reply, TraceEvent(small_slot, signal, 1)
+                yield reply, TraceEvent(big_slot, signal_recv, 1)
+                yield reply, TraceEvent(big_slot, "twrite", 1, big, small)
+    if trace.ranks is None:
+        return
+    for i, r in enumerate(trace.ranks):
+        yield "rank", TraceEvent(first[i], "rank", r, i)
+
+
 def twrite_conflicts(trace):
     """Cells written by more than one slot, from a scan of every `twrite` event.
 
     Slots are listed in the order the trace performs the writes.
     """
     writers = {}
-    for _, ev in trace.events():
+    for _, ev in events_reference(trace):
         if ev.action == "twrite":
             writers.setdefault((ev.row, ev.col), []).append(ev.slot)
     return [
@@ -76,8 +126,17 @@ def jsonl_reference(trace):
     """The trace as JSON lines: one `json.dumps` of a dict per event."""
     return "\n".join(
         json.dumps({k: v for k, v in zip(COLUMNS, (name, *ev)) if v is not None})
-        for name, ev in trace.events()
+        for name, ev in events_reference(trace)
     ) + "\n"
+
+
+def csv_reference(trace):
+    """The trace as CSV: a COLUMNS header, then one `csv.writer` row per event."""
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(COLUMNS)
+    w.writerows((name, *ev) for name, ev in events_reference(trace))
+    return out.getvalue()
 
 
 # Per gate kind, the operation folded over its inputs; NOR and NOT then

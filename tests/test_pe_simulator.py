@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from xbar.array_builder import Layout, build, build_even, build_odd
+from xbar.array_builder import Layout, build, build_odd
 from xbar.pe_simulator import (
     PHASE_NAMES,
     ComparisonMatrix,

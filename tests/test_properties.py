@@ -20,7 +20,8 @@ from xbar.cli import main
 from xbar.netlist import evaluate, legalize
 from xbar.pe_simulator import compare_phase, detect_write_conflicts, load_phase, sort
 
-from oracles import evaluate_reference, jsonl_reference, oracle_ranks, twrite_conflicts
+from oracles import (csv_reference, evaluate_reference, events_reference, jsonl_reference,
+                     oracle_ranks, twrite_conflicts)
 
 # Negatives, duplicates (small range) and values well past 2**64.
 keys = st.one_of(
@@ -146,6 +147,21 @@ def test_jsonl_templates_match_json_dumps(stage, values):
     trace = STAGES[stage](build(len(values)), values)
     # Bytes, not str: pytest's str diff of a long mismatch is slow to build.
     assert trace.to_jsonl().encode() == jsonl_reference(trace).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(STAGES)), int_lists)
+def test_events_match_per_event_reference(stage, values):
+    trace = STAGES[stage](build(len(values)), values)
+    # The repr also pins each event's type to TraceEvent.
+    assert repr(list(trace.events())).encode() == repr(list(events_reference(trace))).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(STAGES)), int_lists)
+def test_csv_templates_match_csv_writer(stage, values):
+    trace = STAGES[stage](build(len(values)), values)
+    assert trace.to_csv().encode() == csv_reference(trace).encode()
 
 
 json_values = st.recursive(

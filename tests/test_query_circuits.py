@@ -10,7 +10,6 @@ from xbar.netlist import depth, evaluate, legalize
 from xbar.pe_simulator import ComparisonMatrix, rank_phase, sort
 from xbar.query_circuits import (
     build_encoder,
-    build_max_circuit,
     build_min_circuit,
     build_ones_counter,
     build_popcount_tree,
