@@ -17,7 +17,8 @@ finishes with class n-1 followed by class 0.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, compress, count, filterfalse, islice, repeat
+from operator import add, eq, gt, lt, mul
 
 from .cyclic_perm import _partition_q
 
@@ -57,26 +58,38 @@ class Layout:
             raise ValueError(f"slots must be a list, not {type(slots).__name__}")
         # Exact type test: bool is an int subclass, and int() would truncate
         # a float or parse a string into a plausible layout.
-        wrong = [x for x in (doc["n"], *slots) if type(x) is not int]
-        if wrong:
+        if type(doc["n"]) is not int or not set(map(type, slots)) <= {int}:
+            wrong = [x for x in (doc["n"], *slots) if type(x) is not int]
             raise ValueError(f"n and slots must be integers, not {wrong[0]!r}")
         provenance = doc.get("provenance", [])
         if not isinstance(provenance, list):
             raise ValueError(f"provenance must be a list, not {type(provenance).__name__}")
-        provenance = tuple(str(p) for p in provenance) or ("",) * len(slots)
+        provenance = tuple(map(str, provenance)) or ("",) * len(slots)
         if len(provenance) != len(slots):
             raise ValueError(f"{len(provenance)} provenance tags for {len(slots)} slots")
         return cls(doc["n"], tuple(slots), provenance)
 
 
+def _pair(code: int, base: int, span: int) -> tuple[int, int]:
+    """Decode lo * span + hi, where base <= lo < hi < base + span: hi is fixed by its residue."""
+    hi = base + (code - base) % span
+    return (code - hi) // span, hi
+
+
 @dataclass(slots=True)
 class ValidationReport:
-    """Structural findings for a layout; empty `violations` means all good."""
+    """Structural findings for a layout; empty `violations` means all good.
+
+    `pair_codes` counts the crosspoints of each class pair lo < hi under the
+    integer code lo * id_span + hi; `pair_coverage` decodes it on each read.
+    """
 
     n: int
     pe_count: int
     expected_pe_count: int
-    pair_coverage: dict[tuple[int, int], int]
+    pair_codes: Counter
+    id_base: int
+    id_span: int
     redundant_pairs: list[tuple[int, int]]
     slot_counts: Counter
     end_classes: tuple[int, int]
@@ -85,6 +98,12 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def pair_coverage(self) -> dict[tuple[int, int], int]:
+        """Crosspoints per adjacent class pair, in ascending pair order; O(pairs) per read."""
+        base, span = self.id_base, self.id_span
+        return {_pair(c, base, span): k for c, k in sorted(self.pair_codes.items())}
 
     @property
     def replicate_counts(self) -> list[int]:
@@ -96,7 +115,7 @@ class ValidationReport:
             "n": self.n,
             "pe_count": self.pe_count,
             "expected_pe_count": self.expected_pe_count,
-            "pair_coverage": {f"{a}-{b}": c for (a, b), c in sorted(self.pair_coverage.items())},
+            "pair_coverage": {f"{a}-{b}": c for (a, b), c in self.pair_coverage.items()},
             "redundant_pairs": [list(p) for p in self.redundant_pairs],
             "replicate_counts": list(self.replicate_counts),
             "end_classes": list(self.end_classes),
@@ -130,17 +149,12 @@ def replicate_lower_bound(n: int, at_end: str = "interior") -> int:
 
 def _q_blocks(m: int) -> tuple[list[list[int]], list[list[str]]]:
     """Per-group slot runs for an even frame of m classes, plus provenance tags."""
-    part = _partition_q(m)
-    blocks: list[list[int]] = []
-    tags: list[list[str]] = []
-    for qi, group in enumerate(part.sets):
-        block: list[int] = []
-        prov: list[str] = []
-        for ci, cyc in enumerate(group):
-            block.extend(cyc.elements)
-            prov.extend(f"Q{qi}.c{ci}.e{ei}" for ei in range(len(cyc.elements)))
-        blocks.append(block)
-        tags.append(prov)
+    suffixes = [f".e{ei}" for ei in range(m)]  # no cycle is longer than m
+    blocks, tags = [], []
+    for qi, group in enumerate(_partition_q(m).sets):
+        blocks.append(list(chain.from_iterable(cyc.elements for cyc in group)))
+        tags.append(list(chain.from_iterable(
+            map(f"Q{qi}.c{ci}".__add__, suffixes[:len(cyc)]) for ci, cyc in enumerate(group))))
     return blocks, tags
 
 
@@ -151,9 +165,7 @@ def build_even(n: int) -> Layout:
     if n < 4:
         raise ValueError(f"build_even needs n >= 4, got {n} (n=2 is the trivial pair)")
     blocks, tags = _q_blocks(n)
-    slots = [c for block in blocks for c in block]
-    prov = [t for block in tags for t in block]
-    return Layout(n, tuple(slots), tuple(prov))
+    return Layout(n, tuple(chain.from_iterable(blocks)), tuple(chain.from_iterable(tags)))
 
 
 def build_odd(n: int) -> Layout:
@@ -169,17 +181,12 @@ def build_odd(n: int) -> Layout:
     if n < 3:
         raise ValueError(f"build_odd needs n >= 3, got {n}")
     blocks, tags = _q_blocks(n - 1)
-    slots: list[int] = []
-    prov: list[str] = []
-    for block, block_tags in zip(blocks, tags):
-        if slots:
-            slots.append(n - 1)
-            prov.append("odd-fill")
-        slots.extend(block)
-        prov.extend(block_tags)
-    slots += [n - 1, 0]
-    prov += ["odd-tail", "odd-tail"]
-    return Layout(n, tuple(slots), tuple(prov))
+    for block, block_tags in zip(blocks[:-1], tags):  # the gap after every group but the last
+        block.append(n - 1)
+        block_tags.append("odd-fill")
+    blocks.append([n - 1, 0])
+    tags.append(["odd-tail", "odd-tail"])
+    return Layout(n, tuple(chain.from_iterable(blocks)), tuple(chain.from_iterable(tags)))
 
 
 def build(n: int) -> Layout:
@@ -200,8 +207,7 @@ def validate(layout: Layout) -> ValidationReport:
     once for odd n; with exactly n/2 - 1 doubled pairs for even n), and
     per-class slot counts must meet their end-placement lower bounds.
     """
-    n = layout.n
-    slots = layout.slots
+    n, slots = layout.n, layout.slots
     violations: list[str] = []
     counts = Counter(slots)
 
@@ -209,46 +215,51 @@ def validate(layout: Layout) -> ValidationReport:
         violations.append(f"class count n={n} below 2")
     if not slots:
         violations.append("layout has no slots")
-        return ValidationReport(n, 0, 0, {}, [], counts, (-1, -1), violations)
+        return ValidationReport(n, 0, 0, Counter(), 0, 1, [], counts, (-1, -1), violations)
 
-    out_of_range = sorted({c for c in slots if not 0 <= c < n})
+    out_of_range = sorted(filterfalse(range(n).__contains__, counts))
     if out_of_range:
         violations.append(f"slot class ids out of range 0..{n - 1}: {out_of_range}")
 
-    for s, (a, b) in enumerate(zip(slots, slots[1:])):
-        if a == b:
-            violations.append(f"adjacent same-class slots at positions {s},{s + 1} (class {a})")
+    after = slots[1:]
+    for s in compress(count(), map(eq, slots, after)):
+        violations.append(f"adjacent same-class slots at positions {s},{s + 1} (class {slots[s]})")
 
     expected = min_pe_count(n) if n >= 2 else 0
     if len(slots) != expected:
         violations.append(f"pe count {len(slots)} != minimal {expected}")
 
-    coverage = Counter(
-        (min(a, b), max(a, b)) for a, b in zip(slots, slots[1:]) if a != b
-    )
-    redundant = sorted(pair for pair, cnt in coverage.items() if cnt >= 2)
+    # Each crosspoint counts its pair under the code lo * span + hi (see _pair):
+    # left * span + right where left < right, right * span + left where left > right.
+    base = min(0, min(counts))
+    span = max(n - 1, max(counts)) + 1 - base
+    heads = list(map(mul, slots, repeat(span)))
+    codes = Counter(compress(map(add, heads, after), map(lt, slots, after)))
+    codes.update(compress(map(add, islice(heads, 1, None), slots), map(gt, slots, after)))
+    repeated = compress(codes, map(lt, repeat(1), codes.values()))
+    redundant = [_pair(c, base, span) for c in sorted(repeated)]
+    # A pair with an out-of-range id is redundant, but neither covered nor doubled.
+    doubled = [p for p in redundant if p[0] >= 0 and p[1] < n]
 
     # Missing pairs are counted rather than listed and the search for
     # examples stops at the last one shown, so the work is bounded by the
     # slot count, not by the n(n-1)/2 pairs the declared n implies.
-    covered = sorted(p for p in coverage if p[0] >= 0 and p[1] < n)
-    missing = n * (n - 1) // 2 - len(covered) if n >= 2 else 0
+    decoded = (_pair(c, base, span) for c in codes) if out_of_range else ()
+    covered = len(codes) - sum(lo < 0 or hi >= n for lo, hi in decoded)
+    missing = n * (n - 1) // 2 - covered if n >= 2 else 0
     if missing:
-        absent = ((a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in coverage)
+        absent = ((a, b) for a in range(n) for b in range(a + 1, n) if a * span + b not in codes)
         examples = list(islice(absent, EXAMPLES))
         violations.append(f"{missing} class pairs never adjacent, e.g. {examples}")
-    if n % 2:
-        doubled = [p for p in covered if coverage[p] > 1]
-        if doubled:
-            violations.append(f"odd n: pairs adjacent more than once: {doubled[:EXAMPLES]}")
-    else:
-        over = [p for p in covered if coverage[p] > 2]
+    if n % 2 and doubled:
+        violations.append(f"odd n: pairs adjacent more than once: {doubled[:EXAMPLES]}")
+    elif n % 2 == 0:
+        over = [(a, b) for a, b in doubled if codes[a * span + b] > 2]
         if over:
             violations.append(f"pairs adjacent more than twice: {over[:EXAMPLES]}")
         if not missing and len(redundant) != n // 2 - 1:
-            violations.append(
-                f"even n: {len(redundant)} doubled pairs, expected exactly {n // 2 - 1}"
-            )
+            violations.append(f"even n: {len(redundant)} doubled pairs, "
+                              f"expected exactly {n // 2 - 1}")
 
     ends = (slots[0], slots[-1])
     if n >= 2:
@@ -265,13 +276,5 @@ def validate(layout: Layout) -> ValidationReport:
         if short > EXAMPLES:
             violations.append(f"{short - EXAMPLES} more classes below their slot lower bound")
 
-    return ValidationReport(
-        n=n,
-        pe_count=len(slots),
-        expected_pe_count=expected,
-        pair_coverage=dict(coverage),
-        redundant_pairs=redundant,
-        slot_counts=counts,
-        end_classes=ends,
-        violations=violations,
-    )
+    return ValidationReport(n, len(slots), expected, codes, base, span, redundant, counts, ends,
+                            violations)

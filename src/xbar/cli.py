@@ -108,7 +108,7 @@ def _cmd_validate(args) -> int:
         _emit_json(report.to_json_dict())
     elif args.format == "csv":
         print("pair,count")
-        for (a, b), count in sorted(report.pair_coverage.items()):
+        for (a, b), count in report.pair_coverage.items():
             print(f"{a}-{b},{count}")
     else:
         print(f"{report.pe_count} PEs (minimal: {report.expected_pe_count})")

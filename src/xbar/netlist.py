@@ -146,12 +146,9 @@ class NetBuilder:
         return self._emit("HALF_ADD", (a, b))
 
     def threshold(self, ins: "list[Wire | int]", m: int) -> "Wire | int":
-        wires = []
-        for x in ins:
-            if isinstance(x, int):
-                m -= x
-                continue
-            wires.append(x)
+        wires = [x for x in ins if type(x) is Wire]
+        if len(wires) < len(ins):  # each constant 0/1 input lowers the bar by its value
+            m -= sum(x for x in ins if type(x) is not Wire)
         if m <= 0:
             return 1
         if m > len(wires):

@@ -9,8 +9,11 @@ import io
 import json
 import operator
 from collections import Counter
+from dataclasses import dataclass, field
 from functools import reduce
+from itertools import islice
 
+from xbar.array_builder import END_PLACEMENTS, EXAMPLES, min_pe_count, replicate_lower_bound
 from xbar.pe_simulator import COLUMNS, TraceEvent
 
 
@@ -161,3 +164,123 @@ def evaluate_reference(net, assignments):
         name: (wire if isinstance(wire, int) else values[wire])
         for name, wire in net.outputs.items()
     }
+
+
+@dataclass(slots=True)
+class ReferenceReport:
+    """The fields of `array_builder.ValidationReport`, with `pair_coverage` a plain dict."""
+
+    n: int
+    pe_count: int
+    expected_pe_count: int
+    pair_coverage: dict
+    redundant_pairs: list
+    slot_counts: Counter
+    end_classes: tuple
+    violations: list = field(default_factory=list)
+
+    @property
+    def ok(self):
+        return not self.violations
+
+    @property
+    def replicate_counts(self):
+        return [self.slot_counts[c] for c in range(max(self.n, 0))]
+
+    def to_json_dict(self):
+        return {
+            "n": self.n,
+            "pe_count": self.pe_count,
+            "expected_pe_count": self.expected_pe_count,
+            "pair_coverage": {f"{a}-{b}": c for (a, b), c in sorted(self.pair_coverage.items())},
+            "redundant_pairs": [list(p) for p in self.redundant_pairs],
+            "replicate_counts": list(self.replicate_counts),
+            "end_classes": list(self.end_classes),
+            "violations": list(self.violations),
+        }
+
+
+def validate_reference(layout):
+    """`array_builder.validate` as it was with one `(lo, hi)` tuple per crosspoint.
+
+    A bad layout produces findings in `violations`, never an exception:
+    slot count must equal min_pe_count(n), no crosspoint may join two
+    slots of the same class, every class pair must be covered (exactly
+    once for odd n; with exactly n/2 - 1 doubled pairs for even n), and
+    per-class slot counts must meet their end-placement lower bounds.
+    """
+    n = layout.n
+    slots = layout.slots
+    violations: list[str] = []
+    counts = Counter(slots)
+
+    if n < 2:
+        violations.append(f"class count n={n} below 2")
+    if not slots:
+        violations.append("layout has no slots")
+        return ReferenceReport(n, 0, 0, {}, [], counts, (-1, -1), violations)
+
+    out_of_range = sorted({c for c in slots if not 0 <= c < n})
+    if out_of_range:
+        violations.append(f"slot class ids out of range 0..{n - 1}: {out_of_range}")
+
+    for s, (a, b) in enumerate(zip(slots, slots[1:])):
+        if a == b:
+            violations.append(f"adjacent same-class slots at positions {s},{s + 1} (class {a})")
+
+    expected = min_pe_count(n) if n >= 2 else 0
+    if len(slots) != expected:
+        violations.append(f"pe count {len(slots)} != minimal {expected}")
+
+    coverage = Counter(
+        (min(a, b), max(a, b)) for a, b in zip(slots, slots[1:]) if a != b
+    )
+    redundant = sorted(pair for pair, cnt in coverage.items() if cnt >= 2)
+
+    # Missing pairs are counted rather than listed and the search for
+    # examples stops at the last one shown, so the work is bounded by the
+    # slot count, not by the n(n-1)/2 pairs the declared n implies.
+    covered = sorted(p for p in coverage if p[0] >= 0 and p[1] < n)
+    missing = n * (n - 1) // 2 - len(covered) if n >= 2 else 0
+    if missing:
+        absent = ((a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in coverage)
+        examples = list(islice(absent, EXAMPLES))
+        violations.append(f"{missing} class pairs never adjacent, e.g. {examples}")
+    if n % 2:
+        doubled = [p for p in covered if coverage[p] > 1]
+        if doubled:
+            violations.append(f"odd n: pairs adjacent more than once: {doubled[:EXAMPLES]}")
+    else:
+        over = [p for p in covered if coverage[p] > 2]
+        if over:
+            violations.append(f"pairs adjacent more than twice: {over[:EXAMPLES]}")
+        if not missing and len(redundant) != n // 2 - 1:
+            violations.append(
+                f"even n: {len(redundant)} doubled pairs, expected exactly {n // 2 - 1}"
+            )
+
+    ends = (slots[0], slots[-1])
+    if n >= 2:
+        def bound(c: int) -> int:
+            return replicate_lower_bound(n, END_PLACEMENTS[ends.count(c)])
+
+        # Every bound is at least 1, so every class without a slot is short.
+        # Those are counted, not listed, and the walk for the first examples
+        # meets at most one class per slot before it has found them.
+        held = [c for c in counts if 0 <= c < n]
+        short = n - len(held) + sum(counts[c] < bound(c) for c in held)
+        for c in islice((c for c in range(n) if counts[c] < bound(c)), EXAMPLES):
+            violations.append(f"class {c} has {counts[c]} slots, below its lower bound {bound(c)}")
+        if short > EXAMPLES:
+            violations.append(f"{short - EXAMPLES} more classes below their slot lower bound")
+
+    return ReferenceReport(
+        n=n,
+        pe_count=len(slots),
+        expected_pe_count=expected,
+        pair_coverage=dict(coverage),
+        redundant_pairs=redundant,
+        slot_counts=counts,
+        end_classes=ends,
+        violations=violations,
+    )

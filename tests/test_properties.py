@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xbar import query_circuits
-from xbar.array_builder import build
+from xbar.array_builder import Layout, build, validate
 from xbar.cli import main
 from xbar.netlist import evaluate, legalize
 from xbar.pe_simulator import compare_phase, detect_write_conflicts, load_phase, sort
 
 from oracles import (csv_reference, evaluate_reference, events_reference, jsonl_reference,
-                     oracle_ranks, twrite_conflicts)
+                     oracle_ranks, twrite_conflicts, validate_reference)
 
 # Negatives, duplicates (small range) and values well past 2**64.
 keys = st.one_of(
@@ -107,6 +107,49 @@ def test_legalize_preserves_outputs(builder, n, b, data):
                               max_size=len(net.inputs)))
     assignment = dict(zip(net.inputs, bits))
     assert evaluate(legalize(net, b), assignment) == evaluate(net, assignment)
+
+
+@st.composite
+def mutated_layouts(draw):
+    """`build(n)` for n 2..40 after a few swaps, overwrites, deletions,
+    insertions, shifts of every id or a new declared n; sometimes with no
+    slots at all.  A shift puts whole runs of adjacent ids out of range."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    slots = list(build(n).slots)
+    ids = st.integers(min_value=-3, max_value=n + 3)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        edit = draw(st.sampled_from(("swap", "overwrite", "delete", "insert", "shift", "declare")))
+        if edit == "shift":
+            k = draw(st.integers(min_value=-3, max_value=3))
+            slots = [c + k for c in slots]
+        elif edit == "declare":
+            n = draw(st.integers(min_value=-2, max_value=n + 3))
+        elif edit == "insert":
+            slots.insert(draw(st.integers(0, len(slots))), draw(ids))
+        elif slots:
+            i = draw(st.integers(0, len(slots) - 1))
+            if edit == "swap":
+                j = draw(st.integers(0, len(slots) - 1))
+                slots[i], slots[j] = slots[j], slots[i]
+            elif edit == "overwrite":
+                slots[i] = draw(ids)
+            else:
+                del slots[i]
+    if draw(st.integers(0, 19)) == 0:
+        slots = []
+    return Layout(n, tuple(slots), ("",) * len(slots))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_layouts())
+def test_validate_matches_reference(layout):
+    got, want = validate(layout), validate_reference(layout)
+    for name in ("violations", "ok", "pe_count", "expected_pe_count", "pair_coverage",
+                 "redundant_pairs", "replicate_counts", "end_classes"):
+        assert getattr(got, name) == getattr(want, name), name
+    if layout.n <= len(layout.slots):
+        # Serialised, so the key order of the CLI's JSON is compared too.
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
 def test_built_layouts_round_trip_through_validate(tmp_path):
