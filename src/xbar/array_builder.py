@@ -16,9 +16,9 @@ finishes with class n-1 followed by class 0.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain, compress, count, filterfalse, islice, repeat
 from operator import add, eq, gt, lt, mul
+from typing import NamedTuple
 
 from .cyclic_perm import _partition_q
 
@@ -29,8 +29,7 @@ END_PLACEMENTS = ("interior", "distinct_class_at_end", "same_class_both_ends")
 EXAMPLES = 5
 
 
-@dataclass(frozen=True, slots=True)
-class Layout:
+class Layout(NamedTuple):
     """An assignment of class ids to the slots of a crosspoint array."""
 
     n: int
@@ -76,8 +75,7 @@ def _pair(code: int, base: int, span: int) -> tuple[int, int]:
     return (code - hi) // span, hi
 
 
-@dataclass(slots=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Structural findings for a layout; empty `violations` means all good.
 
     `pair_codes` counts the crosspoints of each class pair lo < hi under the
@@ -93,7 +91,7 @@ class ValidationReport:
     redundant_pairs: list[tuple[int, int]]
     slot_counts: Counter
     end_classes: tuple[int, int]
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]
 
     @property
     def ok(self) -> bool:

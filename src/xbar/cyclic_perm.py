@@ -9,36 +9,39 @@ Permutations are stored as the pair (n, j) and applied on demand, so
 very large n stays cheap.
 """
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class Permutation:
+class _Shift(NamedTuple):
+    n: int
+    j: int
+
+
+class Permutation(_Shift):
     """The j-th power of the cyclic shift on {0, ..., n-1}: i -> (i + j) mod n.
 
     j runs from 1 to n; j == n is the identity.
     """
 
-    n: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need at least 2 classes, got n={self.n}")
-        if not 1 <= self.j <= self.n:
-            raise ValueError(f"exponent must lie in 1..{self.n}, got j={self.j}")
+    def __new__(cls, n: int, j: int):
+        if n < 2:
+            raise ValueError(f"need at least 2 classes, got n={n}")
+        if not 1 <= j <= n:
+            raise ValueError(f"exponent must lie in 1..{n}, got j={j}")
+        return super().__new__(cls, n, j)
 
     def apply(self, i: int) -> int:
         return (i + self.j) % self.n
 
 
-@dataclass(frozen=True, slots=True)
-class Cycle:
+class Cycle(NamedTuple):
     """One cycle of a shift power, rotated so the smallest class id comes first.
 
     `exponent` is the j of the owning power; consecutive elements differ
-    by j mod n.
+    by j mod n.  `len` counts the elements, not the record's two fields.
     """
 
     elements: tuple[int, ...]
@@ -52,8 +55,7 @@ class Cycle:
         return self.elements[0]
 
 
-@dataclass(frozen=True, slots=True)
-class QPartition:
+class QPartition(NamedTuple):
     """Cycles of the powers 1..n/2, grouped by their smallest element.
 
     ``sets[i]`` holds every cycle whose first element is i, ordered by
@@ -73,19 +75,15 @@ def power(n: int, j: int) -> Permutation:
 def cycle_decomposition(perm: Permutation) -> list[Cycle]:
     """Disjoint cycles of `perm`, each written smallest-element-first.
 
-    There are exactly gcd(n, j) cycles and their smallest elements are
-    0..gcd(n, j)-1, so the returned list is ordered by first element.
+    There are exactly g = gcd(n, j) cycles, each of n/g elements.  Cycle
+    `start` is start + k*j mod n for k < n/g; its elements are all
+    congruent to start mod g and start < g, so it comes out smallest-first,
+    and the returned list is ordered by first element.
     """
     n, j = perm.n, perm.j
-    cycles = []
-    for start in range(gcd(n, j)):
-        elems = [start]
-        cur = (start + j) % n
-        while cur != start:
-            elems.append(cur)
-            cur = (cur + j) % n
-        cycles.append(Cycle(tuple(elems), j))
-    return cycles
+    g = gcd(n, j)
+    return [Cycle(tuple([x % n for x in range(start, start + (n // g) * j, j)]), j)
+            for start in range(g)]
 
 
 def partition_Q(n: int) -> QPartition:

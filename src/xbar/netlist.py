@@ -22,32 +22,31 @@ Structural text format: one gate per line, ``gateId KIND[param] <- wire,wire,...
 """
 
 import operator
-from dataclasses import dataclass, field
 from functools import reduce
+from typing import NamedTuple
 
 Wire = str
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
+class Gate(NamedTuple):
     gid: str
     kind: str
     inputs: tuple[str, ...]
     param: int | None = None
 
 
-@dataclass(slots=True)
-class Netlist:
+class Netlist(NamedTuple):
     """Primary inputs, gates in topological order, and named outputs.
 
     An output maps a name to either a wire or a constant 0/1 that the
-    builder folded away.
+    builder folded away.  The record is fixed but its containers are not:
+    builders fill fresh ones in place, so there are no shared defaults.
     """
 
     name: str
-    inputs: list[str] = field(default_factory=list)
-    gates: list[Gate] = field(default_factory=list)
-    outputs: dict[str, str | int] = field(default_factory=dict)
+    inputs: list[str]
+    gates: list[Gate]
+    outputs: dict[str, str | int]
 
     def gate_count(self) -> int:
         return len(self.gates)
@@ -63,8 +62,7 @@ class Netlist:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True, slots=True)
-class DepthReport:
+class DepthReport(NamedTuple):
     """Critical-path depth of a netlist under a fan-in model."""
 
     fanin_limit: str | int
@@ -73,12 +71,7 @@ class DepthReport:
     max_threshold_fanin: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "fanin_limit": self.fanin_limit,
-            "depth": self.depth,
-            "gate_count": self.gate_count,
-            "max_threshold_fanin": self.max_threshold_fanin,
-        }
+        return self._asdict()
 
 
 class NetBuilder:
@@ -90,7 +83,7 @@ class NetBuilder:
     """
 
     def __init__(self, name: str = ""):
-        self.net = Netlist(name)
+        self.net = Netlist(name, [], [], {})
         self._next = 0
 
     def input(self, name: str) -> Wire:
@@ -212,7 +205,7 @@ def evaluate(net: Netlist, assignments: dict, lanes: int = 1) -> dict:
     }
 
 
-def _legal_tree(emit, kind: str, wires: list[Wire], b: int) -> Wire:
+def _legal_tree(emit, kind: str, wires: tuple[Wire, ...], b: int) -> Wire:
     """Balanced b-ary tree over `wires`; depth is exactly ceil(log_b(fan-in))."""
     inner, root = {"NOR": ("OR", "NOR")}.get(kind, (kind, kind))
     while len(wires) > b:
@@ -232,7 +225,7 @@ def legalize(net: Netlist, b: int) -> Netlist:
     """
     if b < 2:
         raise ValueError(f"fan-in limit must be >= 2, got {b}")
-    out = Netlist(net.name, inputs=list(net.inputs))
+    out = Netlist(net.name, list(net.inputs), [], {})
     counter = [0]
 
     def emit(kind: str, inputs: tuple[Wire, ...], param: int | None = None) -> Wire:
@@ -243,16 +236,16 @@ def legalize(net: Netlist, b: int) -> Netlist:
 
     wire_map: dict[Wire, Wire] = {w: w for w in net.inputs}
     for g in net.gates:
-        ins = [wire_map[w] for w in g.inputs]
+        ins = tuple(map(wire_map.__getitem__, g.inputs))
         if g.kind in ("AND", "OR", "NOR") and len(ins) > b:
             new = _legal_tree(emit, g.kind, ins, b)
         else:
-            new = emit(g.kind, tuple(ins), g.param)
+            new = emit(g.kind, ins, g.param)
         wire_map[g.gid] = new
-    out.outputs = {
-        name: (wire if isinstance(wire, int) else wire_map[wire])
+    out.outputs.update(
+        (name, wire if isinstance(wire, int) else wire_map[wire])
         for name, wire in net.outputs.items()
-    }
+    )
     return out
 
 
@@ -268,7 +261,7 @@ def depth(net: Netlist, fanin_limit: "str | int" = "unbounded") -> DepthReport:
         target = legalize(net, int(fanin_limit))
     levels = {w: 0 for w in target.inputs}
     for g in target.gates:
-        levels[g.gid] = 1 + max((levels[w] for w in g.inputs), default=0)
+        levels[g.gid] = 1 + max(map(levels.__getitem__, g.inputs), default=0)
     d = max(
         (0 if isinstance(w, int) else levels[w] for w in target.outputs.values()),
         default=0,

@@ -26,7 +26,6 @@ with k < i; row sums are therefore the ranks of a stable sort.
 
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -56,14 +55,12 @@ class TraceEvent(NamedTuple):
 COLUMNS = ("phase", *TraceEvent._fields)
 
 
-@dataclass(frozen=True, slots=True)
-class TracePhase:
+class TracePhase(NamedTuple):
     name: str
     events: tuple[TraceEvent, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class SortTrace:
+class SortTrace(NamedTuple):
     """One run of the machine: its inputs and the result of each stage run.
 
     `bits` (the comparison matrix) is None until the compare phase has
@@ -138,8 +135,7 @@ class SortTrace:
             + "\r\n"))
 
 
-@dataclass(frozen=True, slots=True)
-class ComparisonMatrix:
+class ComparisonMatrix(NamedTuple):
     """n x n 0/1 matrix; bits[i][k] = 1 records that element k lost to element i."""
 
     bits: tuple[tuple[int, ...], ...]
@@ -156,8 +152,7 @@ class ComparisonMatrix:
         return "\n".join("".join(str(b) for b in row) for row in self.bits) + "\n"
 
 
-@dataclass(frozen=True, slots=True)
-class RankVector:
+class RankVector(NamedTuple):
     ranks: tuple[int, ...]
 
     def order(self) -> tuple[int, ...]:
@@ -234,7 +229,7 @@ def compare_phase(state: SortTrace) -> tuple[ComparisonMatrix, SortTrace]:
         else:
             t[big][small] = 1
     bits = tuple(map(tuple, t))
-    return ComparisonMatrix(bits), replace(state, bits=bits)
+    return ComparisonMatrix(bits), state._replace(bits=bits)
 
 
 def rank_phase(matrix: ComparisonMatrix) -> RankVector:
@@ -256,7 +251,7 @@ def sort(layout: Layout, values: Sequence[int]) -> tuple[ComparisonMatrix, RankV
     covered = sum(ranks.ranks)
     if covered != pairs:
         raise ValueError(f"layout misses {pairs - covered} of its {pairs} class pairs")
-    return matrix, ranks, replace(trace, ranks=ranks.ranks)
+    return matrix, ranks, trace._replace(ranks=ranks.ranks)
 
 
 def phase_count(trace: SortTrace) -> int:

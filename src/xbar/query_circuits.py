@@ -28,14 +28,15 @@ Depth accounting comes from `xbar.netlist.depth`; unit-delay THRESHOLD
 gates are reported with their fan-in so the optimism is visible.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .array_builder import Layout
 from .netlist import DepthReport, NetBuilder, Netlist, depth, evaluate
 from .pe_simulator import ComparisonMatrix, RankVector
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "RankQueryResult",
@@ -63,8 +64,7 @@ __all__ = [
 ADDER_TREE_DEPTH_MARGIN = 2
 
 
-@dataclass(frozen=True, slots=True)
-class RankQueryResult:
+class RankQueryResult(NamedTuple):
     """Outcome of an index query; `exact` is False only for probabilistic tests."""
 
     index: int | None
@@ -328,7 +328,7 @@ def select_rank(t: ComparisonMatrix, r: int) -> RankQueryResult:
 
 def rank_at_least_probabilistic(
     row: Sequence[int], j: int, k: int
-) -> tuple[bool, Fraction]:
+) -> "tuple[bool, Fraction]":
     """Chunked test for "this row holds at least j ones", plus its miss odds.
 
     The row is zero-padded to a multiple of k and split into k-bit
@@ -347,6 +347,8 @@ def rank_at_least_probabilistic(
         raise ValueError("row must be 0/1 valued")
     if len(bits) % k:
         bits += [0] * (k - len(bits) % k)
+    from fractions import Fraction  # here, so `import xbar.cli` loads neither it nor decimal
+
     n = len(bits)
     verdict = any(sum(bits[i:i + k]) >= j for i in range(0, n, k))
     quiet_chunks = sum(comb(k, i) for i in range(j))

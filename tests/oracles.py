@@ -12,8 +12,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice
+from math import gcd
 
 from xbar.array_builder import END_PLACEMENTS, EXAMPLES, min_pe_count, replicate_lower_bound
+from xbar.cyclic_perm import Cycle
 from xbar.pe_simulator import COLUMNS, TraceEvent
 
 
@@ -59,6 +61,20 @@ def brute_cycles(n, j):
         pivot = cyc.index(min(cyc))
         cycles.append(tuple(cyc[pivot:] + cyc[:pivot]))
     return sorted(cycles)
+
+
+def cycle_decomposition_reference(perm):
+    """The cycles of a shift power found by stepping j at a time from each start 0..gcd-1."""
+    n, j = perm.n, perm.j
+    cycles = []
+    for start in range(gcd(n, j)):
+        elems = [start]
+        cur = (start + j) % n
+        while cur != start:
+            elems.append(cur)
+            cur = (cur + j) % n
+        cycles.append(Cycle(tuple(elems), j))
+    return cycles
 
 
 # Per direction: whether the greater class sits right, the exchange and reply

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def test_cli_import_skips_dataclasses_and_fractions():
+    # Every command pays for what `import xbar.cli` loads; -S keeps site-packages
+    # (and whatever they import) out, so only xbar's own imports count.
+    probe = ("import sys, xbar.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_build_text(capsys):

@@ -2,9 +2,9 @@ from math import gcd
 
 import pytest
 
-from xbar.cyclic_perm import Permutation, cycle_decomposition, partition_Q, power
+from xbar.cyclic_perm import Cycle, Permutation, cycle_decomposition, partition_Q, power
 
-from oracles import brute_cycles
+from oracles import brute_cycles, cycle_decomposition_reference
 
 
 def test_power_full_exponent_is_identity():
@@ -24,12 +24,13 @@ def test_power_half_exponent_gives_transpositions():
 
 
 def test_power_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        power(1, 1)
-    with pytest.raises(ValueError):
-        power(12, 0)
-    with pytest.raises(ValueError):
-        power(12, 13)
+    for make in (power, Permutation):
+        with pytest.raises(ValueError, match=r"^need at least 2 classes, got n=1$"):
+            make(1, 1)
+        with pytest.raises(ValueError, match=r"^exponent must lie in 1\.\.12, got j=0$"):
+            make(12, 0)
+        with pytest.raises(ValueError, match=r"^exponent must lie in 1\.\.12, got j=13$"):
+            make(12, 13)
 
 
 def test_decomposition_matches_figures():
@@ -57,6 +58,18 @@ def test_decomposition_matches_brute_force(n):
     for j in range(1, n + 1):
         ours = sorted(c.elements for c in cycle_decomposition(power(n, j)))
         assert ours == brute_cycles(n, j)
+
+
+def test_decomposition_matches_stepping_reference():
+    for n in range(2, 65):
+        for j in range(1, n + 1):
+            perm = Permutation(n, j)
+            assert cycle_decomposition(perm) == cycle_decomposition_reference(perm), (n, j)
+
+
+def test_cycle_length_counts_elements():
+    assert len(Cycle((0, 2, 4), 2)) == 3
+    assert len(Cycle((0, 3), 3)) == 2
 
 
 def test_decomposition_cycle_metadata():

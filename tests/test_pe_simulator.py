@@ -7,6 +7,7 @@ from xbar.array_builder import Layout, build, build_odd
 from xbar.pe_simulator import (
     PHASE_NAMES,
     ComparisonMatrix,
+    SortTrace,
     compare_phase,
     detect_write_conflicts,
     load_phase,
@@ -129,6 +130,16 @@ def test_phase_count_matches_phases_after_each_stage():
     assert phase_count(compared) == len(compared.phases) == 6
     _, _, trace = sort(build(5), [8, 6, 9, 5, 7])
     assert phase_count(trace) == len(trace.phases) == 7
+
+
+def test_stages_leave_the_trace_they_are_given_unchanged():
+    layout, values = build(6), [4, 4, 1, 7, 0, 7]
+    state = load_phase(layout, values)
+    matrix, compared = compare_phase(state)
+    assert state == SortTrace(layout, tuple(values))
+    _, ranks, trace = sort(layout, values)
+    assert compared == SortTrace(layout, tuple(values), matrix.bits)
+    assert trace == SortTrace(layout, tuple(values), matrix.bits, ranks.ranks)
 
 
 def test_comparison_count_equals_crosspoints():
