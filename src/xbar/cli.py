@@ -15,7 +15,7 @@ import sys
 
 from . import array_builder, pe_simulator, query_circuits
 from .cyclic_perm import cycle_decomposition, partition_Q, power
-from .netlist import depth
+from .netlist import series_depth
 
 
 class DataError(Exception):
@@ -189,9 +189,9 @@ def _cmd_search(args) -> int:
 
 
 _CIRCUITS = {
-    "min": query_circuits.build_min_circuit,
-    "max": query_circuits.build_max_circuit,
-    "threshold-rank": query_circuits.build_rank_circuit_threshold,
+    "min": query_circuits.min_stages,
+    "max": query_circuits.max_stages,
+    "threshold-rank": query_circuits.threshold_rank_stages,
     "ones-counter": query_circuits.build_ones_counter,
     "adder-tree": query_circuits.build_popcount_tree,
     "encoder": query_circuits.build_encoder,
@@ -200,8 +200,7 @@ _CIRCUITS = {
 
 
 def _cmd_depth(args) -> int:
-    net = _CIRCUITS[args.circuit](args.n)
-    report = depth(net, args.fanin)
+    report = series_depth(_CIRCUITS[args.circuit](args.n), args.fanin)
     if args.format == "json":
         _emit_json(report.to_json_dict())
     else:

@@ -55,6 +55,11 @@ class Cycle(NamedTuple):
         return self.elements[0]
 
 
+# `_replace` builds through `_make`; the constructor keeps Permutation's range
+# checks, and skips the field count that Cycle's `__len__` (elements) would fail.
+Permutation._make = Cycle._make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class QPartition(NamedTuple):
     """Cycles of the powers 1..n/2, grouped by their smallest element.
 

@@ -10,7 +10,7 @@ of its inputs are 1 and is charged unit delay regardless of fan-in.
 built topologically) and is bit-sliced: bit i of a wire's int is lane i,
 so one pass evaluates `lanes` input vectors.  Gates are bitwise (NOT and
 NOR XOR the all-lanes mask, THRESHOLD compares a bit-sliced counter with
-its param), so at one lane numpy 0/1 arrays work elementwise too.
+its param).
 
 `depth` measures the critical path in gate levels.  Under a finite
 fan-in limit b, every AND/OR/NOR gate wider than b is first legalized
@@ -182,7 +182,6 @@ def evaluate(net: Netlist, assignments: dict, lanes: int = 1) -> dict:
 
     `assignments` binds every primary input to an int holding its lane i
     at bit i; outputs are packed alike, a constant one as 0 or all lanes.
-    At one lane, numpy-style 0/1 arrays of a common shape work too.
     """
     mask = (1 << lanes) - 1
     values = {}
@@ -273,3 +272,19 @@ def depth(net: Netlist, fanin_limit: "str | int" = "unbounded") -> DepthReport:
         gate_count=target.gate_count(),
         max_threshold_fanin=max(thr) if thr else None,
     )
+
+
+def series_depth(stages, fanin_limit: "str | int" = "unbounded") -> DepthReport:
+    """`depth` of `(netlist, copies)` stages in series; a bare Netlist is one stage of one copy.
+
+    Depths add (exact when a stage's outputs settle at one level, as a
+    one-output row's do), gates add up as copies x gates, and the
+    threshold fan-in is the widest of any stage.
+    """
+    if isinstance(stages, Netlist):
+        stages = [(stages, 1)]
+    reports = [(depth(net, fanin_limit), copies) for net, copies in stages]
+    widths = [r.max_threshold_fanin for r, _ in reports if r.max_threshold_fanin]
+    return DepthReport(fanin_limit, sum(r.depth for r, _ in reports),
+                       sum(copies * r.gate_count for r, copies in reports),
+                       max(widths, default=None))

@@ -21,8 +21,10 @@ Circuits provided:
   chunks, with its exact miss probability as a fraction.
 
 The min, max, select-rank and adder-tree queries run one row circuit
-over all n rows in a single bit-sliced evaluation, lane i being row i;
-the n-row builders lay the same circuits out for depth accounting.
+over all n rows in a single bit-sliced evaluation, lane i being row i.
+For depth accounting the min, max and threshold-rank circuits are given
+as stages in series, n copies of the row circuit and then the encoder,
+which `xbar.netlist.series_depth` composes without laying out n rows.
 
 Depth accounting comes from `xbar.netlist.depth`; unit-delay THRESHOLD
 gates are reported with their fan-in so the optimism is visible.
@@ -42,10 +44,7 @@ __all__ = [
     "RankQueryResult",
     "build_encoder",
     "build_priority_encoder",
-    "build_min_circuit",
-    "build_max_circuit",
     "build_ones_counter",
-    "build_rank_circuit_threshold",
     "build_popcount_tree",
     "rank_via_adder_tree",
     "select_rank",
@@ -53,6 +52,9 @@ __all__ = [
     "search",
     "min_index",
     "max_index",
+    "min_stages",
+    "max_stages",
+    "threshold_rank_stages",
     "row_assignments",
     "decode_bits",
     "ADDER_TREE_DEPTH_MARGIN",
@@ -85,12 +87,6 @@ def _encoder(nb: NetBuilder, wires: list, prefix: str = "bit") -> None:
         for j in range(max(1, (n - 1).bit_length()))
     ]
     _output_bits(nb, bits, prefix)
-
-
-def _matrix_rows(nb: NetBuilder, n: int, diagonal: bool):
-    """Create the `t_<row>_<col>` inputs one matrix row at a time, yielding each row."""
-    for i in range(n):
-        yield [nb.input(f"t_{i}_{k}") for k in range(n) if diagonal or k != i]
 
 
 def build_encoder(n: int, with_valid: bool = True) -> Netlist:
@@ -127,71 +123,27 @@ def build_priority_encoder(n: int) -> Netlist:
     return nb.build()
 
 
-def _row_flag_circuit(name: str, n: int, gate) -> Netlist:
-    """One `gate` per matrix row over its off-diagonal bits, then the encoder."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    nb = NetBuilder(f"{name}{n}")
-    _encoder(nb, [gate(nb, *row) for row in _matrix_rows(nb, n, diagonal=False)])
-    return nb.build()
-
-
-def build_min_circuit(n: int) -> Netlist:
-    """Index of the all-zero matrix row: one NOR per row, then the encoder.
-
-    Inputs are the n(n-1) off-diagonal bits row-major (`t_<row>_<col>`).
-    The row flags are one-hot for any matrix produced by a full sort, so
-    no valid wire is needed.
-    """
-    return _row_flag_circuit("min", n, NetBuilder.nor_)
-
-
-def build_max_circuit(n: int) -> Netlist:
-    """Index of the all-ones row (diagonal treated as constant 1): AND per row."""
-    return _row_flag_circuit("max", n, NetBuilder.and_)
-
-
-def _exact_count_onehot(nb: NetBuilder, wires: list) -> list:
-    """Exactly-m detectors for m = 0..len(wires)-1, one threshold pair each.
-
-    Detector m fires when at least m inputs are high but not m+1; for
-    m = 0 the at-least-0 gate folds to constant 1 and drops out.
-    """
-    return [
-        nb.and_(nb.not_(nb.threshold(wires, m + 1)), nb.threshold(wires, m))
-        for m in range(len(wires))
-    ]
-
-
 def build_ones_counter(n: int) -> Netlist:
     """Population counter for an n-bit string via threshold-gate pairs.
 
-    Outputs the one-hot `e0..e<n-1>` (exactly-m detectors) and the
-    encoded count `bit*`.  Constant depth: threshold, inverter, AND,
-    encoder OR.
+    Outputs the one-hot `e0..e<n-1>` and the encoded count `bit*`.
+    Detector `e<m>` fires when at least m inputs are high but not m+1; for
+    m = 0 the at-least-0 gate folds to constant 1 and drops out.
+    Constant depth: threshold, inverter, AND, encoder OR.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     nb = NetBuilder(f"ones_counter{n}")
     wires = [nb.input(f"b{i}") for i in range(n)]
-    es = _exact_count_onehot(nb, wires)
+    es = [nb.and_(nb.not_(nb.threshold(wires, m + 1)), nb.threshold(wires, m)) for m in range(n)]
     _output_bits(nb, es, "e")
     _encoder(nb, es)
     return nb.build()
 
 
-def build_rank_circuit_threshold(n: int) -> Netlist:
-    """All n ranks at once: one exact-count counter + encoder per matrix row.
-
-    Inputs are the full n^2 matrix bits (`t_<row>_<col>`, diagonal
-    included); outputs are `rank<i>_bit<k>` for every row i.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    nb = NetBuilder(f"rank_threshold{n}")
-    for i, row in enumerate(_matrix_rows(nb, n, diagonal=True)):
-        _encoder(nb, _exact_count_onehot(nb, row), prefix=f"rank{i}_bit")
-    return nb.build()
+def threshold_rank_stages(n: int) -> list:
+    """All n ranks at once for `series_depth`: a ones counter on each full matrix row."""
+    return [(build_ones_counter(n), n)]
 
 
 def _bk_carries(nb: NetBuilder, g: list, p: list) -> list:
@@ -272,8 +224,21 @@ def _run_rows(t: ComparisonMatrix, row_net: Netlist, diagonal: int = 0) -> dict:
     return evaluate(row_net, columns, lanes=t.n)
 
 
-def _hit_index(t: ComparisonMatrix, hit, diagonal: int = 0) -> int:
-    """Run the row circuit `hit(nb, [b0..b<n-1>])` on every row; encode the hot row.
+def _row_stages(gate, n: int, width: int) -> list:
+    """n copies of the row circuit `hit = gate(nb, b0, ..., b<width-1>)`, then the encoder.
+
+    The row flags are one-hot for any matrix a full sort produces, so the
+    encoder needs no valid wire.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    nb = NetBuilder()
+    nb.output("hit", gate(nb, *[nb.input(f"b{k}") for k in range(width)]))
+    return [(nb.build(), n), (build_encoder(n, with_valid=False), 1)]
+
+
+def _hit_index(t: ComparisonMatrix, gate, diagonal: int = 0) -> int:
+    """Run `gate`'s row circuit on every row (diagonal read as `diagonal`); encode the hot row.
 
     The flags are one-hot only on a matrix a full sort produces: a zero
     diagonal and row sums forming a permutation of 0..n-1.  Any other
@@ -284,11 +249,10 @@ def _hit_index(t: ComparisonMatrix, hit, diagonal: int = 0) -> int:
     if any(t.bits[i][i] for i in range(n)) or sorted(t.row_sums()) != list(range(n)):
         raise ValueError("matrix is not from a full sort: it needs a zero diagonal "
                          f"and row sums forming a permutation of 0..{n - 1}")
-    nb = NetBuilder()
-    nb.output("hit", hit(nb, [nb.input(f"b{k}") for k in range(n)]))
-    hits = _run_rows(t, nb.build(), diagonal)["hit"]
+    (row, _), (encoder, _) = _row_stages(gate, n, n)
+    hits = _run_rows(t, row, diagonal)["hit"]
     flags = [(hits >> i) & 1 for i in range(n)]
-    return decode_bits(evaluate(build_encoder(n, with_valid=False), row_assignments(flags, "x")))
+    return decode_bits(evaluate(encoder, row_assignments(flags, "x")))
 
 
 def rank_via_adder_tree(t: ComparisonMatrix) -> tuple[RankVector, DepthReport]:
@@ -319,7 +283,7 @@ def select_rank(t: ComparisonMatrix, r: int) -> RankQueryResult:
     comp = (~r) & ((1 << width) - 1)
     comp_bits = [(comp >> b) & 1 for b in range(width)]
 
-    def rank_is_r(nb: NetBuilder, row: list):
+    def rank_is_r(nb: NetBuilder, *row):
         total = (_popcount_bits(nb, row) + [0] * width)[:width]
         return nb.nor_(*_bk_add(nb, total, comp_bits, cin=1)[:width])
 
@@ -376,12 +340,22 @@ def search(layout: Layout, values: Sequence[int], key) -> RankQueryResult:
 
 def min_index(t: ComparisonMatrix) -> int:
     """Index of the all-zero row: a NOR over every row, then the encoder."""
-    return _hit_index(t, lambda nb, row: nb.nor_(*row))
+    return _hit_index(t, NetBuilder.nor_)
 
 
 def max_index(t: ComparisonMatrix) -> int:
     """Index of the all-ones row (diagonal read as 1): an AND over every row."""
-    return _hit_index(t, lambda nb, row: nb.and_(*row), diagonal=1)
+    return _hit_index(t, NetBuilder.and_, diagonal=1)
+
+
+def min_stages(n: int) -> list:
+    """`min_index` for `series_depth`: a NOR over each row's n - 1 off-diagonal bits."""
+    return _row_stages(NetBuilder.nor_, n, n - 1)
+
+
+def max_stages(n: int) -> list:
+    """`max_index` for `series_depth`: an AND over each row's n - 1 off-diagonal bits."""
+    return _row_stages(NetBuilder.and_, n, n - 1)
 
 
 def row_assignments(bits: Sequence[int], prefix: str = "b") -> dict[str, int]:

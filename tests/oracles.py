@@ -16,7 +16,9 @@ from math import gcd
 
 from xbar.array_builder import END_PLACEMENTS, EXAMPLES, min_pe_count, replicate_lower_bound
 from xbar.cyclic_perm import Cycle
+from xbar.netlist import NetBuilder, Netlist
 from xbar.pe_simulator import COLUMNS, TraceEvent
+from xbar.query_circuits import _encoder
 
 
 def oracle_ranks(values):
@@ -180,6 +182,78 @@ def evaluate_reference(net, assignments):
         name: (wire if isinstance(wire, int) else values[wire])
         for name, wire in net.outputs.items()
     }
+
+
+def pack_lanes(words, width, prefix="b"):
+    """Bind input `<prefix>i` to bit i of every word, word r in lane r."""
+    return {f"{prefix}{i}": sum(((w >> i) & 1) << r for r, w in enumerate(words))
+            for i in range(width)}
+
+
+def lane_values(outputs, nbits, lanes, prefix="bit"):
+    """Read outputs `<prefix>0..<prefix><nbits-1>` back as one int per lane."""
+    return [sum(((outputs[f"{prefix}{k}"] >> r) & 1) << k for k in range(nbits))
+            for r in range(lanes)]
+
+
+# The n-row netlists `xbar depth` once measured: every matrix row laid out
+# side by side, then the encoder.  `series_depth` of the stage lists in
+# `xbar.query_circuits` must report what `depth` reports on these.
+
+def _matrix_rows(nb: NetBuilder, n: int, diagonal: bool):
+    """Create the `t_<row>_<col>` inputs one matrix row at a time, yielding each row."""
+    for i in range(n):
+        yield [nb.input(f"t_{i}_{k}") for k in range(n) if diagonal or k != i]
+
+
+def _row_flag_circuit(name: str, n: int, gate) -> Netlist:
+    """One `gate` per matrix row over its off-diagonal bits, then the encoder."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    nb = NetBuilder(f"{name}{n}")
+    _encoder(nb, [gate(nb, *row) for row in _matrix_rows(nb, n, diagonal=False)])
+    return nb.build()
+
+
+def build_min_circuit(n: int) -> Netlist:
+    """Index of the all-zero matrix row: one NOR per row, then the encoder.
+
+    Inputs are the n(n-1) off-diagonal bits row-major (`t_<row>_<col>`).
+    The row flags are one-hot for any matrix produced by a full sort, so
+    no valid wire is needed.
+    """
+    return _row_flag_circuit("min", n, NetBuilder.nor_)
+
+
+def build_max_circuit(n: int) -> Netlist:
+    """Index of the all-ones row (diagonal treated as constant 1): AND per row."""
+    return _row_flag_circuit("max", n, NetBuilder.and_)
+
+
+def _exact_count_onehot(nb: NetBuilder, wires: list) -> list:
+    """Exactly-m detectors for m = 0..len(wires)-1, one threshold pair each.
+
+    Detector m fires when at least m inputs are high but not m+1; for
+    m = 0 the at-least-0 gate folds to constant 1 and drops out.
+    """
+    return [
+        nb.and_(nb.not_(nb.threshold(wires, m + 1)), nb.threshold(wires, m))
+        for m in range(len(wires))
+    ]
+
+
+def build_rank_circuit_threshold(n: int) -> Netlist:
+    """All n ranks at once: one exact-count counter + encoder per matrix row.
+
+    Inputs are the full n^2 matrix bits (`t_<row>_<col>`, diagonal
+    included); outputs are `rank<i>_bit<k>` for every row i.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    nb = NetBuilder(f"rank_threshold{n}")
+    for i, row in enumerate(_matrix_rows(nb, n, diagonal=True)):
+        _encoder(nb, _exact_count_onehot(nb, row), prefix=f"rank{i}_bit")
+    return nb.build()
 
 
 @dataclass(slots=True)

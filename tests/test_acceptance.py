@@ -12,25 +12,23 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from xbar.array_builder import build, build_even, build_odd, min_pe_count, validate
 from xbar.cyclic_perm import cycle_decomposition, power
-from xbar.netlist import depth, evaluate
+from xbar.netlist import depth, evaluate, series_depth
 from xbar.pe_simulator import detect_write_conflicts, phase_count, sort
 from xbar.query_circuits import (
     ADDER_TREE_DEPTH_MARGIN,
-    build_max_circuit,
-    build_min_circuit,
     build_ones_counter,
     build_popcount_tree,
-    build_rank_circuit_threshold,
     max_index,
+    max_stages,
     min_index,
+    min_stages,
     rank_at_least_probabilistic,
+    threshold_rank_stages,
 )
 
-from oracles import argmax_index, argmin_index, oracle_ranks
+from oracles import argmax_index, argmin_index, lane_values, oracle_ranks, pack_lanes
 
 T4 = ((0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0))
 T5 = ((0, 1, 0, 1, 1), (0, 0, 0, 1, 0), (1, 1, 0, 1, 1), (0, 0, 0, 0, 0), (0, 1, 0, 1, 0))
@@ -152,23 +150,23 @@ def test_criterion_7_circuit_oracles():
             assert min_index(t) == argmin_index(values)
             assert max_index(t) == argmax_index(values)
 
-        # Exhaustive popcount check. The all-ones row is excluded: count n has
-        # no detector by construction and no matrix row reaches it (zero diagonal).
+        # Exhaustive popcount check, pattern p in lane p. The all-ones row is
+        # excluded: count n has no detector by construction and no matrix row
+        # reaches it (zero diagonal).
         for n in range(2, 13):
             net = build_ones_counter(n)
-            patterns = np.arange(2 ** n - 1, dtype=np.int64)
-            assigns = {f"b{i}": ((patterns >> i) & 1).astype(np.uint8) for i in range(n)}
-            out = evaluate(net, assigns)
+            patterns = range(2 ** n - 1)
+            out = evaluate(net, pack_lanes(patterns, n), lanes=len(patterns))
             nbits = max(1, (n - 1).bit_length())
-            got = sum(np.asarray(out[f"bit{k}"], dtype=np.int64) << k for k in range(nbits))
-            want = np.array([bin(v).count("1") for v in range(2 ** n - 1)], dtype=np.int64)
-            assert np.array_equal(got, want), f"popcount mismatch at n={n}"
+            got = lane_values(out, nbits, len(patterns))
+            want = [bin(v).count("1") for v in patterns]
+            assert got == want, f"popcount mismatch at n={n}"
 
-        rng64 = np.random.default_rng(20260810)
-        rows = rng64.integers(0, 2, size=(10_000, 64), dtype=np.uint8)
-        out = evaluate(build_ones_counter(64), {f"b{i}": rows[:, i] for i in range(64)})
-        got = sum(np.asarray(out[f"bit{k}"], dtype=np.int64) << k for k in range(6))
-        assert np.array_equal(got, rows.sum(axis=1, dtype=np.int64))
+        rng64 = random.Random(20260810)
+        rows = [rng64.getrandbits(64) for _ in range(10_000)]
+        out = evaluate(build_ones_counter(64), pack_lanes(rows, 64), lanes=len(rows))
+        got = lane_values(out, 6, len(rows))
+        assert got == [bin(row).count("1") for row in rows]
 
 
 def test_criterion_8_depth_claims():
@@ -177,20 +175,23 @@ def test_criterion_8_depth_claims():
         min_unbounded = set()
         max_unbounded = set()
         rank_unbounded = set()
+        # Min, max and threshold-rank as `xbar depth` reports them: n row
+        # copies, then the encoder (test_properties checks these reports
+        # against the n-row reference netlists).
         for n in (4, 8, 16, 32, 64):
-            du = depth(build_min_circuit(n)).depth
+            du = series_depth(min_stages(n)).depth
             min_unbounded.add(du)
             assert du <= 2
-            dm = depth(build_max_circuit(n)).depth
+            dm = series_depth(max_stages(n)).depth
             max_unbounded.add(dm)
             assert dm <= 2
-            dr = depth(build_rank_circuit_threshold(n)).depth
+            dr = series_depth(threshold_rank_stages(n)).depth
             rank_unbounded.add(dr)
             assert dr <= 4 + 1  # counter stages plus the encoder level
             lg = int(math.log2(n))
-            d2 = depth(build_min_circuit(n), 2).depth
+            d2 = series_depth(min_stages(n), 2).depth
             assert d2 == lg + (lg - 1), (n, d2)
-            assert depth(build_max_circuit(n), 2).depth == lg + (lg - 1)
+            assert series_depth(max_stages(n), 2).depth == lg + (lg - 1)
             tree = depth(build_popcount_tree(n), 2).depth
             bound = lg * (2 * math.ceil(math.log2(lg)) + ADDER_TREE_DEPTH_MARGIN)
             assert tree <= bound, (n, tree, bound)

@@ -224,6 +224,15 @@ def test_depth_unbounded_text(capsys):
     assert out.startswith("depth 4 ")
 
 
+@pytest.mark.parametrize("circuit", ["min", "max", "threshold-rank"])
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_depth_needs_two_classes(capsys, circuit, n):
+    code = main(["depth", "--circuit", circuit, "--n", str(n)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: need n >= 2, got {n}\n"
+
+
 def test_perm_commands(capsys):
     code, out = run(capsys, "perm", "--n", "12", "--j", "5")
     assert (code, out.strip()) == (0, "(0,5,10,3,8,1,6,11,4,9,2,7)")

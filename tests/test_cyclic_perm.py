@@ -72,6 +72,14 @@ def test_cycle_length_counts_elements():
     assert len(Cycle((0, 3), 3)) == 2
 
 
+def test_replace_rebuilds_through_the_constructor():
+    assert Permutation(5, 2)._replace(j=4) == Permutation(5, 4)
+    with pytest.raises(ValueError, match=r"^exponent must lie in 1\.\.5, got j=9$"):
+        Permutation(5, 2)._replace(j=9)
+    cyc = Cycle((0, 2, 4), 2)._replace(exponent=3)
+    assert type(cyc) is Cycle and cyc == Cycle((0, 2, 4), 3)
+
+
 def test_decomposition_cycle_metadata():
     for cyc in cycle_decomposition(power(18, 4)):
         assert cyc.exponent == 4

@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 
 from xbar.netlist import DepthReport, NetBuilder, Netlist, depth, evaluate, legalize
@@ -38,14 +37,16 @@ def test_evaluate_truth_tables():
         assert {k: int(v) for k, v in out.items()} == _truth(bits)
 
 
-def test_evaluate_accepts_arrays():
+def test_evaluate_packed_lanes():
+    # The whole truth table in one pass: row r of the table is lane r.
     net = _wide_sample_net()
-    rows = np.array(list(itertools.product((0, 1), repeat=6)), dtype=np.uint8)
-    out = evaluate(net, {f"i{k}": rows[:, k] for k in range(6)})
-    for r, bits in enumerate(itertools.product((0, 1), repeat=6)):
+    rows = list(itertools.product((0, 1), repeat=6))
+    packed = {f"i{k}": sum(bits[k] << r for r, bits in enumerate(rows)) for k in range(6)}
+    out = evaluate(net, packed, lanes=len(rows))
+    for r, bits in enumerate(rows):
         want = _truth(bits)
-        for name, arr in out.items():
-            assert int(np.asarray(arr)[r]) == want[name]
+        for name, lanes in out.items():
+            assert (lanes >> r) & 1 == want[name]
 
 
 def test_evaluate_missing_input():

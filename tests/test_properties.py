@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from xbar import query_circuits
 from xbar.array_builder import Layout, build, validate
 from xbar.cli import main
-from xbar.netlist import evaluate, legalize
+from xbar.netlist import depth, evaluate, legalize, series_depth
 from xbar.pe_simulator import compare_phase, detect_write_conflicts, load_phase, sort
 
-from oracles import (csv_reference, evaluate_reference, events_reference, jsonl_reference,
+from oracles import (build_max_circuit, build_min_circuit, build_rank_circuit_threshold,
+                     csv_reference, evaluate_reference, events_reference, jsonl_reference,
                      oracle_ranks, twrite_conflicts, validate_reference)
 
 # Negatives, duplicates (small range) and values well past 2**64.
@@ -76,15 +77,19 @@ def test_select_rank_matches_sorted_order(values):
     assert query_circuits.rank_via_adder_tree(t)[0] == ranks
 
 
-BUILDERS = sorted(name for name in query_circuits.__all__ if name.startswith("build_"))
+# The library's netlist builders, plus the n-row reference netlists.
+BUILDERS = {name: getattr(query_circuits, name)
+            for name in query_circuits.__all__ if name.startswith("build_")}
+BUILDERS.update(build_min_circuit=build_min_circuit, build_max_circuit=build_max_circuit,
+                build_rank_circuit_threshold=build_rank_circuit_threshold)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(BUILDERS), st.integers(min_value=2, max_value=9),
+@given(st.sampled_from(sorted(BUILDERS)), st.integers(min_value=2, max_value=9),
        st.integers(min_value=1, max_value=70), st.data())
 def test_packed_lanes_match_reference_per_lane(builder, n, lanes, data):
     # Bit i of every packed input and output is lane i, one vector each.
-    net = getattr(query_circuits, builder)(n)
+    net = BUILDERS[builder](n)
     packed = data.draw(st.lists(st.integers(0, (1 << lanes) - 1), min_size=len(net.inputs),
                                 max_size=len(net.inputs)))
     assignment = dict(zip(net.inputs, packed))
@@ -102,11 +107,27 @@ LEGALIZED_BUILDERS = ("build_min_circuit", "build_max_circuit", "build_priority_
 @given(st.sampled_from(LEGALIZED_BUILDERS), st.integers(min_value=2, max_value=9),
        st.integers(min_value=2, max_value=5), st.data())
 def test_legalize_preserves_outputs(builder, n, b, data):
-    net = getattr(query_circuits, builder)(n)
+    net = BUILDERS[builder](n)
     bits = data.draw(st.lists(st.integers(0, 1), min_size=len(net.inputs),
                               max_size=len(net.inputs)))
     assignment = dict(zip(net.inputs, bits))
     assert evaluate(legalize(net, b), assignment) == evaluate(net, assignment)
+
+
+# `xbar depth`'s stage lists and the n-row netlists they stand for.
+STAGED = {
+    "min": (query_circuits.min_stages, build_min_circuit),
+    "max": (query_circuits.max_stages, build_max_circuit),
+    "threshold-rank": (query_circuits.threshold_rank_stages, build_rank_circuit_threshold),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(STAGED)), st.integers(min_value=2, max_value=40),
+       st.sampled_from(["unbounded", *range(2, 9)]))
+def test_series_depth_matches_n_row_reference(circuit, n, fanin):
+    stages, reference = STAGED[circuit]
+    assert series_depth(stages(n), fanin) == depth(reference(n), fanin)
 
 
 @st.composite
