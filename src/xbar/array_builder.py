@@ -17,7 +17,7 @@ finishes with class n-1 followed by class 0.
 
 from collections import Counter
 from itertools import chain, compress, count, filterfalse, islice, repeat
-from operator import add, eq, gt, lt, mul
+from operator import add, eq, floordiv, gt, lt, mod, mul, sub
 from typing import NamedTuple
 
 from .cyclic_perm import _partition_q
@@ -69,17 +69,22 @@ class Layout(NamedTuple):
         return cls(doc["n"], tuple(slots), provenance)
 
 
-def _pair(code: int, base: int, span: int) -> tuple[int, int]:
-    """Decode lo * span + hi, where base <= lo < hi < base + span: hi is fixed by its residue."""
-    hi = base + (code - base) % span
-    return (code - hi) // span, hi
+def _pairs(codes, base: int, span: int) -> tuple[list[int], list[int]]:
+    """Decode each lo * span + hi, where base <= lo < hi < base + span, into lo and hi.
+
+    code - base = lo * span + (hi - base), the last term in 0..span-1; the
+    decode runs as C-level passes over all the codes.
+    """
+    offsets = list(map(sub, codes, repeat(base)))
+    return (list(map(floordiv, offsets, repeat(span))),
+            list(map(add, map(mod, offsets, repeat(span)), repeat(base))))
 
 
 class ValidationReport(NamedTuple):
     """Structural findings for a layout; empty `violations` means all good.
 
     `pair_codes` counts the crosspoints of each class pair lo < hi under the
-    integer code lo * id_span + hi; `pair_coverage` decodes it on each read.
+    integer code lo * id_span + hi; `pair_columns` decodes it on each read.
     """
 
     n: int
@@ -100,8 +105,14 @@ class ValidationReport(NamedTuple):
     @property
     def pair_coverage(self) -> dict[tuple[int, int], int]:
         """Crosspoints per adjacent class pair, in ascending pair order; O(pairs) per read."""
-        base, span = self.id_base, self.id_span
-        return {_pair(c, base, span): k for c, k in sorted(self.pair_codes.items())}
+        los, his, counts = self.pair_columns()
+        return dict(zip(zip(los, his), counts))
+
+    def pair_columns(self) -> tuple[list[int], list[int], list[int]]:
+        """lo, hi and crosspoints of each adjacent class pair, in ascending pair order."""
+        codes = sorted(self.pair_codes)
+        return (*_pairs(codes, self.id_base, self.id_span),
+                list(map(self.pair_codes.__getitem__, codes)))
 
     @property
     def replicate_counts(self) -> list[int]:
@@ -109,11 +120,13 @@ class ValidationReport(NamedTuple):
         return [self.slot_counts[c] for c in range(max(self.n, 0))]
 
     def to_json_dict(self) -> dict:
+        los, his, counts = self.pair_columns()
+        keys = ("%d-%d\n" * len(los) % tuple(chain.from_iterable(zip(los, his)))).splitlines()
         return {
             "n": self.n,
             "pe_count": self.pe_count,
             "expected_pe_count": self.expected_pe_count,
-            "pair_coverage": {f"{a}-{b}": c for (a, b), c in self.pair_coverage.items()},
+            "pair_coverage": dict(zip(keys, counts)),
             "redundant_pairs": [list(p) for p in self.redundant_pairs],
             "replicate_counts": list(self.replicate_counts),
             "end_classes": list(self.end_classes),
@@ -227,7 +240,7 @@ def validate(layout: Layout) -> ValidationReport:
     if len(slots) != expected:
         violations.append(f"pe count {len(slots)} != minimal {expected}")
 
-    # Each crosspoint counts its pair under the code lo * span + hi (see _pair):
+    # Each crosspoint counts its pair under the code lo * span + hi (see _pairs):
     # left * span + right where left < right, right * span + left where left > right.
     base = min(0, min(counts))
     span = max(n - 1, max(counts)) + 1 - base
@@ -235,14 +248,14 @@ def validate(layout: Layout) -> ValidationReport:
     codes = Counter(compress(map(add, heads, after), map(lt, slots, after)))
     codes.update(compress(map(add, islice(heads, 1, None), slots), map(gt, slots, after)))
     repeated = compress(codes, map(lt, repeat(1), codes.values()))
-    redundant = [_pair(c, base, span) for c in sorted(repeated)]
+    redundant = list(zip(*_pairs(sorted(repeated), base, span)))
     # A pair with an out-of-range id is redundant, but neither covered nor doubled.
     doubled = [p for p in redundant if p[0] >= 0 and p[1] < n]
 
     # Missing pairs are counted rather than listed and the search for
     # examples stops at the last one shown, so the work is bounded by the
     # slot count, not by the n(n-1)/2 pairs the declared n implies.
-    decoded = (_pair(c, base, span) for c in codes) if out_of_range else ()
+    decoded = zip(*_pairs(codes, base, span)) if out_of_range else ()
     covered = len(codes) - sum(lo < 0 or hi >= n for lo, hi in decoded)
     missing = n * (n - 1) // 2 - covered if n >= 2 else 0
     if missing:

@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+from itertools import chain
 
 from . import array_builder, pe_simulator, query_circuits
 from .cyclic_perm import cycle_decomposition, partition_Q, power
@@ -107,9 +108,9 @@ def _cmd_validate(args) -> int:
     if args.format == "json":
         _emit_json(report.to_json_dict())
     elif args.format == "csv":
-        print("pair,count")
-        for (a, b), count in report.pair_coverage.items():
-            print(f"{a}-{b},{count}")
+        columns = report.pair_columns()
+        sys.stdout.write("pair,count\n" + "%d-%d,%d\n" * len(columns[0])
+                         % tuple(chain.from_iterable(zip(*columns))))
     else:
         print(f"{report.pe_count} PEs (minimal: {report.expected_pe_count})")
         print(f"ends: {report.end_classes[0]} ... {report.end_classes[1]}")

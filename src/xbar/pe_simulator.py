@@ -16,9 +16,12 @@ operation mirrored: they differ only in the direction the value travels.
 All sends in a sub-phase read pre-phase state and all writes commit at the
 sub-phase end, so the run is deterministic.  A run computes only the matrix
 and the ranks; its trace is derived on demand from the layout, the values,
-the matrix and the ranks, one group of events per class, slot or crosspoint.
-`to_jsonl` and `to_csv` fill one %-template per group form; the lines equal
-`json.dumps` and `csv.writer` output, as every payload is an exact int.
+the matrix and the ranks, one block of event groups per phase: a group per
+class, slot or crosspoint.  The crosspoints are split by direction in
+C-level passes over the slots.  `to_jsonl` and `to_csv` render a block by
+repeating its line template and filling a chunk of groups with one `%` over
+a flat int tuple; the lines equal `json.dumps` and `csv.writer` output, as
+every payload is an exact int.
 
 The final matrix satisfies bits[i][k] = 1 iff A[k] < A[i], or A[k] == A[i]
 with k < i; row sums are therefore the ranks of a stable sort.
@@ -26,7 +29,9 @@ with k < i; row sums are therefore the ranks of a stable sort.
 
 import json
 from collections import Counter
-from operator import itemgetter
+from functools import partial
+from itertools import chain, compress, count, islice, repeat
+from operator import add, eq, getitem, gt, lt, mul, not_
 from typing import NamedTuple, Sequence
 
 from .array_builder import Layout
@@ -84,55 +89,65 @@ class SortTrace(NamedTuple):
             by_name[name].append(ev)
         return tuple(TracePhase(name, tuple(evs)) for name, evs in by_name.items())
 
-    def _groups(self, per_form):
-        """Yield (per_form(form), ints) per class, slot and crosspoint, in trace order."""
+    def _blocks(self):
+        """Yield (phase, picks, variants) per block of one phase's groups, in trace order.
+
+        A group is one class (clear, rank), slot (load) or crosspoint.  Each variant is
+        a form and its columns: the form's `...` fields take, line by line, one int per
+        column, a column holding one int per group of that variant.  `picks` is None for
+        a block of one variant; otherwise it gives each group's variant, in trace order.
+        """
         slots, vals, bits = self.layout.slots, self.values, self.bits
-        first = {c: s for s, c in reversed(list(enumerate(slots)))}
-        clear, load, rank = map(per_form, (_CLEAR, _LOAD, _RANK))
-        for c in sorted(first):
-            yield clear, (first[c], c)
-        for s, c in enumerate(slots):
-            yield load, (s, vals[c], c)
+        first = dict(zip(reversed(slots), range(len(slots) - 1, -1, -1)))
+        classes = sorted(first)
+        yield "clear", None, ((_CLEAR, (list(map(first.__getitem__, classes)), classes)),)
+        yield "load", None, ((_LOAD, (range(len(slots)), list(map(vals.__getitem__, slots)),
+                                      slots)),)
         if bits is None:
             return
-        crosspoints = list(_crosspoints(slots))
-        for left, *forms in _DIRECTIONS:
-            exchange, win, lose = map(per_form, forms)
-            points = [p for p in crosspoints if (p[2] < p[3]) == left]
-            for small, big, small_slot, big_slot in points:
-                yield exchange, (big_slot, vals[big], small_slot, vals[big])
-            for small, big, small_slot, big_slot in points:
-                if bits[small][big]:
-                    yield win, (small_slot, 1, small, big, small_slot, 0, big_slot, 0)
-                else:
-                    yield lose, (small_slot, 1, big_slot, 1, big_slot, 1, big, small)
-        for i, r in enumerate(self.ranks or ()):
-            yield rank, (first[i], r, i)
+        for (exchange, reply, send, lose, win), (small_slots, big_slots, smalls, bigs) in zip(
+                _DIRECTIONS, _directions(slots)):
+            sent = list(map(vals.__getitem__, bigs))
+            yield exchange, None, ((send, (big_slots, sent, small_slots, sent)),)
+            # bits[small][big] is set when small won: its slot writes and replies 0.
+            won = list(map(getitem, map(bits.__getitem__, smalls), bigs))
+            lost = list(map(not_, won))
+            ss, bs, sm, bg = ([list(compress(c, m)) for m in (lost, won)]
+                              for c in (small_slots, big_slots, smalls, bigs))
+            yield reply, won, ((lose, (ss[0], bs[0], bs[0], bg[0], sm[0])),
+                               (win, (ss[1], sm[1], bg[1], ss[1], bs[1])))
+        if self.ranks:
+            ids = range(len(self.ranks))
+            yield "rank", None, ((_RANK, (list(map(first.__getitem__, ids)), self.ranks, ids)),)
 
     def events(self):
         """Yield (phase name, event) for every event of the stages run, in order."""
-        new = tuple.__new__  # fills a TraceEvent from one C call, not its Python __new__
-        for (phase, tail, getters), ints in self._groups(_recipe):
-            ints += tail
-            for fields in getters:
-                yield phase, new(TraceEvent, fields(ints))
+        for phase, picks, variants in self._blocks():
+            groups = _merge(tuple(_filled(form, cols) for form, cols in variants), picks)
+            yield from zip(repeat(phase), chain.from_iterable(groups))
 
     def _render(self, line) -> str:
-        """Fill each group's form template, made of line(phase, action, cols) per line."""
-        groups = self._groups(lambda form: "".join(line(form[0], *ac) for ac in form[1]))
-        return "".join([template % ints for template, ints in groups])
+        """Each block's groups through its line(phase, event) templates, _CHUNK at a time."""
+        out = []
+        for phase, picks, variants in self._blocks():
+            forms = tuple("".join(line(phase, ev) for ev in form) for form, _ in variants)
+            templates = repeat(forms[0]) if picks is None else map(forms.__getitem__, picks)
+            ints = chain.from_iterable(_merge(tuple(zip(*cols) for _, cols in variants), picks))
+            width = len(variants[0][1])  # ints per group, the same for every variant
+            while chunk := tuple(islice(ints, _CHUNK * width)):
+                out.append("".join(islice(templates, len(chunk) // width)) % chunk)
+        return "".join(out)
 
     def to_jsonl(self) -> str:
         """One JSON object per event over COLUMNS, leaving out absent payload keys."""
-        return self._render(lambda phase, action, cols: (
-            f'{{"phase": {json.dumps(phase)}, "slot": %d, "action": {json.dumps(action)}'
-            + "".join(f', "{k}": %d' for k in cols) + "}\n"))
+        return self._render(lambda phase, ev: "{" + ", ".join(
+            f'"{k}": {"%d" if v is ... else json.dumps(v)}'
+            for k, v in zip(COLUMNS, (phase, *ev)) if v is not None) + "}\n")
 
     def to_csv(self) -> str:
         """A COLUMNS header, then one row per event; absent payload fields are empty."""
-        return ",".join(COLUMNS) + "\r\n" + self._render(lambda phase, action, cols: (
-            f"{phase},%d,{action}" + "".join(",%d" if k in cols else "," for k in COLUMNS[3:])
-            + "\r\n"))
+        return ",".join(COLUMNS) + "\r\n" + self._render(lambda phase, ev: ",".join(
+            "" if v is None else "%d" if v is ... else str(v) for v in (phase, *ev)) + "\r\n")
 
 
 class ComparisonMatrix(NamedTuple):
@@ -163,37 +178,61 @@ class RankVector(NamedTuple):
         return tuple(out)
 
 
-# A form is a group's phase and each line's (action, payload columns); the group's
-# ints are each line's slot, then its payload.  Per direction (small_slot < big_slot:
-# the greater class sits right): exchange, then reply on a win and a loss of small.
-_CLEAR = ("clear", (("clear_row", ("row",)),))
-_LOAD = ("load", (("load", ("value", "row")),))
-_RANK = ("rank", (("rank", ("value", "row")),))
+# A form is a group's lines, each a TraceEvent whose `...` fields the group's ints
+# fill in order; its other fields are the same for every group.
+_CLEAR = (TraceEvent(..., "clear_row", None, ...),)
+_LOAD = (TraceEvent(..., "load", ..., ...),)
+_RANK = (TraceEvent(..., "rank", ..., ...),)
+_TWRITE = TraceEvent(..., "twrite", 1, ..., ...)
+# Per direction: its exchange and reply phases, then the forms of an exchange and of
+# a reply when the small class loses and when it wins.  The left direction's
+# crosspoints have the greater class on the right.
 _DIRECTIONS = tuple(
-    (left, (f"{side}_exchange", ((send, ("value",)), (recv, ("value",)))),
-     (f"{side}_reply", (("twrite", COLUMNS[3:]), (signal, ("value",)), (receipt, ("value",)))),
-     (f"{side}_reply", ((signal, ("value",)), (receipt, ("value",)), ("twrite", COLUMNS[3:]))))
-    for left, side, send, recv, signal, receipt in (
-        (True, "left", "send_left", "recv_right", "signal_send_right", "signal_recv_left"),
-        (False, "right", "send_right", "recv_left", "signal_send_left", "signal_recv_right")))
+    (f"{side}_exchange", f"{side}_reply",
+     (TraceEvent(..., send, ...), TraceEvent(..., recv, ...)),
+     (TraceEvent(..., signal, 1), TraceEvent(..., receipt, 1), _TWRITE),
+     (_TWRITE, TraceEvent(..., signal, 0), TraceEvent(..., receipt, 0)))
+    for side, send, recv, signal, receipt in (
+        ("left", "send_left", "recv_right", "signal_send_right", "signal_recv_left"),
+        ("right", "send_right", "recv_left", "signal_send_left", "signal_recv_right")))
+
+# Groups per `%` in a render: a bound on the template and int tuple built at once.
+_CHUNK = 1024
+
+_event = partial(tuple.__new__, TraceEvent)  # one C call per event, not TraceEvent's __new__
 
 
-def _recipe(form):
-    """A form's phase, its ints tail (its actions, then None) and per line its event getter."""
-    tail, k, getters = (*(action for action, _ in form[1]), None), 0, []
-    for j, (_, cols) in enumerate(form[1]):
-        payload = (k + 1 + cols.index(c) if c in cols else -1 for c in COLUMNS[3:])
-        getters.append(itemgetter(k, j - len(tail), *payload))
-        k += 1 + len(cols)
-    return form[0], tail, getters
+def _filled(form, cols):
+    """Per group, its events: each line of form with its `...` fields taken from cols."""
+    cols = iter(cols)
+    return zip(*(map(_event, zip(*(next(cols) if f is ... else repeat(f) for f in line)))
+                 for line in form))
 
 
-def _crosspoints(slots: Sequence[int]):
-    """Yield (small, big, small_slot, big_slot) for each crosspoint, left to right."""
-    for s, (a, b) in enumerate(zip(slots, slots[1:])):
-        if a == b:
-            raise ValueError(f"adjacent slots {s},{s + 1} share class {a}; cannot compare")
-        yield (a, b, s, s + 1) if a < b else (b, a, s + 1, s)
+def _merge(streams, picks):
+    """Per group, the next item of the stream it picks; a lone stream needs no picks."""
+    return streams[0] if picks is None else map(next, map(streams.__getitem__, picks))
+
+
+def _reject_shared(slots: Sequence[int]) -> None:
+    """Raise at the first crosspoint whose two slots host the same class."""
+    for s in compress(count(), map(eq, slots, islice(slots, 1, None))):
+        raise ValueError(f"adjacent slots {s},{s + 1} share class {slots[s]}; cannot compare")
+
+
+def _directions(slots: Sequence[int]):
+    """Per direction, left then right, its crosspoints' small_slots, big_slots, smalls, bigs.
+
+    Crosspoint s joins slots s and s + 1; it is left when the greater class sits
+    right.  Each column is a list that runs left to right.
+    """
+    after = slots[1:]
+    left, right = list(map(lt, slots, after)), list(map(gt, slots, after))
+    directions = ([list(compress(c, left)) for c in (count(), count(1), slots, after)],
+                  [list(compress(c, right)) for c in (count(1), count(), after, slots)])
+    if len(directions[0][0]) + len(directions[1][0]) < len(after):
+        _reject_shared(slots)
+    return directions
 
 
 def load_phase(layout: Layout, values: Sequence[int]) -> SortTrace:
@@ -221,9 +260,12 @@ def compare_phase(state: SortTrace) -> tuple[ComparisonMatrix, SortTrace]:
     the same cell twice with the same value; the trace keeps both writes
     for conflict accounting.
     """
-    vals = state.values
+    vals, slots = state.values, state.layout.slots
+    _reject_shared(slots)
     t = [[0] * len(vals) for _ in vals]
-    for small, big, _, _ in _crosspoints(state.layout.slots):
+    for small, big in zip(slots, islice(slots, 1, None)):
+        if small > big:
+            small, big = big, small
         if vals[big] < vals[small]:
             t[small][big] = 1
         else:
@@ -269,17 +311,23 @@ def detect_write_conflicts(trace: SortTrace) -> list[tuple[int, int, tuple[int, 
     same value from both sides (benign).  Writers are listed in the order
     the trace commits them: the left sub-phases before the right ones.
     """
-    bits = trace.bits
+    bits, slots, n = trace.bits, trace.layout.slots, trace.layout.n
     if bits is None:
         return []
-    points = list(_crosspoints(trace.layout.slots))
-    # A pair's comparison sets one cell, so only pairs seen twice can conflict.
-    seen = Counter((small, big) for small, big, _, _ in points)
-    doubled = sorted((p for p in points if seen[p[0], p[1]] > 1), key=lambda p: p[2] > p[3])
+    directions = _directions(slots)
+    # A pair's comparison sets one cell, so only pairs seen twice can conflict;
+    # pair small < big has the code small * n + big.
+    codes = [list(map(add, map(mul, smalls, repeat(n)), bigs)) for *_, smalls, bigs in directions]
+    seen = Counter(chain(*codes))
+    if len(seen) == len(codes[0]) + len(codes[1]):
+        return []
+    doubled = set(compress(seen, map(lt, repeat(1), seen.values())))
     writers: dict[tuple[int, int], list[int]] = {}
-    for small, big, small_slot, big_slot in doubled:
-        if bits[small][big]:
-            writers.setdefault((small, big), []).append(small_slot)
-        else:
-            writers.setdefault((big, small), []).append(big_slot)
+    for (small_slots, big_slots, smalls, bigs), direction_codes in zip(directions, codes):
+        for i in compress(count(), map(doubled.__contains__, direction_codes)):
+            small, big = smalls[i], bigs[i]
+            if bits[small][big]:
+                writers.setdefault((small, big), []).append(small_slots[i])
+            else:
+                writers.setdefault((big, small), []).append(big_slots[i])
     return sorted((row, col, tuple(slot_list)) for (row, col), slot_list in writers.items())

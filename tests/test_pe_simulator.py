@@ -179,6 +179,20 @@ def test_compare_rejects_same_class_adjacency():
         compare_phase(state)
 
 
+@pytest.mark.parametrize(
+    "consumer",
+    [compare_phase, detect_write_conflicts, SortTrace.to_jsonl, SortTrace.to_csv,
+     lambda trace: list(trace.events())],
+    ids=["compare_phase", "detect_write_conflicts", "to_jsonl", "to_csv", "events"])
+def test_same_class_adjacency_names_its_first_crosspoint(consumer):
+    # Slots 2,3 (class 2) and 4,5 (class 1) each join two slots of one class.
+    layout = Layout(3, (1, 0, 2, 2, 1, 1, 0), ("",) * 7)
+    trace = load_phase(layout, [5, 3, 4])._replace(bits=((0, 0, 0),) * 3)
+    with pytest.raises(ValueError) as exc:
+        consumer(trace)
+    assert str(exc.value) == "adjacent slots 2,3 share class 2; cannot compare"
+
+
 def test_trace_serializations():
     _, _, trace = sort(build(4), [6, 7, 8, 5])
     lines = trace.to_jsonl().strip().splitlines()

@@ -10,8 +10,9 @@ import contextlib
 import csv
 import io
 import json
+import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xbar import query_circuits
@@ -54,8 +55,29 @@ int_lists = st.integers(min_value=2, max_value=24).flatmap(
     lambda n: st.lists(st.integers(), min_size=n, max_size=n))
 
 
+def _fixed_values(n: int, wide: bool) -> list[int]:
+    rng = random.Random(2 * n + wide)
+    return [rng.randrange(-10**21, 10**21) if wide else rng.randrange(3) for _ in range(n)]
+
+
+# Fixed cases past the n <= 24 that Hypothesis draws: from n = 64 on, a phase
+# block has more groups than one render chunk.  Tied keys (0..2), then keys of
+# up to 70 bits.
+FIXED_VALUES = [_fixed_values(n, wide) for n in (64, 65, 128, 255, 256) for wide in (False, True)]
+
+
+def with_fixed_values(*leading):
+    """Add one explicit example per FIXED_VALUES list, after the `leading` arguments."""
+    def add_examples(test):
+        for values in FIXED_VALUES:
+            test = example(*leading, values)(test)
+        return test
+    return add_examples
+
+
 @settings(max_examples=100, deadline=None)
 @given(int_lists)
+@with_fixed_values()
 def test_conflicts_match_twrite_scan(values):
     _, _, trace = sort(build(len(values)), values)
     assert detect_write_conflicts(trace) == twrite_conflicts(trace)
@@ -206,6 +228,7 @@ STAGES = {
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(STAGES)), int_lists)
+@with_fixed_values("sort")
 def test_jsonl_templates_match_json_dumps(stage, values):
     # Each stage adds phases, so together they reach every template key.
     trace = STAGES[stage](build(len(values)), values)
@@ -215,6 +238,7 @@ def test_jsonl_templates_match_json_dumps(stage, values):
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(STAGES)), int_lists)
+@with_fixed_values("sort")
 def test_events_match_per_event_reference(stage, values):
     trace = STAGES[stage](build(len(values)), values)
     # The repr also pins each event's type to TraceEvent.
@@ -223,6 +247,7 @@ def test_events_match_per_event_reference(stage, values):
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(STAGES)), int_lists)
+@with_fixed_values("sort")
 def test_csv_templates_match_csv_writer(stage, values):
     trace = STAGES[stage](build(len(values)), values)
     assert trace.to_csv().encode() == csv_reference(trace).encode()
