@@ -12,15 +12,17 @@ The even builder lays the Q-partition groups down one after another,
 each group's cycles back to back with the 2-element cycle last.  The odd
 builder runs the even construction for n-1 classes, leaves one empty
 slot between consecutive groups, drops class n-1 into every gap, and
-finishes with class n-1 followed by class 0.
+finishes with class n-1 followed by class 0.  `provenance(n)` tags each
+slot of build(n) with its place in that construction; a `Layout` does not
+carry the tags, which only `xbar build` prints.
 """
 
 from collections import Counter
 from itertools import chain, compress, count, filterfalse, islice, repeat
+from math import gcd
 from operator import add, eq, floordiv, gt, lt, mod, mul, sub
 from typing import NamedTuple
 
-from .cyclic_perm import _partition_q
 
 # Where a class sits, indexed by the number of array ends it owns.
 END_PLACEMENTS = ("interior", "distinct_class_at_end", "same_class_both_ends")
@@ -34,7 +36,6 @@ class Layout(NamedTuple):
 
     n: int
     slots: tuple[int, ...]
-    provenance: tuple[str, ...]
 
     @property
     def crosspoint_count(self) -> int:
@@ -45,11 +46,15 @@ class Layout(NamedTuple):
         return "-".join(str(c) for c in self.slots)
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "slots": list(self.slots), "provenance": list(self.provenance)}
+        return {"n": self.n, "slots": list(self.slots)}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Layout":
-        """Inverse of `to_json_dict`; raises ValueError on a malformed document."""
+        """Inverse of `to_json_dict`; raises ValueError on a malformed document.
+
+        A `provenance` list, as `xbar build` writes it, must be empty or hold one
+        tag per slot; it is then dropped.
+        """
         if not isinstance(doc, dict):
             raise ValueError(f"layout document must be an object, not {type(doc).__name__}")
         slots = doc["slots"]
@@ -60,13 +65,12 @@ class Layout(NamedTuple):
         if type(doc["n"]) is not int or not set(map(type, slots)) <= {int}:
             wrong = [x for x in (doc["n"], *slots) if type(x) is not int]
             raise ValueError(f"n and slots must be integers, not {wrong[0]!r}")
-        provenance = doc.get("provenance", [])
-        if not isinstance(provenance, list):
-            raise ValueError(f"provenance must be a list, not {type(provenance).__name__}")
-        provenance = tuple(map(str, provenance)) or ("",) * len(slots)
-        if len(provenance) != len(slots):
-            raise ValueError(f"{len(provenance)} provenance tags for {len(slots)} slots")
-        return cls(doc["n"], tuple(slots), provenance)
+        tags = doc.get("provenance", [])
+        if not isinstance(tags, list):
+            raise ValueError(f"provenance must be a list, not {type(tags).__name__}")
+        if tags and len(tags) != len(slots):
+            raise ValueError(f"{len(tags)} provenance tags for {len(slots)} slots")
+        return cls(doc["n"], tuple(slots))
 
 
 def _pairs(codes, base: int, span: int) -> tuple[list[int], list[int]]:
@@ -158,15 +162,52 @@ def replicate_lower_bound(n: int, at_end: str = "interior") -> int:
     return (n + END_PLACEMENTS.index(at_end)) // 2
 
 
-def _q_blocks(m: int) -> tuple[list[list[int]], list[list[str]]]:
-    """Per-group slot runs for an even frame of m classes, plus provenance tags."""
-    suffixes = [f".e{ei}" for ei in range(m)]  # no cycle is longer than m
-    blocks, tags = [], []
-    for qi, group in enumerate(_partition_q(m).sets):
-        blocks.append(list(chain.from_iterable(cyc.elements for cyc in group)))
-        tags.append(list(chain.from_iterable(
-            map(f"Q{qi}.c{ci}".__add__, suffixes[:len(cyc)]) for ci, cyc in enumerate(group))))
-    return blocks, tags
+def _runs(n: int, cycle, fill: list, tail: list):
+    """Yield the layout for n >= 3 in runs of slots, cycle(i, ci, elements) for cycle ci of group i.
+
+    The even frame for m = n - n % 2 classes lays the Q-partition groups down
+    in order, each group's cycles by ascending exponent.  Shift power j has
+    g = gcd(m, j) cycles, and cycle i < g is i, i + j, ... mod m (see
+    cyclic_perm.cycle_decomposition), so group i holds the cycle of each power
+    j <= m/2 with i < g; its elements are range(i, i + (m // g) * j, j), read
+    mod m.  Odd n adds `fill` after every group but the last, then `tail`.
+    """
+    m = n - n % 2
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(m // 2)]
+    for j in range(1, m // 2 + 1):
+        g = gcd(m, j)
+        for group in groups[:g]:
+            group.append((m // g * j, j))
+    for i, group in enumerate(groups):
+        for ci, (span, j) in enumerate(group):
+            yield cycle(i, ci, range(i, i + span, j))
+        if n % 2 and i + 1 < len(groups):
+            yield fill
+    if n % 2:
+        yield tail
+
+
+def _slots(n: int) -> tuple[int, ...]:
+    frame = repeat(n - n % 2)
+    return tuple(chain.from_iterable(_runs(n, lambda i, ci, elements: map(mod, elements, frame),
+                                           [n - 1], [n - 1, 0])))
+
+
+def provenance(n: int) -> tuple[str, ...]:
+    """Per slot of build(n), where it comes from.
+
+    "Q{i}.c{ci}.e{ei}" is element ei of cycle ci of Q group i, "odd-fill" an odd
+    layout's slot of class n-1 after a group, "odd-tail" one of its last two
+    slots, and "trivial-pair" a slot of the two-slot n == 2 layout.
+    """
+    if n < 2:
+        raise ValueError(f"need at least 2 classes, got n={n}")
+    if n == 2:
+        return ("trivial-pair", "trivial-pair")
+    suffixes = [f".e{ei}" for ei in range(n)]  # no cycle is longer than n - n % 2
+    return tuple(chain.from_iterable(_runs(
+        n, lambda i, ci, elements: map(f"Q{i}.c{ci}".__add__, suffixes[:len(elements)]),
+        ["odd-fill"], ["odd-tail", "odd-tail"])))
 
 
 def build_even(n: int) -> Layout:
@@ -175,8 +216,7 @@ def build_even(n: int) -> Layout:
         raise ValueError(f"build_even needs even n, got {n}")
     if n < 4:
         raise ValueError(f"build_even needs n >= 4, got {n} (n=2 is the trivial pair)")
-    blocks, tags = _q_blocks(n)
-    return Layout(n, tuple(chain.from_iterable(blocks)), tuple(chain.from_iterable(tags)))
+    return Layout(n, _slots(n))
 
 
 def build_odd(n: int) -> Layout:
@@ -191,13 +231,7 @@ def build_odd(n: int) -> Layout:
         raise ValueError(f"build_odd needs odd n, got {n}")
     if n < 3:
         raise ValueError(f"build_odd needs n >= 3, got {n}")
-    blocks, tags = _q_blocks(n - 1)
-    for block, block_tags in zip(blocks[:-1], tags):  # the gap after every group but the last
-        block.append(n - 1)
-        block_tags.append("odd-fill")
-    blocks.append([n - 1, 0])
-    tags.append(["odd-tail", "odd-tail"])
-    return Layout(n, tuple(chain.from_iterable(blocks)), tuple(chain.from_iterable(tags)))
+    return Layout(n, _slots(n))
 
 
 def build(n: int) -> Layout:
@@ -205,7 +239,7 @@ def build(n: int) -> Layout:
     if n < 2:
         raise ValueError(f"need at least 2 classes, got n={n}")
     if n == 2:
-        return Layout(2, (0, 1), ("trivial-pair", "trivial-pair"))
+        return Layout(2, (0, 1))
     return build_odd(n) if n % 2 else build_even(n)
 
 

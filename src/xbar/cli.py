@@ -82,10 +82,10 @@ def _emit_json(doc) -> None:
 def _cmd_build(args) -> int:
     layout = array_builder.build(args.n)
     if args.format == "json":
-        _emit_json(layout.to_json_dict())
+        _emit_json({**layout.to_json_dict(), "provenance": list(array_builder.provenance(args.n))})
     elif args.format == "csv":
         print("slot,class,provenance")
-        for s, (c, p) in enumerate(zip(layout.slots, layout.provenance)):
+        for s, (c, p) in enumerate(zip(layout.slots, array_builder.provenance(args.n))):
             print(f"{s},{c},{p}")
     else:
         print(layout.to_text())

@@ -102,12 +102,6 @@ def partition_Q(n: int) -> QPartition:
         raise ValueError(f"Q partition is defined for even n, got {n}")
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    return _partition_q(n)
-
-
-def _partition_q(n: int) -> QPartition:
-    # Internal variant that also accepts the degenerate n == 2 frame
-    # needed when extending an even layout to n == 3 classes.
     sets: list[list[Cycle]] = [[] for _ in range(n // 2)]
     for j in range(1, n // 2 + 1):
         for cyc in cycle_decomposition(Permutation(n, j)):

@@ -306,21 +306,23 @@ def phase_count(trace: SortTrace) -> int:
 def detect_write_conflicts(trace: SortTrace) -> list[tuple[int, int, tuple[int, ...]]]:
     """Matrix cells written by more than one slot during the compare phases.
 
-    Layouts that cover every pair exactly once never conflict; even-n
-    layouts produce exactly n/2 - 1 doubled cells, each written with the
-    same value from both sides (benign).  Writers are listed in the order
-    the trace commits them: the left sub-phases before the right ones.
+    Every crosspoint writes one cell and a pair's crosspoints all write the
+    same one, so a trace from `compare_phase` has doubled writes exactly when
+    its matrix holds fewer set cells than its slots - 1 crosspoints; an
+    equal count returns [] at once.  Layouts that cover every pair exactly
+    once never conflict; even-n layouts produce exactly n/2 - 1 doubled
+    cells, each written with the same value from both sides (benign).
+    Writers are listed in the order the trace commits them: the left
+    sub-phases before the right ones.
     """
     bits, slots, n = trace.bits, trace.layout.slots, trace.layout.n
-    if bits is None:
+    if bits is None or sum(map(sum, bits)) == len(slots) - 1:
         return []
     directions = _directions(slots)
     # A pair's comparison sets one cell, so only pairs seen twice can conflict;
     # pair small < big has the code small * n + big.
     codes = [list(map(add, map(mul, smalls, repeat(n)), bigs)) for *_, smalls, bigs in directions]
     seen = Counter(chain(*codes))
-    if len(seen) == len(codes[0]) + len(codes[1]):
-        return []
     doubled = set(compress(seen, map(lt, repeat(1), seen.values())))
     writers: dict[tuple[int, int], list[int]] = {}
     for (small_slots, big_slots, smalls, bigs), direction_codes in zip(directions, codes):

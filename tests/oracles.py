@@ -10,12 +10,12 @@ import json
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import islice
 from math import gcd
 
 from xbar.array_builder import END_PLACEMENTS, EXAMPLES, min_pe_count, replicate_lower_bound
-from xbar.cyclic_perm import Cycle
+from xbar.cyclic_perm import Cycle, cycle_decomposition, partition_Q, power
 from xbar.netlist import NetBuilder, Netlist
 from xbar.pe_simulator import COLUMNS, TraceEvent
 from xbar.query_circuits import _encoder
@@ -79,6 +79,31 @@ def cycle_decomposition_reference(perm):
     return cycles
 
 
+def layout_reference(n):
+    """Slots and provenance tags of the minimal layout, from the Q partition's Cycle records.
+
+    The even frame lays the groups down in order; odd n puts class n-1 after
+    every group but the last and ends with n-1, 0.  Its m = 2 frame (n = 3) is
+    the one cycle of power(2, 1), as partition_Q needs m >= 4.
+    """
+    if n == 2:
+        return (0, 1), ("trivial-pair", "trivial-pair")
+    m = n - n % 2
+    groups = partition_Q(m).sets if m >= 4 else (cycle_decomposition(power(2, 1)),)
+    slots, tags = [], []
+    for qi, group in enumerate(groups):
+        for ci, cyc in enumerate(group):
+            slots += cyc.elements
+            tags += [f"Q{qi}.c{ci}.e{ei}" for ei in range(len(cyc))]
+        if n % 2 and qi < len(groups) - 1:
+            slots.append(n - 1)
+            tags.append("odd-fill")
+    if n % 2:
+        slots += [n - 1, 0]
+        tags += ["odd-tail", "odd-tail"]
+    return tuple(slots), tuple(tags)
+
+
 # Per direction: whether the greater class sits right, the exchange and reply
 # phase names, then the actions of the send, the receive, the reply signal and
 # its receipt.
@@ -90,8 +115,17 @@ _DIRECTIONS = (
 )
 
 
+@lru_cache(maxsize=None)
 def events_reference(trace):
-    """Yield (phase name, event) for every event of the stages run, one at a time."""
+    """(phase name, event) for every event of the stages run, derived one at a time.
+
+    Cached per trace for the whole session: four trace properties share fixed
+    cases of up to 200k events (n = 256), each derived once.
+    """
+    return tuple(_events(trace))
+
+
+def _events(trace):
     slots, vals, bits = trace.layout.slots, trace.values, trace.bits
     first = {}
     for s, c in enumerate(slots):

@@ -8,11 +8,12 @@ from xbar.array_builder import (
     build_even,
     build_odd,
     min_pe_count,
+    provenance,
     replicate_lower_bound,
     validate,
 )
 
-from oracles import pair_counts
+from oracles import layout_reference, pair_counts
 
 
 def test_min_pe_count_values():
@@ -80,12 +81,22 @@ def test_build_dispatch():
 
 
 def test_odd_provenance_tags():
-    layout = build_odd(7)
-    assert layout.provenance[0] == "Q0.c0.e0"
-    assert layout.provenance.count("odd-fill") == 2
-    assert layout.provenance[-2:] == ("odd-tail", "odd-tail")
-    fills = [s for s, p in zip(layout.slots, layout.provenance) if p == "odd-fill"]
+    layout, tags = build_odd(7), provenance(7)
+    assert tags[0] == "Q0.c0.e0"
+    assert tags.count("odd-fill") == 2
+    assert tags[-2:] == ("odd-tail", "odd-tail")
+    fills = [s for s, p in zip(layout.slots, tags) if p == "odd-fill"]
     assert fills == [6, 6]
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_slots_and_provenance_match_q_partition_walk(n):
+    assert (build(n).slots, provenance(n)) == layout_reference(n)
+
+
+def test_provenance_needs_two_classes():
+    with pytest.raises(ValueError):
+        provenance(1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 10, 13, 16, 21, 24, 33])
@@ -103,20 +114,20 @@ def test_built_layouts_validate_clean(n):
 
 
 def test_validate_flags_same_class_adjacency():
-    report = validate(Layout(2, (0, 0), ("", "")))
+    report = validate(Layout(2, (0, 0)))
     assert any("same-class" in v for v in report.violations)
 
 
 def test_validate_flags_missing_pairs_and_count():
     # 4 classes laid out as a bare chain: right size is 8, this has 4.
-    report = validate(Layout(4, (0, 1, 2, 3), ("",) * 4))
+    report = validate(Layout(4, (0, 1, 2, 3)))
     assert any("never adjacent" in v for v in report.violations)
     assert any("minimal" in v for v in report.violations)
 
 
 def test_validate_counts_missing_pairs_and_caps_class_lines():
     # 30 classes, 4 slots: 3 of the 435 pairs covered, 26 classes with no slot.
-    report = validate(Layout(30, (0, 1, 2, 3, 4, 30), ("",) * 6))
+    report = validate(Layout(30, (0, 1, 2, 3, 4, 30)))
     assert "431 class pairs never adjacent, e.g. [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6)]" \
         in report.violations
     class_lines = [v for v in report.violations if v.startswith("class ")]
@@ -127,13 +138,13 @@ def test_validate_counts_missing_pairs_and_caps_class_lines():
 
 
 def test_validate_flags_out_of_range_ids():
-    report = validate(Layout(3, (0, 1, 5, 0), ("",) * 4))
+    report = validate(Layout(3, (0, 1, 5, 0)))
     assert any("out of range" in v for v in report.violations)
 
 
 def test_validate_flags_odd_duplicates():
     # Odd n with a doubled pair: coverage complete but not exactly-once.
-    report = validate(Layout(3, (0, 1, 2, 0, 1), ("",) * 5))
+    report = validate(Layout(3, (0, 1, 2, 0, 1)))
     assert not report.ok
 
 

@@ -6,12 +6,15 @@ event or changes a payload shows up here even when every oracle still
 agrees.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
 from xbar import query_circuits
 from xbar.array_builder import build
+from xbar.cli import main
 from xbar.pe_simulator import detect_write_conflicts, sort
 
 import oracles
@@ -45,6 +48,40 @@ def test_trace_bytes(values, conflicts, jsonl, csv):
     assert len(detect_write_conflicts(trace)) == conflicts
     assert _sha(trace.to_jsonl()) == jsonl
     assert _sha(trace.to_csv()) == csv
+
+
+# `xbar build --n n --format f` -> sha256 of its stdout.
+BUILD_DIGESTS = {
+    (2, "json"): "91d180ef4137f48b46464305152b72aebbc8988426b0834615b5261f801ac108",
+    (2, "csv"): "bbb7da8d2e156d0036f41d3c449ee2e2a94cb675de2dacb210453fe2f278e695",
+    (2, "text"): "ad3efa64b98825bffe3b1b2375ebaecdff1435951f2babc457303fd941d8442b",
+    (3, "json"): "5ef9430e853e5c8fd05e0998a0d13d781812e8e9c1e22935a48ae3a07d350be7",
+    (3, "csv"): "3248cbf70600715da0a1b3e2dec029b031075ba3aaa6285e9cc020f3274ab859",
+    (3, "text"): "3b78455a0603ee3b7eb798518967ad3129d626367cdfbf90c48ac6599a0b535d",
+    (4, "json"): "2f4780ba77709eb0165ed9cc92ff9761a1b86e7e83f0a6b8ddd82bc4d8c1865c",
+    (4, "csv"): "70d4ea0f77380287fdd9c66777ec16e2c51b86766e1443f629e5352a2d249d61",
+    (4, "text"): "1fe32c0963ccc13613b7b5d584f06974ed6de5311d8ad7b215a6d28c6af2316f",
+    (5, "json"): "49d620341e0dc27a786ddaeacabcdf76310cd47c6a9b8f7203f0de46d7e7b034",
+    (5, "csv"): "955d216d299829d1ad007a046c52b3a6df6f40edbb3b11fb722727f4e06b8056",
+    (5, "text"): "85ac26cd39fb13c18136c0b9ceb00c311949fd4b30a2b86a57dfb7d5ee811c96",
+    (8, "json"): "faf2a58e9b25f2e655555b2452c5017a83e33d6600b62db1b8f0d64e2b9c967e",
+    (8, "csv"): "5ef73298e66e8a6d155514f9245a73b8482f18026e6c2c17622f978866a164db",
+    (8, "text"): "e9fb1f376b88736117d2561052de5ba62f516c620b73640c0570a39dc7082242",
+    (13, "json"): "77566e901eface309b6760b9b8e0a3bd68685ce17854e7ca5faff992c6ad066c",
+    (13, "csv"): "37377224d758d25f913812cb670a138376df1b3a0c44e758787df78670dd3705",
+    (13, "text"): "1d007859c65e68755ee0c311f33f8796d88d3fcce219a42616186cdfcf05ebbe",
+    (16, "json"): "e75ad5ffeeb8729a5b4e3df5d7ee1f0009ee0ae8514815ce30a5f1fe07acecb6",
+    (16, "csv"): "7b01a190af709effa9629acd357116895a86b797606d878bdb7ae84a3330b5e0",
+    (16, "text"): "6f2a95370105a27a6d7c4c5761573ef4a6ca4b3946dc104367a5d68060aa7ca4",
+}
+
+
+@pytest.mark.parametrize("n,fmt", sorted(BUILD_DIGESTS))
+def test_build_stdout_bytes(n, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["build", "--n", str(n), "--format", fmt]) == 0
+    assert _sha(out.getvalue()) == BUILD_DIGESTS[n, fmt]
 
 
 SIZES = (2, 3, 5, 8, 16)

@@ -16,7 +16,7 @@ from xbar.pe_simulator import (
     sort,
 )
 
-from oracles import oracle_ranks
+from oracles import oracle_ranks, twrite_conflicts
 
 T4 = ((0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0))
 R4 = (1, 2, 3, 0)
@@ -114,6 +114,26 @@ def test_conflicts_even_and_odd():
     assert detect_write_conflicts(trace2) == []
 
 
+@pytest.mark.parametrize("n", range(2, 65))
+def test_conflicts_equal_crosspoints_less_set_cells(n):
+    # A crosspoint sets one cell, the same one for every crosspoint of a pair.
+    rng = random.Random(n)
+    t, _, trace = sort(build(n), [rng.randrange(-50, 50) for _ in range(n)])
+    conflicts = detect_write_conflicts(trace)
+    set_cells = sum(map(sum, t.bits))
+    doubled = n // 2 - 1 if n % 2 == 0 else 0
+    assert len(trace.layout.slots) - 1 - set_cells == len(conflicts) == doubled
+    assert all(len(writers) == 2 for _, _, writers in conflicts)
+
+
+def test_odd_layout_with_a_doubled_pair_reports_its_conflict():
+    # Pair (0, 1) sits on crosspoints 0 and 3; both write T[0][1], as 3 < 5.
+    _, _, trace = sort(Layout(3, (0, 1, 2, 0, 1)), [5, 3, 4])
+    assert detect_write_conflicts(trace) == twrite_conflicts(trace) == [(0, 1, (0, 3))]
+    # More set cells than crosspoints: not a matrix compare_phase wrote, so it is scanned too.
+    assert detect_write_conflicts(trace._replace(bits=((1, 1, 1),) * 3)) == [(0, 1, (0, 3))]
+
+
 def test_conflict_writers_in_trace_order():
     # The left sub-phases commit before the right ones, so T[5][1] lists
     # slot 38 (a left crosspoint) before slot 31 (a right one).
@@ -174,7 +194,7 @@ def test_matrix_oracle_equivalence_small():
 
 
 def test_compare_rejects_same_class_adjacency():
-    state = load_phase(Layout(2, (0, 0), ("", "")), [1, 2])
+    state = load_phase(Layout(2, (0, 0)), [1, 2])
     with pytest.raises(ValueError):
         compare_phase(state)
 
@@ -186,7 +206,7 @@ def test_compare_rejects_same_class_adjacency():
     ids=["compare_phase", "detect_write_conflicts", "to_jsonl", "to_csv", "events"])
 def test_same_class_adjacency_names_its_first_crosspoint(consumer):
     # Slots 2,3 (class 2) and 4,5 (class 1) each join two slots of one class.
-    layout = Layout(3, (1, 0, 2, 2, 1, 1, 0), ("",) * 7)
+    layout = Layout(3, (1, 0, 2, 2, 1, 1, 0))
     trace = load_phase(layout, [5, 3, 4])._replace(bits=((0, 0, 0),) * 3)
     with pytest.raises(ValueError) as exc:
         consumer(trace)
@@ -213,7 +233,7 @@ def test_matrix_text_grid():
 def test_sort_rejects_layout_missing_pairs():
     # 0-1-2-3 never compares 0 with 2, 0 with 3 or 1 with 3.
     with pytest.raises(ValueError, match="pair"):
-        sort(Layout(4, (0, 1, 2, 3), ("",) * 4), [3, 2, 1, 0])
+        sort(Layout(4, (0, 1, 2, 3)), [3, 2, 1, 0])
 
 
 # The last case is in range but a bool, which the trace would write as an
@@ -221,7 +241,7 @@ def test_sort_rejects_layout_missing_pairs():
 @pytest.mark.parametrize("slots", [(0, 1, 2, 0, 3), (0, 1, 2, 0, -1), (0, 1, 2, 0, True)])
 def test_load_rejects_class_ids_out_of_range(slots):
     with pytest.raises(ValueError, match="class id"):
-        load_phase(Layout(3, slots, ("",) * len(slots)), [1, 2, 3])
+        load_phase(Layout(3, slots), [1, 2, 3])
 
 
 @pytest.mark.parametrize("values", [[1, 2.5, 0], [True, 0, 1]], ids=["float", "bool"])

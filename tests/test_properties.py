@@ -180,7 +180,7 @@ def mutated_layouts(draw):
                 del slots[i]
     if draw(st.integers(0, 19)) == 0:
         slots = []
-    return Layout(n, tuple(slots), ("",) * len(slots))
+    return Layout(n, tuple(slots))
 
 
 @settings(max_examples=400, deadline=None)
