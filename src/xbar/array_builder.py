@@ -8,24 +8,22 @@ crosspoint while using the provably minimal slot count:
 * even n: n^2 / 2 slots, with exactly n/2 - 1 class pairs adjacent twice;
 * odd n:  n(n-1)/2 + 1 slots, with every class pair adjacent exactly once.
 
-The even builder lays the Q-partition groups down one after another,
-each group's cycles back to back with the 2-element cycle last.  The odd
-builder runs the even construction for n-1 classes, leaves one empty
-slot between consecutive groups, drops class n-1 into every gap, and
-finishes with class n-1 followed by class 0.  `provenance(n)` tags each
-slot of build(n) with its place in that construction; a `Layout` does not
-carry the tags, which only `xbar build` prints.
+For even n, `build` lays the Q-partition groups of `cyclic_perm.q_groups`
+down one after another, each group's cycles back to back with the
+2-element cycle last.  For odd n it runs the even construction for n-1
+classes, leaves one empty slot between consecutive groups, drops class
+n-1 into every gap, and finishes with class n-1 followed by class 0.
+`provenance(n)` tags each slot of build(n) with its place in that
+construction; a `Layout` does not carry the tags, which only `xbar build`
+prints.
 """
 
 from collections import Counter
 from itertools import chain, compress, count, filterfalse, islice, repeat
-from math import gcd
 from operator import add, eq, floordiv, gt, lt, mod, mul, sub
 from typing import NamedTuple
 
-
-# Where a class sits, indexed by the number of array ends it owns.
-END_PLACEMENTS = ("interior", "distinct_class_at_end", "same_class_both_ends")
+from .cyclic_perm import q_groups
 
 # `validate` names at most this many offending pairs or classes per finding.
 EXAMPLES = 5
@@ -146,51 +144,35 @@ def min_pe_count(n: int) -> int:
     return n * n // 2 if n % 2 == 0 else n * (n - 1) // 2 + 1
 
 
-def replicate_lower_bound(n: int, at_end: str = "interior") -> int:
+def replicate_lower_bound(n: int, ends: int = 0) -> int:
     """Fewest slots a single class needs to reach all n-1 other classes.
 
-    `at_end` selects the class's situation: "interior" (no end slot),
-    "distinct_class_at_end" (it owns exactly one end), or
-    "same_class_both_ends" (it owns both array ends).  An interior slot
-    meets two neighbors and an end slot one, so a class owning `ends`
-    array ends needs ceil((n - 1 + ends) / 2) slots.
+    `ends` counts the array ends the class's slots own: 0, 1 or 2.  An
+    interior slot meets two neighbors and an end slot one, so the class
+    needs ceil((n - 1 + ends) / 2) slots.
     """
     if n < 2:
         raise ValueError(f"need at least 2 classes, got n={n}")
-    if at_end not in END_PLACEMENTS:
-        raise ValueError(f"at_end must be one of {END_PLACEMENTS}, got {at_end!r}")
-    return (n + END_PLACEMENTS.index(at_end)) // 2
+    if ends not in (0, 1, 2):
+        raise ValueError(f"ends must be 0, 1 or 2, got {ends!r}")
+    return (n + ends) // 2
 
 
 def _runs(n: int, cycle, fill: list, tail: list):
     """Yield the layout for n >= 3 in runs of slots, cycle(i, ci, elements) for cycle ci of group i.
 
-    The even frame for m = n - n % 2 classes lays the Q-partition groups down
-    in order, each group's cycles by ascending exponent.  Shift power j has
-    g = gcd(m, j) cycles, and cycle i < g is i, i + j, ... mod m (see
-    cyclic_perm.cycle_decomposition), so group i holds the cycle of each power
-    j <= m/2 with i < g; its elements are range(i, i + (m // g) * j, j), read
-    mod m.  Odd n adds `fill` after every group but the last, then `tail`.
+    The even frame for m = n - n % 2 classes lays the groups of q_groups(m)
+    down in order; `elements` is a cycle's range, read mod m.  Odd n adds
+    `fill` after every group but the last, then `tail`.
     """
-    m = n - n % 2
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(m // 2)]
-    for j in range(1, m // 2 + 1):
-        g = gcd(m, j)
-        for group in groups[:g]:
-            group.append((m // g * j, j))
+    groups = q_groups(n - n % 2)
     for i, group in enumerate(groups):
-        for ci, (span, j) in enumerate(group):
-            yield cycle(i, ci, range(i, i + span, j))
+        for ci, elements in enumerate(group):
+            yield cycle(i, ci, elements)
         if n % 2 and i + 1 < len(groups):
             yield fill
     if n % 2:
         yield tail
-
-
-def _slots(n: int) -> tuple[int, ...]:
-    frame = repeat(n - n % 2)
-    return tuple(chain.from_iterable(_runs(n, lambda i, ci, elements: map(mod, elements, frame),
-                                           [n - 1], [n - 1, 0])))
 
 
 def provenance(n: int) -> tuple[str, ...]:
@@ -210,37 +192,21 @@ def provenance(n: int) -> tuple[str, ...]:
         ["odd-fill"], ["odd-tail", "odd-tail"])))
 
 
-def build_even(n: int) -> Layout:
-    """Minimal layout for an even class count n >= 4 (n^2/2 slots)."""
-    if n % 2:
-        raise ValueError(f"build_even needs even n, got {n}")
-    if n < 4:
-        raise ValueError(f"build_even needs n >= 4, got {n} (n=2 is the trivial pair)")
-    return Layout(n, _slots(n))
-
-
-def build_odd(n: int) -> Layout:
-    """Minimal layout for an odd class count n >= 3 (n(n-1)/2 + 1 slots).
-
-    Every class pair ends up adjacent exactly once: the even frame for
-    n-1 classes covers pairs among 0..n-2, the gap fills pair class n-1
-    with classes 1..n-3, and the two tail slots add (n-1, n-2) and
-    (n-1, 0).
-    """
-    if n % 2 == 0:
-        raise ValueError(f"build_odd needs odd n, got {n}")
-    if n < 3:
-        raise ValueError(f"build_odd needs n >= 3, got {n}")
-    return Layout(n, _slots(n))
-
-
 def build(n: int) -> Layout:
-    """Minimal layout for any n >= 2; n == 2 is the trivial two-slot pair."""
+    """Minimal layout for any n >= 2: n^2/2 slots for even n, n(n-1)/2 + 1 for odd n.
+
+    n == 2 is the trivial two-slot pair.  For odd n every class pair ends up
+    adjacent exactly once: the even frame for n-1 classes covers pairs among
+    0..n-2, the gap fills pair class n-1 with classes 1..n-3, and the two
+    tail slots add (n-1, n-2) and (n-1, 0).
+    """
     if n < 2:
         raise ValueError(f"need at least 2 classes, got n={n}")
     if n == 2:
         return Layout(2, (0, 1))
-    return build_odd(n) if n % 2 else build_even(n)
+    frame = repeat(n - n % 2)
+    return Layout(n, tuple(chain.from_iterable(_runs(
+        n, lambda i, ci, elements: map(mod, elements, frame), [n - 1], [n - 1, 0]))))
 
 
 def validate(layout: Layout) -> ValidationReport:
@@ -309,7 +275,7 @@ def validate(layout: Layout) -> ValidationReport:
     ends = (slots[0], slots[-1])
     if n >= 2:
         def bound(c: int) -> int:
-            return replicate_lower_bound(n, END_PLACEMENTS[ends.count(c)])
+            return replicate_lower_bound(n, ends.count(c))
 
         # Every bound is at least 1, so every class without a slot is short.
         # Those are counted, not listed, and the walk for the first examples

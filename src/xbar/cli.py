@@ -12,10 +12,10 @@ import json
 import os
 import random
 import sys
-from itertools import chain
+from itertools import chain, count
 
 from . import array_builder, pe_simulator, query_circuits
-from .cyclic_perm import cycle_decomposition, partition_Q, power
+from .cyclic_perm import cycle_decomposition, partition_Q
 from .netlist import series_depth
 
 
@@ -84,9 +84,9 @@ def _cmd_build(args) -> int:
     if args.format == "json":
         _emit_json({**layout.to_json_dict(), "provenance": list(array_builder.provenance(args.n))})
     elif args.format == "csv":
-        print("slot,class,provenance")
-        for s, (c, p) in enumerate(zip(layout.slots, array_builder.provenance(args.n))):
-            print(f"{s},{c},{p}")
+        rows = zip(count(), layout.slots, array_builder.provenance(args.n))
+        sys.stdout.write("slot,class,provenance\n" + "%d,%d,%s\n" * len(layout.slots)
+                         % tuple(chain.from_iterable(rows)))
     else:
         print(layout.to_text())
         print(f"{len(layout.slots)} PEs, {layout.crosspoint_count} crosspoints")
@@ -216,23 +216,20 @@ def _cmd_depth(args) -> int:
 
 def _cmd_perm(args) -> int:
     if args.j is not None:
-        cycles = cycle_decomposition(power(args.n, args.j))
+        cycles = cycle_decomposition(args.n, args.j)
         if args.format == "json":
-            _emit_json({"n": args.n, "j": args.j, "cycles": [list(c.elements) for c in cycles]})
+            _emit_json({"n": args.n, "j": args.j, "cycles": cycles})
         else:
-            print("".join("(" + ",".join(map(str, c.elements)) + ")" for c in cycles))
+            print("".join("(" + ",".join(map(str, c)) + ")" for c in cycles))
         return 0
     if args.n % 2:
         raise DataError("the cycle partition needs even --n; pass --j to inspect one power")
-    part = partition_Q(args.n)
+    groups = partition_Q(args.n)
     if args.format == "json":
-        _emit_json({
-            "n": args.n,
-            "sets": [[list(c.elements) for c in group] for group in part.sets],
-        })
+        _emit_json({"n": args.n, "sets": groups})
     else:
-        for i, group in enumerate(part.sets):
-            print(f"Q{i}: " + " ".join("(" + ",".join(map(str, c.elements)) + ")" for c in group))
+        for i, group in enumerate(groups):
+            print(f"Q{i}: " + " ".join("(" + ",".join(map(str, c)) + ")" for c in group))
     return 0
 
 

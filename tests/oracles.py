@@ -14,8 +14,7 @@ from functools import lru_cache, reduce
 from itertools import islice
 from math import gcd
 
-from xbar.array_builder import END_PLACEMENTS, EXAMPLES, min_pe_count, replicate_lower_bound
-from xbar.cyclic_perm import Cycle, cycle_decomposition, partition_Q, power
+from xbar.array_builder import EXAMPLES, min_pe_count, replicate_lower_bound
 from xbar.netlist import NetBuilder, Netlist
 from xbar.pe_simulator import COLUMNS, TraceEvent
 from xbar.query_circuits import _encoder
@@ -65,9 +64,8 @@ def brute_cycles(n, j):
     return sorted(cycles)
 
 
-def cycle_decomposition_reference(perm):
+def cycle_decomposition_reference(n, j):
     """The cycles of a shift power found by stepping j at a time from each start 0..gcd-1."""
-    n, j = perm.n, perm.j
     cycles = []
     for start in range(gcd(n, j)):
         elems = [start]
@@ -75,25 +73,33 @@ def cycle_decomposition_reference(perm):
         while cur != start:
             elems.append(cur)
             cur = (cur + j) % n
-        cycles.append(Cycle(tuple(elems), j))
+        cycles.append(tuple(elems))
     return cycles
 
 
-def layout_reference(n):
-    """Slots and provenance tags of the minimal layout, from the Q partition's Cycle records.
+def exponent(cycle, m):
+    """The shift power a cycle of two or more of m class ids comes from."""
+    return (cycle[1] - cycle[0]) % m
 
-    The even frame lays the groups down in order; odd n puts class n-1 after
-    every group but the last and ends with n-1, 0.  Its m = 2 frame (n = 3) is
-    the one cycle of power(2, 1), as partition_Q needs m >= 4.
+
+def layout_reference(n):
+    """Slots and provenance tags of the minimal layout, from brute-force cycle scans.
+
+    The even frame for m = n - n % 2 classes takes the cycles of the powers
+    1..m/2, groups them by smallest element and lays the groups down in order,
+    each by ascending exponent; odd n puts class n-1 after every group but
+    the last and ends with n-1, 0.
     """
     if n == 2:
         return (0, 1), ("trivial-pair", "trivial-pair")
     m = n - n % 2
-    groups = partition_Q(m).sets if m >= 4 else (cycle_decomposition(power(2, 1)),)
+    cycles = [c for j in range(1, m // 2 + 1) for c in brute_cycles(m, j)]
+    groups = [sorted((c for c in cycles if c[0] == first), key=lambda c: exponent(c, m))
+              for first in range(m // 2)]
     slots, tags = [], []
     for qi, group in enumerate(groups):
         for ci, cyc in enumerate(group):
-            slots += cyc.elements
+            slots += cyc
             tags += [f"Q{qi}.c{ci}.e{ei}" for ei in range(len(cyc))]
         if n % 2 and qi < len(groups) - 1:
             slots.append(n - 1)
@@ -386,7 +392,7 @@ def validate_reference(layout):
     ends = (slots[0], slots[-1])
     if n >= 2:
         def bound(c: int) -> int:
-            return replicate_lower_bound(n, END_PLACEMENTS[ends.count(c)])
+            return replicate_lower_bound(n, ends.count(c))
 
         # Every bound is at least 1, so every class without a slot is short.
         # Those are counted, not listed, and the walk for the first examples

@@ -12,8 +12,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
-from xbar.array_builder import build, build_even, build_odd, min_pe_count, validate
-from xbar.cyclic_perm import cycle_decomposition, power
+from xbar.array_builder import build, min_pe_count, validate
+from xbar.cyclic_perm import cycle_decomposition
 from xbar.netlist import depth, evaluate, series_depth
 from xbar.pe_simulator import detect_write_conflicts, phase_count, sort
 from xbar.query_circuits import (
@@ -61,9 +61,9 @@ def test_criterion_2_minimal_slot_counts():
     with criterion("2: builders hit the minimal slot count for every n up to 64"):
         start = time.perf_counter()
         for n in range(3, 64, 2):
-            assert len(build_odd(n).slots) == n * (n - 1) // 2 + 1 == min_pe_count(n)
+            assert len(build(n).slots) == n * (n - 1) // 2 + 1 == min_pe_count(n)
         for n in range(4, 65, 2):
-            assert len(build_even(n).slots) == n * n // 2 == min_pe_count(n)
+            assert len(build(n).slots) == n * n // 2 == min_pe_count(n)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"size sweep took {elapsed:.3f}s"
 
@@ -71,12 +71,12 @@ def test_criterion_2_minimal_slot_counts():
 def test_criterion_3_pair_coverage():
     with criterion("3: odd layouts cover each pair once; even layouts double exactly n/2-1"):
         for n in range(3, 64, 2):
-            report = validate(build_odd(n))
+            report = validate(build(n))
             assert report.ok, (n, report.violations)
             assert len(report.pair_coverage) == n * (n - 1) // 2
             assert set(report.pair_coverage.values()) == {1}
         for n in range(4, 65, 2):
-            report = validate(build_even(n))
+            report = validate(build(n))
             assert report.ok, (n, report.violations)
             assert len(report.pair_coverage) == n * (n - 1) // 2
             doubled = [p for p, c in report.pair_coverage.items() if c == 2]
@@ -88,18 +88,18 @@ def test_criterion_4_group_properties():
     with criterion("4: cycle counts, spacing, smallest elements, and 2-cycles for n <= 64"):
         for n in range(2, 65):
             for j in range(1, n):
-                cycles = cycle_decomposition(power(n, j))
+                cycles = cycle_decomposition(n, j)
                 g = gcd(n, j)
                 assert len(cycles) == g
                 for cyc in cycles:
-                    assert all((e - cyc.first) % g == 0 for e in cyc.elements)
+                    assert all((e - cyc[0]) % g == 0 for e in cyc)
             if n % 2 == 0:
                 total = 0
                 for j in range(1, n // 2 + 1):
-                    cycles = cycle_decomposition(power(n, j))
-                    total += sum(len(c.elements) for c in cycles)
-                    assert all(c.first <= n // 2 - 1 for c in cycles)
-                    all_two = all(len(c.elements) == 2 for c in cycles)
+                    cycles = cycle_decomposition(n, j)
+                    total += sum(len(c) for c in cycles)
+                    assert all(c[0] <= n // 2 - 1 for c in cycles)
+                    all_two = all(len(c) == 2 for c in cycles)
                     assert all_two == (j == n // 2)
                 assert total == n * (n // 2)
 

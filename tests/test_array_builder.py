@@ -5,8 +5,6 @@ import pytest
 from xbar.array_builder import (
     Layout,
     build,
-    build_even,
-    build_odd,
     min_pe_count,
     provenance,
     replicate_lower_bound,
@@ -26,17 +24,17 @@ def test_min_pe_count_values():
 
 
 def test_replicate_lower_bounds():
-    assert replicate_lower_bound(7, "interior") == 3
-    assert replicate_lower_bound(12, "same_class_both_ends") == 7
-    assert replicate_lower_bound(12, "distinct_class_at_end") == 6
-    with pytest.raises(ValueError):
-        replicate_lower_bound(7, "somewhere")
-    with pytest.raises(ValueError):
+    assert replicate_lower_bound(7, 0) == 3
+    assert replicate_lower_bound(12, 2) == 7
+    assert replicate_lower_bound(12, 1) == 6
+    with pytest.raises(ValueError, match=r"^ends must be 0, 1 or 2, got 3$"):
+        replicate_lower_bound(7, 3)
+    with pytest.raises(ValueError, match=r"^need at least 2 classes, got n=1$"):
         replicate_lower_bound(1)
 
 
 def test_build_even_four():
-    layout = build_even(4)
+    layout = build(4)
     assert layout.slots == (0, 1, 2, 3, 0, 2, 1, 3)
     counts = pair_counts(layout.slots)
     assert len(counts) == 6
@@ -44,44 +42,39 @@ def test_build_even_four():
 
 
 def test_build_even_six():
-    assert build_even(6).slots == (0, 1, 2, 3, 4, 5, 0, 2, 4, 0, 3, 1, 3, 5, 1, 4, 2, 5)
+    assert build(6).slots == (0, 1, 2, 3, 4, 5, 0, 2, 4, 0, 3, 1, 3, 5, 1, 4, 2, 5)
 
 
 def test_build_even_twelve_prefix():
-    slots = build_even(12).slots
+    slots = build(12).slots
     assert len(slots) == 72
     assert slots[:18] == (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 2, 4, 6, 8, 10)
 
 
 def test_build_odd_small():
-    assert build_odd(3).slots == (0, 1, 2, 0)
-    layout5 = build_odd(5)
+    assert build(3).slots == (0, 1, 2, 0)
+    layout5 = build(5)
     assert len(layout5.slots) == 11
     assert set(pair_counts(layout5.slots).values()) == {1}
-    assert build_odd(7).to_text() == "0-1-2-3-4-5-0-2-4-0-3-6-1-3-5-1-4-6-2-5-6-0"
+    assert build(7).to_text() == "0-1-2-3-4-5-0-2-4-0-3-6-1-3-5-1-4-6-2-5-6-0"
 
 
-def test_builders_reject_wrong_parity():
-    with pytest.raises(ValueError):
-        build_even(7)
-    with pytest.raises(ValueError):
-        build_even(2)
-    with pytest.raises(ValueError):
-        build_odd(6)
-    with pytest.raises(ValueError):
+def test_build_rejects_fewer_than_two_classes():
+    with pytest.raises(ValueError, match=r"^need at least 2 classes, got n=1$"):
         build(1)
 
 
 def test_build_dispatch():
     assert build(2).slots == (0, 1)
-    assert build(5).slots == build_odd(5).slots
-    assert build(6).slots == build_even(6).slots
+    # Odd n: the even frame for 4 classes, class 4 between its groups, then 4, 0.
+    assert build(5).slots == (0, 1, 2, 3, 0, 2, 4, 1, 3, 4, 0)
+    assert build(6).slots == (0, 1, 2, 3, 4, 5, 0, 2, 4, 0, 3, 1, 3, 5, 1, 4, 2, 5)
     # Repeat calls are bit-identical.
     assert build(9).slots == build(9).slots
 
 
 def test_odd_provenance_tags():
-    layout, tags = build_odd(7), provenance(7)
+    layout, tags = build(7), provenance(7)
     assert tags[0] == "Q0.c0.e0"
     assert tags.count("odd-fill") == 2
     assert tags[-2:] == ("odd-tail", "odd-tail")
@@ -110,7 +103,7 @@ def test_built_layouts_validate_clean(n):
     else:
         assert report.redundant_pairs == []
     for c in range(n):
-        assert report.replicate_counts[c] >= replicate_lower_bound(n, "interior")
+        assert report.replicate_counts[c] >= replicate_lower_bound(n, 0)
 
 
 def test_validate_flags_same_class_adjacency():

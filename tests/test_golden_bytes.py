@@ -84,6 +84,70 @@ def test_build_stdout_bytes(n, fmt):
     assert _sha(out.getvalue()) == BUILD_DIGESTS[n, fmt]
 
 
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# `xbar perm --n n [--j j] --format f` -> sha256 of its stdout; j None lists the Q partition.
+PERM_DIGESTS = {
+    (4, None, "text"): "405ea4224d06a0ce03ed1c7405bcf0296b2b0bd88c46734e85ca3e23962053ae",
+    (6, None, "text"): "6646857f58b69b13e4b4edc88969bd492bdac2822d2b71ac2ee7bd364c888049",
+    (12, None, "text"): "72d50423ec9a4b910635b8cc7ed18507f4071821fdd1b3d08e9dd6e980b66003",
+    (64, None, "text"): "c0f0480f538a8b36f0f9c0ce48104098bad9b994ccc45471be26bfec43812e08",
+    (2, 1, "text"): "53240af283b49c52bc03e7bc95545690fdcee25a075c546b93b6fb1e8f940bf9",
+    (2, 2, "text"): "99d7ff590a55780e2d8a4157534cc1a951185b5e20306cbd313856018f72d41f",
+    (5, 1, "text"): "2ba43dab71459ee890aa1555d6fe158cfead71dfec87ef88b53b56184ab2059e",
+    (5, 5, "text"): "95b60fd023b4c7d52ba4eafbd634180352b59dbade60861a532a9730692b3b92",
+    (12, 1, "text"): "fd93ba0d7d8e85a8ccb6f411d09cf24657f94ef50ecccb83ed6723f482fa08c2",
+    (12, 5, "text"): "4171a1ae29af866eef294bbb8b2075c63728246b16379e3a10d6f112d6d94a74",
+    (12, 12, "text"): "2dc7aa5c26f09ecfc19d602c9742aa1fb57efdc259362a84a06905bf216cb088",
+    (4, None, "json"): "651acaa61a1f4ae3a957353157cddf5b512804716d85f00a5b1bb9f0b1ff1a43",
+    (6, None, "json"): "9e99eb75bb9ef091b1a2656a396a3eb0523ff3be489db6b1730e0a7f1c6a4a8a",
+    (12, None, "json"): "03341b19b7b5d980d4e263392304d32ebaea201cc9234e1c3d5bf2accccae0f1",
+    (64, None, "json"): "49af8cd89c6257858ef9499077195095443f50487e97c0068aa90c95071fb3db",
+    (2, 1, "json"): "0bcc986909a593aa2e81694ba5ed6434ed703afcd08d0155596d09616a29c947",
+    (2, 2, "json"): "687d2b633c88a691828f1260886b9196465b3a4883826e71ae2b7f357fb8fc8f",
+    (5, 1, "json"): "8089d8d7ca19a4a265c096bafa642df2a4ddf829ca3e045a619d12108f8aa205",
+    (5, 5, "json"): "abcd60ef1e38d839fb1c7a6b58b8979c8e9b9a87171a7f29b2f36d2b1136bfc0",
+    (12, 1, "json"): "47d9713f69dc3e1164ab8841807a6b91401bdc459733a5e8195077218a125123",
+    (12, 5, "json"): "78ee457fea8495c768583fcb0925ff4b94c73210d4fb29a58334e5c076456e48",
+    (12, 12, "json"): "5e15b2acd2e5f2ca67d07ed4277bdcfe38037b5031f7facea027bb43a70db8b0",
+}
+
+
+@pytest.mark.parametrize("n,j,fmt", sorted(PERM_DIGESTS, key=repr))
+def test_perm_stdout_bytes(n, j, fmt):
+    argv = ["perm", "--n", str(n), "--format", fmt] + (["--j", str(j)] if j else [])
+    code, out, err = _run(argv)
+    assert (code, err) == (0, "")
+    assert _sha(out) == PERM_DIGESTS[n, j, fmt]
+
+
+# `xbar perm` arguments -> (exit code, sha256 of stderr); stdout stays empty.
+PERM_ERROR_DIGESTS = {
+    ("--n", "1", "--j", "1"):
+        (2, "643444e370908535e141e58bc655a26c5143c27fae1ae31cd705b91c21789f1e"),
+    ("--n", "12", "--j", "0"):
+        (2, "1d1298a202d56109835992c0455babcc45cd2124d9e0ecdb86c8e4685be57329"),
+    ("--n", "12", "--j", "13"):
+        (2, "4f8fb4b0734e2ecadc7a357e9b4534fa251f643e6644f3cb4b60aa0b0731874b"),
+    ("--n", "7"):
+        (2, "6b9af860ea900b5bc33d1996da00743e179e873c397feb6233be3d352ebd657d"),
+    ("--n", "2"):
+        (2, "3be83e9f2e1c30201c64ebeb1f2fdfa4223ae512686f5c7d5f900517b9ac39be"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(PERM_ERROR_DIGESTS), ids=" ".join)
+def test_perm_error_bytes(args):
+    code, out, err = _run(["perm", *args])
+    assert out == ""
+    assert (code, _sha(err)) == PERM_ERROR_DIGESTS[args]
+
+
 SIZES = (2, 3, 5, 8, 16)
 
 # builder name -> sha256 of Netlist.to_text() for each n in SIZES.  The n-row

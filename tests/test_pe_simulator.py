@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from xbar.array_builder import Layout, build, build_odd
+from xbar.array_builder import Layout, build
 from xbar.pe_simulator import (
     PHASE_NAMES,
     ComparisonMatrix,
@@ -25,15 +25,15 @@ R5 = (3, 1, 4, 0, 2)
 
 
 def test_load_broadcasts_to_every_replicate():
-    state = load_phase(build_odd(5), [8, 6, 9, 5, 7])
+    state = load_phase(build(5), [8, 6, 9, 5, 7])
     loads = [ev for ev in state.phases[1].events]
     class2 = [ev for ev in loads if ev.row == 2]
-    assert len(class2) == build_odd(5).slots.count(2)
+    assert len(class2) == build(5).slots.count(2)
     assert all(ev.value == 9 for ev in class2)
 
 
 def test_load_covers_all_slots():
-    layout = build_odd(7)
+    layout = build(7)
     state = load_phase(layout, list(range(7)))
     loads = state.phases[1].events
     assert len(loads) == 22
