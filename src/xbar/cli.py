@@ -129,8 +129,9 @@ def _run_sort(args):
 
 
 def _cmd_sort(args) -> int:
-    matrix, ranks, trace = _run_sort(args)
+    bits, ranks, trace = _run_sort(args)
     layout, values = trace.layout, trace.values
+    order = sorted(range(layout.n), key=ranks.__getitem__)  # element indices in sorted order
     conflicts = pe_simulator.detect_write_conflicts(trace)
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -140,9 +141,9 @@ def _cmd_sort(args) -> int:
             "n": layout.n,
             "slots": list(layout.slots),
             "input": list(values),
-            "t": [list(row) for row in matrix.bits],
-            "ranks": list(ranks.ranks),
-            "order": list(ranks.order()),
+            "t": [list(row) for row in bits],
+            "ranks": list(ranks),
+            "order": order,
             "phase_count": pe_simulator.phase_count(trace),
             "conflicts": [
                 {"row": row, "col": col, "slots": list(slots)}
@@ -152,9 +153,9 @@ def _cmd_sort(args) -> int:
     elif args.format == "csv":
         sys.stdout.write(trace.to_csv())
     else:
-        sys.stdout.write(matrix.to_text())
-        print("R: " + " ".join(str(r) for r in ranks.ranks))
-        print("sorted: " + " ".join(str(values[i]) for i in ranks.order()))
+        sys.stdout.write("".join("".join(map(str, row)) + "\n" for row in bits))
+        print("R: " + " ".join(map(str, ranks)))
+        print("sorted: " + " ".join(str(values[i]) for i in order))
         print(f"phases: {pe_simulator.phase_count(trace)}")
         if conflicts:
             for row, col, slots in conflicts:
@@ -164,29 +165,19 @@ def _cmd_sort(args) -> int:
     return 0
 
 
-def _emit_index(args, result) -> int:
-    if args.format == "json":
-        _emit_json({"index": result.index, "exact": result.exact})
+def _cmd_index(args) -> int:
+    if args.command == "search":
+        layout = array_builder.build(args.n)
+        index = query_circuits.search(layout, _input_values(args, args.n), args.key)
+    elif args.command == "rank":
+        index = query_circuits.select_rank(_run_sort(args)[0], args.r)
     else:
-        print(f"index {result.index if result.index is not None else 'none'}")
+        index = getattr(query_circuits, f"{args.command}_index")(_run_sort(args)[0])
+    if args.format == "json":
+        _emit_json({"index": index, "exact": True})
+    else:
+        print(f"index {'none' if index is None else index}")
     return 0
-
-
-def _cmd_min_max(args) -> int:
-    matrix = _run_sort(args)[0]
-    idx = getattr(query_circuits, f"{args.command}_index")(matrix)
-    return _emit_index(args, query_circuits.RankQueryResult(idx, True))
-
-
-def _cmd_rank(args) -> int:
-    matrix = _run_sort(args)[0]
-    return _emit_index(args, query_circuits.select_rank(matrix, args.r))
-
-
-def _cmd_search(args) -> int:
-    layout = array_builder.build(args.n)
-    values = _input_values(args, args.n)
-    return _emit_index(args, query_circuits.search(layout, values, args.key))
 
 
 _CIRCUITS = {
@@ -222,6 +213,8 @@ def _cmd_perm(args) -> int:
         else:
             print("".join("(" + ",".join(map(str, c)) + ")" for c in cycles))
         return 0
+    if args.n < 2:
+        raise DataError(f"need at least 2 classes, got n={args.n}")
     if args.n % 2:
         raise DataError("the cycle partition needs even --n; pass --j to inspect one power")
     groups = partition_Q(args.n)
@@ -268,17 +261,17 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("min", "max"):
         p = subs.add_parser(name, help=f"index of the {name}imum via the gate circuit")
         _add_common(p, values=True, formats=("text", "json"))
-        p.set_defaults(func=_cmd_min_max)
+        p.set_defaults(func=_cmd_index)
 
     p = subs.add_parser("rank", help="index of the element with a given rank")
     _add_common(p, values=True, formats=("text", "json"))
     p.add_argument("--r", type=int, required=True, help="target rank (0 = smallest)")
-    p.set_defaults(func=_cmd_rank)
+    p.set_defaults(func=_cmd_index)
 
     p = subs.add_parser("search", help="smallest class index holding the key")
     _add_common(p, values=True, formats=("text", "json"))
     p.add_argument("--key", type=int, required=True)
-    p.set_defaults(func=_cmd_search)
+    p.set_defaults(func=_cmd_index)
 
     p = subs.add_parser("depth", help="critical-path depth of a query circuit")
     p.add_argument("--circuit", choices=sorted(_CIRCUITS), required=True)

@@ -14,14 +14,16 @@ or replies 1 so the neighbor writes comparison_matrix[big][small].  Ties go to
 the smaller class id.  The left and right sub-phases are this one
 operation mirrored: they differ only in the direction the value travels.
 All sends in a sub-phase read pre-phase state and all writes commit at the
-sub-phase end, so the run is deterministic.  A run computes only the matrix
-and the ranks; its trace is derived on demand from the layout, the values,
-the matrix and the ranks, one block of event groups per phase: a group per
-class, slot or crosspoint.  The crosspoints are split by direction in
-C-level passes over the slots.  `to_jsonl` and `to_csv` render a block by
-repeating its line template and filling a chunk of groups with one `%` over
-a flat int tuple; the lines equal `json.dumps` and `csv.writer` output, as
-every payload is an exact int.
+sub-phase end, so the run is deterministic.  A run is one `SortTrace`:
+each stage takes it and returns it with one more field set, `load_phase`
+making it, `compare_phase` setting the matrix `bits` and `rank_phase` the
+row-sum `ranks`.  Its events are derived on demand from those fields,
+one block of event groups per phase: a group per class, slot or
+crosspoint.  The crosspoints are split by direction in C-level passes
+over the slots.  `to_jsonl` and `to_csv` render a block by repeating its
+line template and filling a chunk of groups with one `%` over a flat int
+tuple; the lines equal `json.dumps` and `csv.writer` output, as every
+payload is an exact int.
 
 The final matrix satisfies bits[i][k] = 1 iff A[k] < A[i], or A[k] == A[i]
 with k < i; row sums are therefore the ranks of a stable sort.
@@ -150,34 +152,6 @@ class SortTrace(NamedTuple):
             "" if v is None else "%d" if v is ... else str(v) for v in (phase, *ev)) + "\r\n")
 
 
-class ComparisonMatrix(NamedTuple):
-    """n x n 0/1 matrix; bits[i][k] = 1 records that element k lost to element i."""
-
-    bits: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.bits)
-
-    def to_text(self) -> str:
-        """Row-per-line 0/1 grid."""
-        return "\n".join("".join(str(b) for b in row) for row in self.bits) + "\n"
-
-
-class RankVector(NamedTuple):
-    ranks: tuple[int, ...]
-
-    def order(self) -> tuple[int, ...]:
-        """Element indices in ascending sorted order (inverse of `ranks`)."""
-        out = [0] * len(self.ranks)
-        for i, r in enumerate(self.ranks):
-            out[r] = i
-        return tuple(out)
-
-
 # A form is a group's lines, each a TraceEvent whose `...` fields the group's ints
 # fill in order; its other fields are the same for every group.
 _CLEAR = (TraceEvent(..., "clear_row", None, ...),)
@@ -252,8 +226,8 @@ def load_phase(layout: Layout, values: Sequence[int]) -> SortTrace:
     return SortTrace(layout, tuple(values))
 
 
-def compare_phase(state: SortTrace) -> tuple[ComparisonMatrix, SortTrace]:
-    """Run the four exchange/reply sub-phases over every crosspoint.
+def compare_phase(state: SortTrace) -> SortTrace:
+    """Run the four exchange/reply sub-phases over every crosspoint; sets `bits`.
 
     Each crosspoint performs exactly one comparison, so a run makes
     slots - 1 comparisons total.  Redundant adjacencies (even n) write
@@ -270,30 +244,29 @@ def compare_phase(state: SortTrace) -> tuple[ComparisonMatrix, SortTrace]:
             t[small][big] = 1
         else:
             t[big][small] = 1
-    bits = tuple(map(tuple, t))
-    return ComparisonMatrix(bits), state._replace(bits=bits)
+    return state._replace(bits=tuple(map(tuple, t)))
 
 
-def rank_phase(matrix: ComparisonMatrix) -> RankVector:
-    """Rank of element i = sum of matrix row i."""
-    return RankVector(matrix.row_sums())
+def rank_phase(state: SortTrace) -> SortTrace:
+    """Rank of element i = sum of matrix row i; sets `ranks`."""
+    return state._replace(ranks=tuple(map(sum, state.bits)))
 
 
-def sort(layout: Layout, values: Sequence[int]) -> tuple[ComparisonMatrix, RankVector, SortTrace]:
-    """Full run: load, compare, rank.  The layout must cover every class pair.
+def sort(layout: Layout, values: Sequence[int]) -> tuple[tuple, tuple, SortTrace]:
+    """Full run: load, compare, rank; returns the trace's `bits`, its `ranks` and the trace.
 
-    Placing values[i] at output position ranks[i] yields a non-decreasing
-    sequence; equal keys keep ascending index order.  Every covered pair
-    sets exactly one matrix cell, so ranks summing to less than n(n-1)/2
-    expose a layout that misses a pair; that raises ValueError.
+    The layout must cover every class pair.  Placing values[i] at output
+    position ranks[i] yields a non-decreasing sequence; equal keys keep
+    ascending index order.  Every covered pair sets exactly one matrix
+    cell, so ranks summing to less than n(n-1)/2 expose a layout that
+    misses a pair; that raises ValueError.
     """
-    matrix, trace = compare_phase(load_phase(layout, values))
-    ranks = rank_phase(matrix)
+    trace = rank_phase(compare_phase(load_phase(layout, values)))
     pairs = layout.n * (layout.n - 1) // 2
-    covered = sum(ranks.ranks)
+    covered = sum(trace.ranks)
     if covered != pairs:
         raise ValueError(f"layout misses {pairs - covered} of its {pairs} class pairs")
-    return matrix, ranks, trace._replace(ranks=ranks.ranks)
+    return trace.bits, trace.ranks, trace
 
 
 def phase_count(trace: SortTrace) -> int:

@@ -1,9 +1,11 @@
 """Gate-level query circuits over the comparison matrix.
 
-Everything here reads the n x n matrix a sorting run leaves behind:
-row i holds a 1 for every element that lost to element i, so the row of
-the minimum is all zeros, the row of the maximum is all ones off the
-diagonal, and each row's popcount is its element's rank.
+Everything here reads the n x n matrix a sorting run leaves behind, given
+as its rows (`SortTrace.bits`): row i holds a 1 for every element that lost
+to element i, so the row of the minimum is all zeros, the row of the
+maximum is all ones off the diagonal, and each row's popcount is its
+element's rank.  Every index query returns a plain int; `search` returns
+None for an absent key.
 
 Circuits provided:
 
@@ -31,46 +33,18 @@ gates are reported with their fan-in so the optimism is visible.
 """
 
 from math import comb
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .array_builder import Layout
 from .netlist import DepthReport, NetBuilder, Netlist, depth, evaluate
-from .pe_simulator import ComparisonMatrix, RankVector
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-__all__ = [
-    "RankQueryResult",
-    "build_encoder",
-    "build_priority_encoder",
-    "build_ones_counter",
-    "build_popcount_tree",
-    "rank_via_adder_tree",
-    "select_rank",
-    "rank_at_least_probabilistic",
-    "search",
-    "min_index",
-    "max_index",
-    "min_stages",
-    "max_stages",
-    "threshold_rank_stages",
-    "row_assignments",
-    "decode_bits",
-    "ADDER_TREE_DEPTH_MARGIN",
-]
 
 # Per-adder depth margin of the carry-prefix cell structure, measured once
 # on the built popcount trees: depth(tree for n inputs) never exceeds
 # ceil(lg n) * (2 * ceil(lg ceil(lg n)) + this constant).
 ADDER_TREE_DEPTH_MARGIN = 2
-
-
-class RankQueryResult(NamedTuple):
-    """Outcome of an index query; `exact` is False only for probabilistic tests."""
-
-    index: int | None
-    exact: bool
 
 
 def _output_bits(nb: NetBuilder, bits: list, prefix: str) -> None:
@@ -212,16 +186,16 @@ def build_popcount_tree(n: int) -> Netlist:
     return nb.build()
 
 
-def _run_rows(t: ComparisonMatrix, row_net: Netlist, diagonal: int = 0) -> dict:
+def _run_rows(bits: Sequence[Sequence[int]], row_net: Netlist, diagonal: int = 0) -> dict:
     """Evaluate `row_net` once on every row: input `b<k>` packs column k, lane i = row i.
 
     The diagonal bit is read as `diagonal`, the row gate's identity.
     """
     columns = {}
-    for k, column in enumerate(zip(*t.bits)):
+    for k, column in enumerate(zip(*bits)):
         packed = int("".join(map(str, reversed(column))), 2)
         columns[f"b{k}"] = packed & ~(1 << k) | diagonal << k
-    return evaluate(row_net, columns, lanes=t.n)
+    return evaluate(row_net, columns, lanes=len(bits))
 
 
 def _row_stages(gate, n: int, width: int) -> list:
@@ -237,7 +211,7 @@ def _row_stages(gate, n: int, width: int) -> list:
     return [(nb.build(), n), (build_encoder(n, with_valid=False), 1)]
 
 
-def _hit_index(t: ComparisonMatrix, gate, diagonal: int = 0) -> int:
+def _hit_index(bits: Sequence[Sequence[int]], gate, diagonal: int = 0) -> int:
     """Run `gate`'s row circuit on every row (diagonal read as `diagonal`); encode the hot row.
 
     The flags are one-hot only on a matrix a full sort produces: a zero
@@ -245,29 +219,30 @@ def _hit_index(t: ComparisonMatrix, gate, diagonal: int = 0) -> int:
     raises ValueError, as the encoder would OR several rows (or none)
     into an index that can lie outside 0..n-1.
     """
-    n = t.n
-    if any(t.bits[i][i] for i in range(n)) or sorted(t.row_sums()) != list(range(n)):
+    n = len(bits)
+    if any(bits[i][i] for i in range(n)) or sorted(map(sum, bits)) != list(range(n)):
         raise ValueError("matrix is not from a full sort: it needs a zero diagonal "
                          f"and row sums forming a permutation of 0..{n - 1}")
     (row, _), (encoder, _) = _row_stages(gate, n, n)
-    hits = _run_rows(t, row, diagonal)["hit"]
+    hits = _run_rows(bits, row, diagonal)["hit"]
     flags = [(hits >> i) & 1 for i in range(n)]
     return decode_bits(evaluate(encoder, row_assignments(flags, "x")))
 
 
-def rank_via_adder_tree(t: ComparisonMatrix) -> tuple[RankVector, DepthReport]:
+def rank_via_adder_tree(bits: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], DepthReport]:
     """Rank every row (diagonal read as 0) with the popcount adder tree.
 
     Returns the ranks together with the measured critical-path depth of
     the tree at fan-in 2.
     """
-    net = build_popcount_tree(t.n)
-    out = _run_rows(t, net)
-    ranks = tuple(decode_bits({k: (v >> i) & 1 for k, v in out.items()}) for i in range(t.n))
-    return RankVector(ranks), depth(net, 2)
+    n = len(bits)
+    net = build_popcount_tree(n)
+    out = _run_rows(bits, net)
+    ranks = tuple(decode_bits({k: (v >> i) & 1 for k, v in out.items()}) for i in range(n))
+    return ranks, depth(net, 2)
 
 
-def select_rank(t: ComparisonMatrix, r: int) -> RankQueryResult:
+def select_rank(bits: Sequence[Sequence[int]], r: int) -> int:
     """Index of the unique row whose popcount equals r.
 
     Circuit route: one row circuit (popcount tree, add the two's
@@ -276,7 +251,7 @@ def select_rank(t: ComparisonMatrix, r: int) -> RankQueryResult:
     The encoder turns the one-hot flags into the index.  Raises
     ValueError on a matrix that no full sort produces.
     """
-    n = t.n
+    n = len(bits)
     if not 0 <= r <= n - 1:
         raise ValueError(f"rank {r} outside 0..{n - 1}")
     width = (n - 1).bit_length() + 1
@@ -287,7 +262,7 @@ def select_rank(t: ComparisonMatrix, r: int) -> RankQueryResult:
         total = (_popcount_bits(nb, row) + [0] * width)[:width]
         return nb.nor_(*_bk_add(nb, total, comp_bits, cin=1)[:width])
 
-    return RankQueryResult(index=_hit_index(t, rank_is_r), exact=True)
+    return _hit_index(bits, rank_is_r)
 
 
 def rank_at_least_probabilistic(
@@ -320,32 +295,30 @@ def rank_at_least_probabilistic(
     return verdict, miss
 
 
-def search(layout: Layout, values: Sequence[int], key) -> RankQueryResult:
+def search(layout: Layout, values: Sequence[int], key) -> int | None:
     """Find the smallest class index whose element equals `key`.
 
     One replicate per class suffices: each designated slot tests its
     loaded value against the broadcast key, and the n-bit match vector
-    feeds the priority encoder.  Returns index None when the key is
-    absent (the encoder's valid wire stays low).
+    feeds the priority encoder.  Returns None when the key is absent
+    (the encoder's valid wire stays low).
     """
     if len(values) != layout.n:
         raise ValueError(f"got {len(values)} values for {layout.n} classes")
     matches = [1 if values[i] == key else 0 for i in range(layout.n)]
     net = build_priority_encoder(layout.n)
     out = evaluate(net, row_assignments(matches, "m"))
-    if not out["valid"]:
-        return RankQueryResult(index=None, exact=True)
-    return RankQueryResult(index=decode_bits(out), exact=True)
+    return decode_bits(out) if out["valid"] else None
 
 
-def min_index(t: ComparisonMatrix) -> int:
+def min_index(bits: Sequence[Sequence[int]]) -> int:
     """Index of the all-zero row: a NOR over every row, then the encoder."""
-    return _hit_index(t, NetBuilder.nor_)
+    return _hit_index(bits, NetBuilder.nor_)
 
 
-def max_index(t: ComparisonMatrix) -> int:
+def max_index(bits: Sequence[Sequence[int]]) -> int:
     """Index of the all-ones row (diagonal read as 1): an AND over every row."""
-    return _hit_index(t, NetBuilder.and_, diagonal=1)
+    return _hit_index(bits, NetBuilder.and_, diagonal=1)
 
 
 def min_stages(n: int) -> list:

@@ -59,16 +59,28 @@ def test_sort_json_golden(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ranks"] == [3, 1, 4, 0, 2]
+    assert doc["order"] == [3, 1, 4, 0, 2]
     assert doc["phase_count"] == 7
     assert doc["conflicts"] == []
+
+
+def test_sort_json_matrix_and_order(capsys):
+    # Ranks 1 2 3 0 are not their own inverse, so order must invert them.
+    code, out = run(capsys, "sort", "--n", "4", "--input", "6,7,8,5", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["t"] == [[0, 0, 0, 1], [1, 0, 0, 1], [1, 1, 0, 1], [0, 0, 0, 0]]
+    assert (doc["ranks"], doc["order"]) == ([1, 2, 3, 0], [3, 0, 1, 2])
 
 
 def test_sort_text_even_case(capsys):
     code, out = run(capsys, "sort", "--n", "4", "--input", "6,7,8,5")
     assert code == 0
-    assert out.startswith("0001\n1001\n1101\n0000\n")
-    assert "R: 1 2 3 0" in out
-    assert "conflict: T[2][1] slots 2,5" in out
+    assert out == ("0001\n1001\n1101\n0000\n"
+                   "R: 1 2 3 0\n"
+                   "sorted: 5 6 7 8\n"
+                   "phases: 7\n"
+                   "conflict: T[2][1] slots 2,5\n")
 
 
 def test_sort_text_conflict_slots_in_trace_order(capsys):
@@ -242,6 +254,15 @@ def test_perm_commands(capsys):
     assert doc["sets"][2] == [[2, 5]]
     code, _ = run(capsys, "perm", "--n", "7")
     assert code == 2  # partition needs even n
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_perm_rejects_fewer_than_two_classes_before_parity(capsys, n):
+    # The parity error's hint, pass --j, would only fail next on n itself.
+    code = main(["perm", "--n", str(n)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: need at least 2 classes, got n={n}\n"
 
 
 def test_seeded_runs_are_byte_identical(capsys, monkeypatch):

@@ -148,6 +148,170 @@ def test_perm_error_bytes(args):
     assert (code, _sha(err)) == PERM_ERROR_DIGESTS[args]
 
 
+
+# `xbar` sort and query arguments -> sha256 of stdout; the command exits 0 and
+# writes nothing to stderr.  Inputs come from the default seed unless given;
+# each search looks for the value at index n // 2 and for the absent key 100.
+QUERY_DIGESTS = {
+    ("sort", "--n", "4", "--format", "text"):
+        "39c3fe046f981b549862d777f9f34f45063a4edd43ad135d987bf80354a3201d",
+    ("min", "--n", "4", "--format", "text"):
+        "fa902b34e3a20fc1bee37c44ddf7da1b6cb3f0b7bf359c5388ccaca60d610c05",
+    ("max", "--n", "4", "--format", "text"):
+        "d462fc05549fbd56c85405247874e1c9d0a1480be122a236dfb63336161704ca",
+    ("rank", "--n", "4", "--r", "2", "--format", "text"):
+        "339dcfbfeb5f620f2e495bf03570535b089021f7cbfbde44b8bf8f8262f05d65",
+    ("search", "--n", "4", "--key", "53", "--format", "text"):
+        "339dcfbfeb5f620f2e495bf03570535b089021f7cbfbde44b8bf8f8262f05d65",
+    ("search", "--n", "4", "--key", "100", "--format", "text"):
+        "78d38a096b1cee2b3d399986542f5bc21f4bcfb4c2bcd5c81621cab4f938c15e",
+    ("sort", "--n", "4", "--format", "json"):
+        "cbf9c422c004d17e1e61d519e3aea9622d8fa3094c73356dd22e96c9205d15a5",
+    ("min", "--n", "4", "--format", "json"):
+        "3fcab4cd5744dc5ecea6d37ba4e631a9e0fd844549ff4239663d1a4304504a74",
+    ("max", "--n", "4", "--format", "json"):
+        "c0e1106ca43cb00cc1e7d1ebd133fbb165aa2bcbad394b805a5531098be101cf",
+    ("rank", "--n", "4", "--r", "2", "--format", "json"):
+        "4e3a62ce500d99a4dd7b6c630f76d1f4f4f94f8f6b095ef5737e55be44593393",
+    ("search", "--n", "4", "--key", "53", "--format", "json"):
+        "4e3a62ce500d99a4dd7b6c630f76d1f4f4f94f8f6b095ef5737e55be44593393",
+    ("search", "--n", "4", "--key", "100", "--format", "json"):
+        "33976cb9668ae2df412e33db9f3aa0fb0f69d0e02bb1bb896db3602695b9708c",
+    ("sort", "--n", "5", "--format", "text"):
+        "13e5b9d820a1defbc39a4b80f03fa087bbb19542309effae1adf83f33ad36594",
+    ("min", "--n", "5", "--format", "text"):
+        "fa902b34e3a20fc1bee37c44ddf7da1b6cb3f0b7bf359c5388ccaca60d610c05",
+    ("max", "--n", "5", "--format", "text"):
+        "d462fc05549fbd56c85405247874e1c9d0a1480be122a236dfb63336161704ca",
+    ("rank", "--n", "5", "--r", "2", "--format", "text"):
+        "6c87e52e85f3255bed04633bd509aa7dfcb92300221e0e78cab560fd1c9373ed",
+    ("search", "--n", "5", "--key", "53", "--format", "text"):
+        "339dcfbfeb5f620f2e495bf03570535b089021f7cbfbde44b8bf8f8262f05d65",
+    ("search", "--n", "5", "--key", "100", "--format", "text"):
+        "78d38a096b1cee2b3d399986542f5bc21f4bcfb4c2bcd5c81621cab4f938c15e",
+    ("sort", "--n", "5", "--format", "json"):
+        "7235585ec0505ddfe4b53f82b2dc05ba5c30f667d6c325f1f857a572e6820dcc",
+    ("min", "--n", "5", "--format", "json"):
+        "3fcab4cd5744dc5ecea6d37ba4e631a9e0fd844549ff4239663d1a4304504a74",
+    ("max", "--n", "5", "--format", "json"):
+        "c0e1106ca43cb00cc1e7d1ebd133fbb165aa2bcbad394b805a5531098be101cf",
+    ("rank", "--n", "5", "--r", "2", "--format", "json"):
+        "6c2dbee4e4e51e56f39a4daf9dc409345444ff0236b45a437194e2fe3b08a42c",
+    ("search", "--n", "5", "--key", "53", "--format", "json"):
+        "4e3a62ce500d99a4dd7b6c630f76d1f4f4f94f8f6b095ef5737e55be44593393",
+    ("search", "--n", "5", "--key", "100", "--format", "json"):
+        "33976cb9668ae2df412e33db9f3aa0fb0f69d0e02bb1bb896db3602695b9708c",
+    ("sort", "--n", "10", "--format", "text"):
+        "d19ecc069ddaadaf79d592220773f0986dbcd46c46df002003e2eb0c346c9015",
+    ("min", "--n", "10", "--format", "text"):
+        "fa902b34e3a20fc1bee37c44ddf7da1b6cb3f0b7bf359c5388ccaca60d610c05",
+    ("max", "--n", "10", "--format", "text"):
+        "d462fc05549fbd56c85405247874e1c9d0a1480be122a236dfb63336161704ca",
+    ("rank", "--n", "10", "--r", "5", "--format", "text"):
+        "339dcfbfeb5f620f2e495bf03570535b089021f7cbfbde44b8bf8f8262f05d65",
+    ("search", "--n", "10", "--key", "65", "--format", "text"):
+        "31426aa26ee19180babd5ff74a35b0a787184f0720101a22832dd957d7201e06",
+    ("search", "--n", "10", "--key", "100", "--format", "text"):
+        "78d38a096b1cee2b3d399986542f5bc21f4bcfb4c2bcd5c81621cab4f938c15e",
+    ("sort", "--n", "10", "--format", "json"):
+        "3b1b6c4b1fbbe96860e6156cd23ebf53a7bd366231ffc3fbfee017cc86d9bd69",
+    ("min", "--n", "10", "--format", "json"):
+        "3fcab4cd5744dc5ecea6d37ba4e631a9e0fd844549ff4239663d1a4304504a74",
+    ("max", "--n", "10", "--format", "json"):
+        "c0e1106ca43cb00cc1e7d1ebd133fbb165aa2bcbad394b805a5531098be101cf",
+    ("rank", "--n", "10", "--r", "5", "--format", "json"):
+        "4e3a62ce500d99a4dd7b6c630f76d1f4f4f94f8f6b095ef5737e55be44593393",
+    ("search", "--n", "10", "--key", "65", "--format", "json"):
+        "21246308b3af0e1c2742e618fed43e1809b7bfbb841d1abe56b00612832d0714",
+    ("search", "--n", "10", "--key", "100", "--format", "json"):
+        "33976cb9668ae2df412e33db9f3aa0fb0f69d0e02bb1bb896db3602695b9708c",
+    ("sort", "--n", "65", "--format", "text"):
+        "6a8ec5926d1b8528efd5390e6d901a339958f7511e9011440ad7a5913befcca2",
+    ("min", "--n", "65", "--format", "text"):
+        "030189969413c6307b742599ef28920dbd55fc73e84c504b2fa119b28dfd4646",
+    ("max", "--n", "65", "--format", "text"):
+        "d462fc05549fbd56c85405247874e1c9d0a1480be122a236dfb63336161704ca",
+    ("rank", "--n", "65", "--r", "32", "--format", "text"):
+        "339dcfbfeb5f620f2e495bf03570535b089021f7cbfbde44b8bf8f8262f05d65",
+    ("search", "--n", "65", "--key", "71", "--format", "text"):
+        "afd05e6a2b08d491d244e84712745261f42b403ba5ef1a8fc155c0afb99eaf94",
+    ("search", "--n", "65", "--key", "100", "--format", "text"):
+        "78d38a096b1cee2b3d399986542f5bc21f4bcfb4c2bcd5c81621cab4f938c15e",
+    ("sort", "--n", "65", "--format", "json"):
+        "65df8ad71b169cffa602a614100b0f01bfcc3e044459b2f20398dd1bc5b8cef8",
+    ("min", "--n", "65", "--format", "json"):
+        "bcad29a446c7a93dd50d9900146f4de8417a3f0f568059b3d74b2f90da42b8fd",
+    ("max", "--n", "65", "--format", "json"):
+        "c0e1106ca43cb00cc1e7d1ebd133fbb165aa2bcbad394b805a5531098be101cf",
+    ("rank", "--n", "65", "--r", "32", "--format", "json"):
+        "4e3a62ce500d99a4dd7b6c630f76d1f4f4f94f8f6b095ef5737e55be44593393",
+    ("search", "--n", "65", "--key", "71", "--format", "json"):
+        "af338fe6ca0392967f89b04a8e7ad86e9c8a3a708a3b37b247e7aa9c14e22d82",
+    ("search", "--n", "65", "--key", "100", "--format", "json"):
+        "33976cb9668ae2df412e33db9f3aa0fb0f69d0e02bb1bb896db3602695b9708c",
+    ("sort", "--n", "6", "--input", "4,4,1,7,0,7", "--format", "text"):
+        "b8e2a9b4c361be61a02ef38f9453e10a35d992543d0b6b68b91abac1991bdeae",
+    ("rank", "--n", "6", "--input", "4,4,1,7,0,7", "--r", "5", "--format", "text"):
+        "31426aa26ee19180babd5ff74a35b0a787184f0720101a22832dd957d7201e06",
+    ("search", "--n", "6", "--input", "4,4,1,7,0,7", "--key", "7", "--format", "text"):
+        "fa902b34e3a20fc1bee37c44ddf7da1b6cb3f0b7bf359c5388ccaca60d610c05",
+    ("sort", "--n", "6", "--input", "4,4,1,7,0,7", "--format", "json"):
+        "bab9571b210245c04085bbebb9388a252e72494aac3743106d2807926e4e406c",
+    ("rank", "--n", "6", "--input", "4,4,1,7,0,7", "--r", "5", "--format", "json"):
+        "21246308b3af0e1c2742e618fed43e1809b7bfbb841d1abe56b00612832d0714",
+    ("search", "--n", "6", "--input", "4,4,1,7,0,7", "--key", "7", "--format", "json"):
+        "3fcab4cd5744dc5ecea6d37ba4e631a9e0fd844549ff4239663d1a4304504a74",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(QUERY_DIGESTS), ids=" ".join)
+def test_query_stdout_bytes(argv):
+    code, out, err = _run(list(argv))
+    assert (code, err) == (0, "")
+    assert _sha(out) == QUERY_DIGESTS[argv]
+
+
+# `xbar` sort and query arguments -> (exit code, sha256 of stderr); stdout stays
+# empty.  The layout is checked before the input, and the input before --r.
+QUERY_ERROR_DIGESTS = {
+    ("sort", "--n", "1"):
+        (2, "643444e370908535e141e58bc655a26c5143c27fae1ae31cd705b91c21789f1e"),
+    ("min", "--n", "1"):
+        (2, "643444e370908535e141e58bc655a26c5143c27fae1ae31cd705b91c21789f1e"),
+    ("max", "--n", "1"):
+        (2, "643444e370908535e141e58bc655a26c5143c27fae1ae31cd705b91c21789f1e"),
+    ("rank", "--n", "1", "--r", "0"):
+        (2, "643444e370908535e141e58bc655a26c5143c27fae1ae31cd705b91c21789f1e"),
+    ("search", "--n", "1", "--key", "0"):
+        (2, "643444e370908535e141e58bc655a26c5143c27fae1ae31cd705b91c21789f1e"),
+    ("sort", "--n", "1", "--input", "1,2,3"):
+        (2, "643444e370908535e141e58bc655a26c5143c27fae1ae31cd705b91c21789f1e"),
+    ("search", "--n", "1", "--key", "1", "--input", "1,2,3"):
+        (2, "643444e370908535e141e58bc655a26c5143c27fae1ae31cd705b91c21789f1e"),
+    ("rank", "--n", "5", "--r", "-1"):
+        (2, "1ea5c6038a2b1fbd9074c4a20642fe3a2819297a21228468fbab2a662394ac0a"),
+    ("rank", "--n", "5", "--r", "5"):
+        (2, "0d1784d37792649f8ac22c9924a01cc94d2ddd75731e5791f7d7ac06f9cb2aa2"),
+    ("rank", "--n", "5", "--r", "9", "--input", "1,2,3"):
+        (2, "3b4cc6ba39aa2ef9970010a2dde48a89fbbc6523463e56cab573ab7328f640e4"),
+    ("sort", "--n", "4", "--input", "1,2,3"):
+        (2, "95a9c914a7154187b441b87c52a83af45f0df3a1eb05239a823aaff32cfc7aa1"),
+    ("min", "--n", "4", "--input", "1,2,3"):
+        (2, "95a9c914a7154187b441b87c52a83af45f0df3a1eb05239a823aaff32cfc7aa1"),
+    ("max", "--n", "4", "--input", "1,2,3", "--format", "json"):
+        (2, "95a9c914a7154187b441b87c52a83af45f0df3a1eb05239a823aaff32cfc7aa1"),
+    ("search", "--n", "4", "--key", "1", "--input", "1,2,3"):
+        (2, "95a9c914a7154187b441b87c52a83af45f0df3a1eb05239a823aaff32cfc7aa1"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(QUERY_ERROR_DIGESTS), ids=" ".join)
+def test_query_error_bytes(argv):
+    code, out, err = _run(list(argv))
+    assert out == ""
+    assert (code, _sha(err)) == QUERY_ERROR_DIGESTS[argv]
+
+
 SIZES = (2, 3, 5, 8, 16)
 
 # builder name -> sha256 of Netlist.to_text() for each n in SIZES.  The n-row
@@ -251,7 +415,7 @@ def test_select_rank_row_netlist_bytes(monkeypatch):
     for n, digest, gates in zip(SIZES, SELECT_RANK_ROW_DIGESTS, SELECT_RANK_GATES):
         evaluated.clear()
         t, _, _ = sort(build(n), list(range(n, 0, -1)))
-        assert query_circuits.select_rank(t, n // 2).index == n - 1 - n // 2
+        assert query_circuits.select_rank(t, n // 2) == n - 1 - n // 2
         (row, row_lanes), (encoder, encoder_lanes) = evaluated
         assert (row_lanes, encoder_lanes) == (n, 1)
         assert _sha(row.to_text()) == digest

@@ -6,7 +6,6 @@ import pytest
 from xbar.array_builder import Layout, build
 from xbar.pe_simulator import (
     PHASE_NAMES,
-    ComparisonMatrix,
     SortTrace,
     compare_phase,
     detect_write_conflicts,
@@ -53,38 +52,41 @@ def test_load_rejects_length_mismatch():
 
 
 def test_golden_four_element_matrix():
-    matrix, trace = compare_phase(load_phase(build(4), [6, 7, 8, 5]))
-    assert matrix.bits == T4
+    trace = compare_phase(load_phase(build(4), [6, 7, 8, 5]))
+    assert trace.bits == T4
     assert [p.name for p in trace.phases] == list(PHASE_NAMES[:6])
 
 
 def test_golden_five_element_matrix():
-    matrix, _ = compare_phase(load_phase(build(5), [8, 6, 9, 5, 7]))
-    assert matrix.bits == T5
+    assert compare_phase(load_phase(build(5), [8, 6, 9, 5, 7])).bits == T5
 
 
 def test_all_equal_keys_fall_back_to_index_order():
-    matrix, _ = compare_phase(load_phase(build(3), [5, 5, 5]))
-    assert matrix.bits == ((0, 0, 0), (1, 0, 0), (1, 1, 0))
+    trace = compare_phase(load_phase(build(3), [5, 5, 5]))
+    assert trace.bits == ((0, 0, 0), (1, 0, 0), (1, 1, 0))
 
 
 def test_rank_phase_row_sums():
-    assert rank_phase(ComparisonMatrix(T4)).ranks == R4
-    assert rank_phase(ComparisonMatrix(T5)).ranks == R5
-    assert rank_phase(ComparisonMatrix(((0,),))).ranks == (0,)
+    for values, bits, ranks in (([6, 7, 8, 5], T4, R4), ([8, 6, 9, 5, 7], T5, R5)):
+        state = SortTrace(build(len(values)), tuple(values), bits)
+        assert rank_phase(state) == state._replace(ranks=ranks)
+    assert rank_phase(SortTrace(Layout(1, (0,)), (3,), ((0,),))).ranks == (0,)
 
 
 def test_sort_golden_runs():
-    _, ranks4, _ = sort(build(4), [6, 7, 8, 5])
-    assert ranks4.ranks == R4
-    _, ranks5, _ = sort(build(5), [8, 6, 9, 5, 7])
-    assert ranks5.ranks == R5
-    assert ranks5.order() == (3, 1, 4, 0, 2)
+    assert sort(build(4), [6, 7, 8, 5])[1] == R4
+    assert sort(build(5), [8, 6, 9, 5, 7])[1] == R5
+
+
+def test_sort_returns_the_bits_and_ranks_of_its_trace():
+    layout, values = build(6), [4, 4, 1, 7, 0, 7]
+    bits, ranks, trace = sort(layout, values)
+    assert bits is trace.bits and ranks is trace.ranks
+    assert trace == rank_phase(compare_phase(load_phase(layout, values)))
 
 
 def test_sort_with_duplicates():
-    _, ranks, _ = sort(build(5), [1, 1, 2, 2, 0])
-    assert ranks.ranks == (1, 2, 3, 4, 0)
+    assert sort(build(5), [1, 1, 2, 2, 0])[1] == (1, 2, 3, 4, 0)
 
 
 def test_sort_produces_nondecreasing_output():
@@ -93,9 +95,11 @@ def test_sort_produces_nondecreasing_output():
         layout = build(n)
         values = [rng.randrange(0, 8) for _ in range(n)]
         _, ranks, _ = sort(layout, values)
-        ordered = [values[i] for i in ranks.order()]
+        ordered = [0] * n
+        for value, r in zip(values, ranks):
+            ordered[r] = value
         assert ordered == sorted(values)
-        assert sorted(ranks.ranks) == list(range(n))
+        assert sorted(ranks) == list(range(n))
 
 
 def test_phase_count_constant():
@@ -118,9 +122,9 @@ def test_conflicts_even_and_odd():
 def test_conflicts_equal_crosspoints_less_set_cells(n):
     # A crosspoint sets one cell, the same one for every crosspoint of a pair.
     rng = random.Random(n)
-    t, _, trace = sort(build(n), [rng.randrange(-50, 50) for _ in range(n)])
+    bits, _, trace = sort(build(n), [rng.randrange(-50, 50) for _ in range(n)])
     conflicts = detect_write_conflicts(trace)
-    set_cells = sum(map(sum, t.bits))
+    set_cells = sum(map(sum, bits))
     doubled = n // 2 - 1 if n % 2 == 0 else 0
     assert len(trace.layout.slots) - 1 - set_cells == len(conflicts) == doubled
     assert all(len(writers) == 2 for _, _, writers in conflicts)
@@ -146,7 +150,7 @@ def test_conflict_writers_in_trace_order():
 def test_phase_count_matches_phases_after_each_stage():
     state = load_phase(build(5), [8, 6, 9, 5, 7])
     assert phase_count(state) == len(state.phases) == 2
-    _, compared = compare_phase(state)
+    compared = compare_phase(state)
     assert phase_count(compared) == len(compared.phases) == 6
     _, _, trace = sort(build(5), [8, 6, 9, 5, 7])
     assert phase_count(trace) == len(trace.phases) == 7
@@ -154,12 +158,13 @@ def test_phase_count_matches_phases_after_each_stage():
 
 def test_stages_leave_the_trace_they_are_given_unchanged():
     layout, values = build(6), [4, 4, 1, 7, 0, 7]
+    bits, ranks, _ = sort(layout, values)
     state = load_phase(layout, values)
-    matrix, compared = compare_phase(state)
+    compared = compare_phase(state)
+    ranked = rank_phase(compared)
     assert state == SortTrace(layout, tuple(values))
-    _, ranks, trace = sort(layout, values)
-    assert compared == SortTrace(layout, tuple(values), matrix.bits)
-    assert trace == SortTrace(layout, tuple(values), matrix.bits, ranks.ranks)
+    assert compared == SortTrace(layout, tuple(values), bits)
+    assert ranked == SortTrace(layout, tuple(values), bits, ranks)
 
 
 def test_comparison_count_equals_crosspoints():
@@ -175,13 +180,13 @@ def test_comparison_count_equals_crosspoints():
 def test_trace_writes_match_final_matrix():
     layout = build(6)
     values = [4, 4, 1, 7, 0, 7]
-    matrix, _, trace = sort(layout, values)
+    bits, _, trace = sort(layout, values)
     for _, ev in trace.events():
         if ev.action == "twrite":
-            assert matrix.bits[ev.row][ev.col] == 1
+            assert bits[ev.row][ev.col] == 1
     # Antisymmetry across every adjacent class pair.
     for a, b in zip(layout.slots, layout.slots[1:]):
-        assert matrix.bits[a][b] + matrix.bits[b][a] == 1
+        assert bits[a][b] + bits[b][a] == 1
 
 
 def test_matrix_oracle_equivalence_small():
@@ -190,7 +195,7 @@ def test_matrix_oracle_equivalence_small():
         n = rng.randrange(3, 12)
         values = [rng.randrange(0, 6) for _ in range(n)]
         _, ranks, _ = sort(build(n), values)
-        assert list(ranks.ranks) == oracle_ranks(values)
+        assert list(ranks) == oracle_ranks(values)
 
 
 def test_compare_rejects_same_class_adjacency():
@@ -224,10 +229,6 @@ def test_trace_serializations():
     assert header == "phase,slot,action,value,row,col"
     assert len(rows) == len(docs)
     assert trace.key_bits == 4  # widest key is 8
-
-
-def test_matrix_text_grid():
-    assert ComparisonMatrix(T4).to_text() == "0001\n1001\n1101\n0000\n"
 
 
 def test_sort_rejects_layout_missing_pairs():

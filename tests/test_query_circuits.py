@@ -6,7 +6,7 @@ import pytest
 
 from xbar.array_builder import build
 from xbar.netlist import depth, evaluate, legalize, series_depth
-from xbar.pe_simulator import ComparisonMatrix, rank_phase, sort
+from xbar.pe_simulator import sort
 from xbar.query_circuits import (
     build_encoder,
     build_ones_counter,
@@ -27,16 +27,12 @@ from xbar.query_circuits import (
 from oracles import (argmax_index, argmin_index, build_min_circuit,
                      build_rank_circuit_threshold, lane_values, oracle_ranks, pack_lanes)
 
-T4 = ComparisonMatrix(((0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0)))
-T5 = ComparisonMatrix(
-    ((0, 1, 0, 1, 1), (0, 0, 0, 1, 0), (1, 1, 0, 1, 1), (0, 0, 0, 0, 0), (0, 1, 0, 1, 0))
-)
+T4 = ((0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0))
+T5 = ((0, 1, 0, 1, 1), (0, 0, 0, 1, 0), (1, 1, 0, 1, 1), (0, 0, 0, 0, 0), (0, 1, 0, 1, 0))
 
 
 def _matrix_for(values):
-    _, t = None, None
-    t, _, _ = sort(build(len(values)), values)
-    return t
+    return sort(build(len(values)), values)[0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
@@ -102,7 +98,7 @@ def test_legalized_min_circuit_still_selects_min():
     values = [7, 2, 9, 2, 5, 8, 1, 1]
     t = _matrix_for(values)
     legal = legalize(build_min_circuit(8), 2)
-    bits = {f"t_{i}_{k}": t.bits[i][k] for i in range(8) for k in range(8) if i != k}
+    bits = {f"t_{i}_{k}": t[i][k] for i in range(8) for k in range(8) if i != k}
     out = evaluate(legal, bits)
     assert decode_bits(out) == argmin_index(values)
 
@@ -142,7 +138,7 @@ def test_ones_counter_random_wide_rows():
 
 def test_full_rank_circuit_rows():
     net = build_rank_circuit_threshold(5)
-    out = evaluate(net, {f"t_{i}_{k}": T5.bits[i][k] for i in range(5) for k in range(5)})
+    out = evaluate(net, {f"t_{i}_{k}": T5[i][k] for i in range(5) for k in range(5)})
     got = [decode_bits(out, prefix=f"rank{i}_bit") for i in range(5)]
     assert got == [3, 1, 4, 0, 2]
 
@@ -162,21 +158,19 @@ def test_popcount_tree_two_bits_is_one_adder():
 
 def test_rank_via_adder_tree_matches_row_sums():
     ranks, report = rank_via_adder_tree(T4)
-    assert ranks.ranks == (1, 2, 3, 0)
+    assert ranks == (1, 2, 3, 0)
     assert report.fanin_limit == 2
     rng = random.Random(21)
     for _ in range(20):
         n = rng.randrange(2, 20)
         values = [rng.randrange(0, 9) for _ in range(n)]
-        t = _matrix_for(values)
-        ranks, _ = rank_via_adder_tree(t)
-        assert ranks.ranks == rank_phase(t).ranks
+        t, ranks, _ = sort(build(n), values)
+        assert rank_via_adder_tree(t)[0] == ranks
 
 
 def test_select_rank_golden():
-    assert select_rank(T5, 2).index == 4
-    assert select_rank(T4, 0).index == 3
-    assert select_rank(T5, 2).exact is True
+    assert select_rank(T5, 2) == 4
+    assert select_rank(T4, 0) == 3
 
 
 def test_select_rank_top_equals_max_circuit():
@@ -185,7 +179,7 @@ def test_select_rank_top_equals_max_circuit():
         n = rng.randrange(2, 16)
         values = [rng.randrange(0, 50) for _ in range(n)]
         t = _matrix_for(values)
-        assert select_rank(t, n - 1).index == max_index(t)
+        assert select_rank(t, n - 1) == max_index(t)
 
 
 def test_select_rank_every_rank():
@@ -193,7 +187,7 @@ def test_select_rank_every_rank():
     t = _matrix_for(values)
     want = oracle_ranks(values)
     for r in range(5):
-        assert select_rank(t, r).index == want.index(r)
+        assert select_rank(t, r) == want.index(r)
     with pytest.raises(ValueError):
         select_rank(t, 5)
 
@@ -208,7 +202,7 @@ def test_select_rank_every_rank():
 ], ids=["select_rank-repeated-sums", "min-all-zero", "max-two-all-ones-rows"])
 def test_queries_reject_non_permutation_matrices(query, bits):
     with pytest.raises(ValueError, match="not from a full sort"):
-        query(ComparisonMatrix(bits))
+        query(bits)
 
 
 def test_probabilistic_rank_examples():
@@ -242,9 +236,9 @@ def test_probabilistic_rank_j1_always_fires_on_any_one():
 
 def test_search_examples():
     layout = build(5)
-    assert search(layout, [8, 6, 9, 5, 7], 9).index == 2
-    assert search(layout, [8, 6, 9, 5, 7], 4).index is None
-    assert search(layout, [7, 6, 7, 5, 7], 7).index == 0
+    assert search(layout, [8, 6, 9, 5, 7], 9) == 2
+    assert search(layout, [8, 6, 9, 5, 7], 4) is None
+    assert search(layout, [7, 6, 7, 5, 7], 7) == 0
     with pytest.raises(ValueError):
         search(layout, [1, 2, 3], 1)
 
