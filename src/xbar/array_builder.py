@@ -104,12 +104,6 @@ class ValidationReport(NamedTuple):
     def ok(self) -> bool:
         return not self.violations
 
-    @property
-    def pair_coverage(self) -> dict[tuple[int, int], int]:
-        """Crosspoints per adjacent class pair, in ascending pair order; O(pairs) per read."""
-        los, his, counts = self.pair_columns()
-        return dict(zip(zip(los, his), counts))
-
     def pair_columns(self) -> tuple[list[int], list[int], list[int]]:
         """lo, hi and crosspoints of each adjacent class pair, in ascending pair order."""
         codes = sorted(self.pair_codes)

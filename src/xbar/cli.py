@@ -5,18 +5,21 @@ formatting.  Exit codes: 0 success, 1 validation violations, 2 usage or
 data errors.  Input arrays come inline (comma-separated), from a file
 (one value per line), or, when omitted, from a seeded generator
 (``--seed`` or the ``XBAR_SEED`` environment variable).
+
+Each handler imports the layers it runs, so a command loads only what it
+uses.  ``build`` and ``validate`` load `array_builder` (which builds on
+`cyclic_perm`); ``sort`` adds `pe_simulator`; ``rank``, ``min`` and
+``max`` add `query_circuits` and its `netlist` to that; ``search`` loads
+`array_builder` and `query_circuits`; ``depth`` loads `query_circuits`
+and `netlist` only; ``perm`` loads `cyclic_perm` only; ``--help`` loads
+no other layer.
 """
 
 import argparse
 import json
 import os
-import random
 import sys
 from itertools import chain, count
-
-from . import array_builder, pe_simulator, query_circuits
-from .cyclic_perm import cycle_decomposition, partition_Q
-from .netlist import series_depth
 
 
 class DataError(Exception):
@@ -59,6 +62,8 @@ def _input_values(args, n: int) -> list[int]:
         if len(values) != n:
             raise DataError(f"--input supplies {len(values)} values but --n is {n}")
         return values
+    import random
+
     rng = random.Random(_resolve_seed(args))
     return [rng.randrange(0, 100) for _ in range(n)]
 
@@ -80,6 +85,8 @@ def _emit_json(doc) -> None:
 
 
 def _cmd_build(args) -> int:
+    from . import array_builder
+
     layout = array_builder.build(args.n)
     if args.format == "json":
         _emit_json({**layout.to_json_dict(), "provenance": list(array_builder.provenance(args.n))})
@@ -94,6 +101,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import array_builder
+
     if args.layout is not None:
         try:
             with open(args.layout) as fh:
@@ -125,10 +134,14 @@ def _cmd_validate(args) -> int:
 
 
 def _run_sort(args):
+    from . import array_builder, pe_simulator
+
     return pe_simulator.sort(array_builder.build(args.n), _input_values(args, args.n))
 
 
 def _cmd_sort(args) -> int:
+    from . import pe_simulator
+
     bits, ranks, trace = _run_sort(args)
     layout, values = trace.layout, trace.values
     order = sorted(range(layout.n), key=ranks.__getitem__)  # element indices in sorted order
@@ -166,7 +179,11 @@ def _cmd_sort(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    from . import query_circuits
+
     if args.command == "search":
+        from . import array_builder
+
         layout = array_builder.build(args.n)
         index = query_circuits.search(layout, _input_values(args, args.n), args.key)
     elif args.command == "rank":
@@ -180,19 +197,39 @@ def _cmd_index(args) -> int:
     return 0
 
 
-_CIRCUITS = {
-    "min": query_circuits.min_stages,
-    "max": query_circuits.max_stages,
-    "threshold-rank": query_circuits.threshold_rank_stages,
-    "ones-counter": query_circuits.build_ones_counter,
-    "adder-tree": query_circuits.build_popcount_tree,
-    "encoder": query_circuits.build_encoder,
-    "priority-encoder": query_circuits.build_priority_encoder,
+# `depth --circuit` name -> the `query_circuits` function that builds it.
+_CIRCUIT_BUILDERS = {
+    "min": "min_stages",
+    "max": "max_stages",
+    "threshold-rank": "threshold_rank_stages",
+    "ones-counter": "build_ones_counter",
+    "adder-tree": "build_popcount_tree",
+    "encoder": "build_encoder",
+    "priority-encoder": "build_priority_encoder",
 }
 
 
+def __getattr__(name: str):
+    """`_CIRCUITS`, the builder functions by circuit name, made on first access.
+
+    Built lazily (PEP 562) so that only `depth` imports `query_circuits`;
+    the dict is then cached as a module global, and `_cmd_depth` runs its
+    values, so a builder swapped into it is the one that runs.
+    """
+    if name != "_CIRCUITS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import query_circuits
+
+    circuits = {key: getattr(query_circuits, attr) for key, attr in _CIRCUIT_BUILDERS.items()}
+    globals()[name] = circuits
+    return circuits
+
+
 def _cmd_depth(args) -> int:
-    report = series_depth(_CIRCUITS[args.circuit](args.n), args.fanin)
+    from .netlist import series_depth
+
+    circuits = globals().get("_CIRCUITS") or __getattr__("_CIRCUITS")
+    report = series_depth(circuits[args.circuit](args.n), args.fanin)
     if args.format == "json":
         _emit_json(report.to_json_dict())
     else:
@@ -206,6 +243,8 @@ def _cmd_depth(args) -> int:
 
 
 def _cmd_perm(args) -> int:
+    from .cyclic_perm import cycle_decomposition, partition_Q
+
     if args.j is not None:
         cycles = cycle_decomposition(args.n, args.j)
         if args.format == "json":
@@ -274,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_index)
 
     p = subs.add_parser("depth", help="critical-path depth of a query circuit")
-    p.add_argument("--circuit", choices=sorted(_CIRCUITS), required=True)
+    p.add_argument("--circuit", choices=sorted(_CIRCUIT_BUILDERS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--fanin", type=_fanin, default="unbounded",
                    help="'unbounded' or an integer fan-in limit >= 2")

@@ -16,7 +16,9 @@ its param).
 fan-in limit b, every AND/OR/NOR gate wider than b is first legalized
 into a balanced tree of b-input gates (a NOR becomes an OR tree with a
 NOR root).  THRESHOLD gates are exempt, but their widths are reported
-alongside the depth so the unit-delay assumption stays visible.
+alongside the depth so the unit-delay assumption stays visible.  A
+netlist with no gate to rewrite is already legal, and `legalize` returns
+it as it is rather than a copy, so callers must not mutate the result.
 
 Structural text format: one gate per line, ``gateId KIND[param] <- wire,wire,...``.
 """
@@ -204,6 +206,10 @@ def evaluate(net: Netlist, assignments: dict, lanes: int = 1) -> dict:
     }
 
 
+# The gate kinds `legalize` splits into trees; THRESHOLD is charged unit delay.
+_TREE_KINDS = ("AND", "OR", "NOR")
+
+
 def _legal_tree(emit, kind: str, wires: tuple[Wire, ...], b: int) -> Wire:
     """Balanced b-ary tree over `wires`; depth is exactly ceil(log_b(fan-in))."""
     inner, root = {"NOR": ("OR", "NOR")}.get(kind, (kind, kind))
@@ -221,9 +227,13 @@ def legalize(net: Netlist, b: int) -> Netlist:
 
     THRESHOLD gates pass through untouched; NOT and narrow gates are
     copied.  The result computes the same outputs (checked by tests).
+    When no AND/OR/NOR gate is wider than b, `net` itself is returned,
+    not a copy: callers must not mutate the result.
     """
     if b < 2:
         raise ValueError(f"fan-in limit must be >= 2, got {b}")
+    if not any(len(g.inputs) > b and g.kind in _TREE_KINDS for g in net.gates):
+        return net
     out = Netlist(net.name, list(net.inputs), [], {})
     counter = [0]
 
@@ -236,7 +246,7 @@ def legalize(net: Netlist, b: int) -> Netlist:
     wire_map: dict[Wire, Wire] = {w: w for w in net.inputs}
     for g in net.gates:
         ins = tuple(map(wire_map.__getitem__, g.inputs))
-        if g.kind in ("AND", "OR", "NOR") and len(ins) > b:
+        if g.kind in _TREE_KINDS and len(ins) > b:
             new = _legal_tree(emit, g.kind, ins, b)
         else:
             new = emit(g.kind, ins, g.param)

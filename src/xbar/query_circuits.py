@@ -35,11 +35,12 @@ gates are reported with their fan-in so the optimism is visible.
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
-from .array_builder import Layout
 from .netlist import DepthReport, NetBuilder, Netlist, depth, evaluate
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # annotations only, so `xbar depth` loads no layout or permutation code
     from fractions import Fraction
+
+    from .array_builder import Layout
 
 # Per-adder depth margin of the carry-prefix cell structure, measured once
 # on the built popcount trees: depth(tree for n inputs) never exceeds
@@ -295,7 +296,7 @@ def rank_at_least_probabilistic(
     return verdict, miss
 
 
-def search(layout: Layout, values: Sequence[int], key) -> int | None:
+def search(layout: "Layout", values: Sequence[int], key) -> int | None:
     """Find the smallest class index whose element equals `key`.
 
     One replicate per class suffices: each designated slot tests its

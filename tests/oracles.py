@@ -298,7 +298,8 @@ def build_rank_circuit_threshold(n: int) -> Netlist:
 
 @dataclass(slots=True)
 class ReferenceReport:
-    """The fields of `array_builder.ValidationReport`, with `pair_coverage` a plain dict."""
+    """The fields of `array_builder.ValidationReport`; `pair_coverage` maps (lo, hi) to
+    crosspoints, as a dict of the zipped `pair_columns` does."""
 
     n: int
     pe_count: int

@@ -68,20 +68,27 @@ def test_criterion_2_minimal_slot_counts():
         assert elapsed < 5.0, f"size sweep took {elapsed:.3f}s"
 
 
+def _pair_coverage(report) -> dict:
+    los, his, counts = report.pair_columns()
+    return dict(zip(zip(los, his), counts))
+
+
 def test_criterion_3_pair_coverage():
     with criterion("3: odd layouts cover each pair once; even layouts double exactly n/2-1"):
         for n in range(3, 64, 2):
             report = validate(build(n))
             assert report.ok, (n, report.violations)
-            assert len(report.pair_coverage) == n * (n - 1) // 2
-            assert set(report.pair_coverage.values()) == {1}
+            coverage = _pair_coverage(report)
+            assert len(coverage) == n * (n - 1) // 2
+            assert set(coverage.values()) == {1}
         for n in range(4, 65, 2):
             report = validate(build(n))
             assert report.ok, (n, report.violations)
-            assert len(report.pair_coverage) == n * (n - 1) // 2
-            doubled = [p for p, c in report.pair_coverage.items() if c == 2]
+            coverage = _pair_coverage(report)
+            assert len(coverage) == n * (n - 1) // 2
+            doubled = [p for p, c in coverage.items() if c == 2]
             assert len(doubled) == n // 2 - 1
-            assert all(c in (1, 2) for c in report.pair_coverage.values())
+            assert all(c in (1, 2) for c in coverage.values())
 
 
 def test_criterion_4_group_properties():

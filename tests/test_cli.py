@@ -31,6 +31,33 @@ def test_cli_import_skips_dataclasses_and_fractions():
     assert done.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["--help"], []),
+    (["build", "--n", "5"], ["array_builder", "cyclic_perm"]),
+    (["validate", "--n", "5"], ["array_builder", "cyclic_perm"]),
+    (["perm", "--n", "6"], ["cyclic_perm"]),
+    (["sort", "--n", "5"], ["array_builder", "cyclic_perm", "pe_simulator"]),
+    (["rank", "--n", "5", "--r", "1"],
+     ["array_builder", "cyclic_perm", "netlist", "pe_simulator", "query_circuits"]),
+    (["search", "--n", "5", "--key", "3"],
+     ["array_builder", "cyclic_perm", "netlist", "query_circuits"]),
+    (["depth", "--circuit", "adder-tree", "--n", "8", "--fanin", "2"],
+     ["netlist", "query_circuits"]),
+])
+def test_commands_load_only_their_layers(argv, loaded):
+    # Each handler imports its own layers, so e.g. build starts no simulator or
+    # netlist code and depth no layout or simulator code.  A fresh -S process,
+    # as above, since this session has imported every module already.
+    probe = ("import sys; from xbar.cli import main\n"
+             "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+             "print(sorted(m for m in sys.modules if m.startswith('xbar.')), file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout, done.stderr
+    assert done.stderr == repr(sorted(["xbar.cli", *map("xbar.".__add__, loaded)])) + "\n"
+
+
 def test_build_text(capsys):
     code, out = run(capsys, "build", "--n", "7")
     assert code == 0

@@ -88,6 +88,30 @@ def test_legalize_rejects_unit_fanin():
         legalize(_wide_sample_net(), 1)
 
 
+def test_legalize_passes_legal_netlist_through():
+    # The widest AND has 6 inputs; the 6-input THRESHOLD is exempt at any limit.
+    net = _wide_sample_net()
+    assert legalize(net, 6) is net
+    nb = NetBuilder("thr")
+    nb.output("t", nb.threshold([nb.input(f"i{k}") for k in range(5)], 2))
+    thr = nb.build()
+    assert legalize(thr, 2) is thr
+
+
+def test_legalize_rewrites_one_wide_gate():
+    nb = NetBuilder("one-wide")
+    w = [nb.input(f"i{k}") for k in range(3)]
+    nb.output("x", nb.xor2(w[0], w[1]))
+    nb.output("a", nb.and_(*w))
+    net = nb.build()
+    legal = legalize(net, 2)
+    assert legal is not net
+    assert [g.gid for g in legal.gates] == ["L0", "L1", "L2"]
+    assert [g.kind for g in legal.gates] == ["HALF_ADD", "AND", "AND"]
+    assert legal.outputs == {"x": "L0", "a": "L2"}
+    assert [g.gid for g in net.gates] == ["g0", "g1"]  # the input is left as it was
+
+
 def test_depth_reports():
     net = _wide_sample_net()
     unbounded = depth(net)

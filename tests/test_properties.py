@@ -192,9 +192,11 @@ def mutated_layouts(draw):
 @given(mutated_layouts())
 def test_validate_matches_reference(layout):
     got, want = validate(layout), validate_reference(layout)
-    for name in ("violations", "ok", "pe_count", "expected_pe_count", "pair_coverage",
+    for name in ("violations", "ok", "pe_count", "expected_pe_count",
                  "redundant_pairs", "replicate_counts", "end_classes"):
         assert getattr(got, name) == getattr(want, name), name
+    los, his, counts = got.pair_columns()
+    assert dict(zip(zip(los, his), counts)) == want.pair_coverage
     if layout.n <= len(layout.slots):
         # Serialised, so the key order of the CLI's JSON is compared too.
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())

@@ -156,6 +156,16 @@ def test_popcount_tree_two_bits_is_one_adder():
     assert report.depth <= 2
 
 
+@pytest.mark.parametrize("n", [2 ** k for k in range(1, 11)])
+def test_popcount_tree_is_already_fanin_2(n):
+    # Every adder gate has two inputs, so legalize passes the tree through and
+    # the fan-in-2 report is the unbounded one.
+    net = build_popcount_tree(n)
+    assert legalize(net, 2) is net
+    bounded, unbounded = depth(net, 2), depth(net)
+    assert (bounded.depth, bounded.gate_count) == (unbounded.depth, unbounded.gate_count)
+
+
 def test_rank_via_adder_tree_matches_row_sums():
     ranks, report = rank_via_adder_tree(T4)
     assert ranks == (1, 2, 3, 0)
