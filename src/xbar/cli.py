@@ -139,16 +139,37 @@ def _run_sort(args):
     return pe_simulator.sort(array_builder.build(args.n), _input_values(args, args.n))
 
 
+def _write_trace(trace, path: str, csv=None) -> None:
+    """Stream the trace as JSON lines to the file `path`, and to the `csv` sink in the same walk.
+
+    An OSError from the file, on open, write or close, becomes a DataError.
+    """
+    def guarded(call, *args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise DataError(f"cannot write trace to {path}: {exc}") from None
+
+    fh = guarded(open, path, "w")
+    try:
+        trace.write(jsonl=lambda text: guarded(fh.write, text), csv=csv)
+    finally:
+        guarded(fh.close)
+
+
 def _cmd_sort(args) -> int:
     from . import pe_simulator
 
     bits, ranks, trace = _run_sort(args)
+    if args.trace:
+        _write_trace(trace, args.trace, sys.stdout.write if args.format == "csv" else None)
+    elif args.format == "csv":
+        trace.write_csv(sys.stdout)
+    if args.format == "csv":
+        return 0
     layout, values = trace.layout, trace.values
     order = sorted(range(layout.n), key=ranks.__getitem__)  # element indices in sorted order
     conflicts = pe_simulator.detect_write_conflicts(trace)
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(trace.to_jsonl())
     if args.format == "json":
         _emit_json({
             "n": layout.n,
@@ -163,8 +184,6 @@ def _cmd_sort(args) -> int:
                 for row, col, slots in conflicts
             ],
         })
-    elif args.format == "csv":
-        sys.stdout.write(trace.to_csv())
     else:
         sys.stdout.write("".join("".join(map(str, row)) + "\n" for row in bits))
         print("R: " + " ".join(map(str, ranks)))

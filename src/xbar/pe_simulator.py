@@ -20,15 +20,18 @@ making it, `compare_phase` setting the matrix `bits` and `rank_phase` the
 row-sum `ranks`.  Its events are derived on demand from those fields,
 one block of event groups per phase: a group per class, slot or
 crosspoint.  The crosspoints are split by direction in C-level passes
-over the slots.  `to_jsonl` and `to_csv` render a block by repeating its
-line template and filling a chunk of groups with one `%` over a flat int
-tuple; the lines equal `json.dumps` and `csv.writer` output, as every
-payload is an exact int.
+over the slots.  `write` streams a block to each sink, JSON lines or CSV, by
+repeating the sink's line template and filling a chunk of groups with one
+`%` over a flat int tuple, taken once for all sinks; each chunk goes to its
+sink as soon as it is made.  `write_jsonl` and `write_csv` stream to a file,
+and `to_jsonl` and `to_csv` collect the same text as one str.  The lines
+equal `json.dumps` and `csv.writer` output, as every payload is an exact int.
 
 The final matrix satisfies bits[i][k] = 1 iff A[k] < A[i], or A[k] == A[i]
 with k < i; row sums are therefore the ranks of a stable sort.
 """
 
+import io
 import json
 from collections import Counter
 from functools import partial
@@ -128,28 +131,61 @@ class SortTrace(NamedTuple):
             groups = _merge(tuple(_filled(form, cols) for form, cols in variants), picks)
             yield from zip(repeat(phase), chain.from_iterable(groups))
 
-    def _render(self, line) -> str:
-        """Each block's groups through its line(phase, event) templates, _CHUNK at a time."""
-        out = []
+    def write(self, jsonl=None, csv=None) -> None:
+        """Stream the trace as JSON lines to `jsonl` and as CSV to `csv`, in one walk.
+
+        Each sink given is a callable taking str.  Every block's groups go through the
+        sink's line templates _CHUNK at a time: each chunk's ints are taken once, then
+        filled into each sink's templates with one `%` and handed to it at once.
+        """
+        if csv is not None:
+            csv(",".join(COLUMNS) + "\r\n")
+        sinks = [(line, sink) for line, sink in ((_jsonl_line, jsonl), (_csv_line, csv))
+                 if sink is not None]
         for phase, picks, variants in self._blocks():
-            forms = tuple("".join(line(phase, ev) for ev in form) for form, _ in variants)
-            templates = repeat(forms[0]) if picks is None else map(forms.__getitem__, picks)
+            fills = []
+            for line, sink in sinks:
+                forms = tuple("".join(line(phase, ev) for ev in form) for form, _ in variants)
+                fills.append((repeat(forms[0]) if picks is None else
+                              map(forms.__getitem__, picks), sink))
             ints = chain.from_iterable(_merge(tuple(zip(*cols) for _, cols in variants), picks))
             width = len(variants[0][1])  # ints per group, the same for every variant
             while chunk := tuple(islice(ints, _CHUNK * width)):
-                out.append("".join(islice(templates, len(chunk) // width)) % chunk)
-        return "".join(out)
+                for templates, sink in fills:
+                    sink("".join(islice(templates, len(chunk) // width)) % chunk)
+
+    def write_jsonl(self, fh) -> None:
+        """One JSON object per event over COLUMNS, leaving out absent payload keys."""
+        self.write(jsonl=fh.write)
+
+    def write_csv(self, fh) -> None:
+        """A COLUMNS header, then one row per event; absent payload fields are empty."""
+        self.write(csv=fh.write)
 
     def to_jsonl(self) -> str:
-        """One JSON object per event over COLUMNS, leaving out absent payload keys."""
-        return self._render(lambda phase, ev: "{" + ", ".join(
-            f'"{k}": {"%d" if v is ... else json.dumps(v)}'
-            for k, v in zip(COLUMNS, (phase, *ev)) if v is not None) + "}\n")
+        """`write_jsonl`'s text as one str."""
+        return _collect(self.write_jsonl)
 
     def to_csv(self) -> str:
-        """A COLUMNS header, then one row per event; absent payload fields are empty."""
-        return ",".join(COLUMNS) + "\r\n" + self._render(lambda phase, ev: ",".join(
-            "" if v is None else "%d" if v is ... else str(v) for v in (phase, *ev)) + "\r\n")
+        """`write_csv`'s text as one str."""
+        return _collect(self.write_csv)
+
+
+def _jsonl_line(phase, ev) -> str:
+    return "{" + ", ".join(f'"{k}": {"%d" if v is ... else json.dumps(v)}'
+                           for k, v in zip(COLUMNS, (phase, *ev)) if v is not None) + "}\n"
+
+
+def _csv_line(phase, ev) -> str:
+    return ",".join("" if v is None else "%d" if v is ... else str(v)
+                    for v in (phase, *ev)) + "\r\n"
+
+
+def _collect(write_to) -> str:
+    """The text that write_to(fh) writes, as one str."""
+    buf = io.StringIO()
+    write_to(buf)
+    return buf.getvalue()
 
 
 # A form is a group's lines, each a TraceEvent whose `...` fields the group's ints

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from xbar import pe_simulator
 from xbar.cli import main
+from xbar.pe_simulator import SortTrace
 
 from test_golden_bytes import TRACE_DIGESTS
 
@@ -134,6 +136,41 @@ def test_sort_trace_file_bytes_match_golden(tmp_path, capsys):
                   "--trace", str(path), "--format", "json")
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == jsonl_digest
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("where", ["missing dir", "a directory"])
+def test_sort_unopenable_trace_exits_two(tmp_path, capsys, fmt, where):
+    path = tmp_path / "missing" / "t.jsonl" if where == "missing dir" else tmp_path
+    code = main(["sort", "--n", "4", "--trace", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write trace to {path}: [Errno ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_sort_failed_trace_write_exits_two(capsys, fmt):
+    # /dev/full opens, but every write to it fails.
+    code = main(["sort", "--n", "4", "--trace", "/dev/full", "--format", fmt])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write trace to /dev/full: [Errno 28] No space left on device\n")
+
+
+def test_sort_csv_walks_the_trace_once_without_a_conflict_scan(tmp_path, capsys, monkeypatch):
+    # csv prints no conflicts, and its trace file comes from the same walk.
+    calls = []
+    blocks = SortTrace._blocks
+    monkeypatch.setattr(SortTrace, "_blocks", lambda trace: calls.append("walk") or blocks(trace))
+    monkeypatch.setattr(pe_simulator, "detect_write_conflicts", calls.append)
+    path = tmp_path / "t.jsonl"
+    code, out = run(capsys, "sort", "--n", "6", "--format", "csv", "--trace", str(path))
+    assert code == 0
+    assert calls == ["walk"]
+    assert out.count("\r\n") == path.read_text().count("\n") + 1  # the header
 
 
 def test_sort_csv_is_trace(capsys):

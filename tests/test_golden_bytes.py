@@ -9,6 +9,7 @@ agrees.
 import contextlib
 import hashlib
 import io
+from types import SimpleNamespace
 
 import pytest
 
@@ -89,6 +90,55 @@ def _run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+# `xbar sort` arguments -> (sha256 of the `--format csv` stdout, sha256 of the
+# `--trace` file).  Inputs come from the default seed unless given.
+SORT_OUTPUT_DIGESTS = {
+    ("--n", "4"): (
+        "2af02e9dc7ecdfcf8ab7a555ed6f2400117833be7f4778e8192f028dfa42b069",
+        "6606a9fb4989f48d8d862d23e9ce71c984c44160ed506a500be812f1c6cc7712"),
+    ("--n", "5"): (
+        "4e4f08447e33b42312cd561f46e0c7c050da52a2545ac3799856c33ca3f6b111",
+        "377614c673dee05e7935c1f02f9325277e1d5112546460595848217d3b39c596"),
+    ("--n", "6", "--input", "4,4,1,7,0,7"): (
+        "e7f5d7237ceaf4a056dd061eb39ae5eb1860c4c503253a3e62ef7a76806618e9",
+        "61ba79f26f451e7ce272cac71cdaa587212f37be79f5f7c26222533ac2fd3c08"),
+    ("--n", "10"): (
+        "a8146d2d47c97f2f2fa4a6e2a0cb8738ba59ad76c7b5d680a9bd1f30b4062073",
+        "3cf47d01394814c664c3b8a6080d84f44b2d433df8c7114b9f2ea85e53585af0"),
+    ("--n", "65"): (
+        "70452d5f606344ff22d5993ee124c1a621e9d5cff7f690193d2907f8551b613a",
+        "4168c0a5788a62b92543741ab2f2c1aa2ace5ba1a2f99a63965b7e1339d0f2f9"),
+}
+
+
+@pytest.mark.parametrize("outputs", ["csv", "trace", "csv+trace"])
+@pytest.mark.parametrize("args", sorted(SORT_OUTPUT_DIGESTS), ids=" ".join)
+def test_sort_csv_and_trace_file_bytes(tmp_path, args, outputs):
+    # Alone and from one command, which writes both in the same walk.
+    csv_digest, trace_digest = SORT_OUTPUT_DIGESTS[args]
+    path = tmp_path / "t.jsonl"
+    argv = ["sort", *args]
+    if "csv" in outputs:
+        argv += ["--format", "csv"]
+    if "trace" in outputs:
+        argv += ["--trace", str(path)]
+    code, out, err = _run(argv)
+    assert (code, err) == (0, "")
+    if "csv" in outputs:
+        assert _sha(out) == csv_digest
+    if "trace" in outputs:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == trace_digest
+
+
+def test_writers_stream_chunks():
+    _, _, trace = sort(build(64), list(range(64, 0, -1)))
+    for write, to_text in ((trace.write_jsonl, trace.to_jsonl), (trace.write_csv, trace.to_csv)):
+        pieces = []
+        write(SimpleNamespace(write=pieces.append))
+        assert len(pieces) > 1
+        assert "".join(pieces) == to_text()
 
 
 # `xbar perm --n n [--j j] --format f` -> sha256 of its stdout; j None lists the Q partition.
