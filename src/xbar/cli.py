@@ -2,9 +2,10 @@
 
 Thin adapters around the library; no logic beyond parsing, dispatch and
 formatting.  Exit codes: 0 success, 1 validation violations, 2 usage or
-data errors.  Input arrays come inline (comma-separated), from a file
-(one value per line), or, when omitted, from a seeded generator
-(``--seed`` or the ``XBAR_SEED`` environment variable).
+data errors, 141 (128 + SIGPIPE) when the reader closes stdout early.
+Input arrays come inline (comma-separated), from a file (one value per
+line), or, when omitted, from a seeded generator (``--seed`` or the
+``XBAR_SEED`` environment variable).
 
 Each handler imports the layers it runs, so a command loads only what it
 uses.  ``build`` and ``validate`` load `array_builder` (which builds on
@@ -82,6 +83,12 @@ def _fanin(text: str):
 
 def _emit_json(doc) -> None:
     print(json.dumps(doc))
+
+
+def _digit_rows(bits) -> list[str]:
+    """Each 0/1 matrix row as its string of digits."""
+    digits = bytes.maketrans(b"\0\1", b"01")
+    return [bytes(row).translate(digits).decode() for row in bits]
 
 
 def _cmd_build(args) -> int:
@@ -170,22 +177,17 @@ def _cmd_sort(args) -> int:
     layout, values = trace.layout, trace.values
     order = sorted(range(layout.n), key=ranks.__getitem__)  # element indices in sorted order
     conflicts = pe_simulator.detect_write_conflicts(trace)
+    rows = _digit_rows(bits)
     if args.format == "json":
-        _emit_json({
-            "n": layout.n,
-            "slots": list(layout.slots),
-            "input": list(values),
-            "t": [list(row) for row in bits],
-            "ranks": list(ranks),
-            "order": order,
-            "phase_count": pe_simulator.phase_count(trace),
-            "conflicts": [
-                {"row": row, "col": col, "slots": list(slots)}
-                for row, col, slots in conflicts
-            ],
-        })
+        # The bytes of json.dumps(doc), with each matrix row written from its digits.
+        cells = [{"row": row, "col": col, "slots": slots} for row, col, slots in conflicts]
+        sys.stdout.write('{"n": %s, "slots": %s, "input": %s, "t": [%s], "ranks": %s, '
+                         '"order": %s, "phase_count": %s, "conflicts": %s}\n' % (
+            *map(json.dumps, (layout.n, layout.slots, values)),
+            ", ".join("[" + ", ".join(row) + "]" for row in rows),
+            *map(json.dumps, (ranks, order, pe_simulator.phase_count(trace), cells))))
     else:
-        sys.stdout.write("".join("".join(map(str, row)) + "\n" for row in bits))
+        sys.stdout.write("".join(row + "\n" for row in rows))
         print("R: " + " ".join(map(str, ranks)))
         print("sorted: " + " ".join(str(values[i]) for i in order))
         print(f"phases: {pe_simulator.phase_count(trace)}")
@@ -354,10 +356,15 @@ def main(argv=None) -> int:
     if args.command == "validate" and args.layout is None and args.n is None:
         parser.error("validate needs --n or --layout")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a reader that closed early shows up here, not at exit
+        return code
     except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # exit as SIGPIPE would; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

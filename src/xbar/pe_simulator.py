@@ -33,10 +33,9 @@ with k < i; row sums are therefore the ranks of a stable sort.
 
 import io
 import json
-from collections import Counter
 from functools import partial
 from itertools import chain, compress, count, islice, repeat
-from operator import add, eq, getitem, gt, lt, mul, not_
+from operator import eq, getitem, gt, lt, not_
 from typing import NamedTuple, Sequence
 
 from .array_builder import Layout
@@ -253,12 +252,14 @@ def load_phase(layout: Layout, values: Sequence[int]) -> SortTrace:
     """
     if len(values) != layout.n:
         raise ValueError(f"got {len(values)} values for {layout.n} classes")
-    for v in values:
-        if type(v) is not int:
-            raise ValueError(f"value {v!r} is a {type(v).__name__}, not an int")
-    for c in layout.slots:
-        if type(c) is not int or not 0 <= c < layout.n:
-            raise ValueError(f"class id {c!r} is not an int in 0..{layout.n - 1}")
+    if not (set(map(type, chain(values, layout.slots))) <= {int} and
+            0 <= min(layout.slots, default=0) and max(layout.slots, default=-1) < layout.n):
+        for v in values:  # walk to name the first offender
+            if type(v) is not int:
+                raise ValueError(f"value {v!r} is a {type(v).__name__}, not an int")
+        for c in layout.slots:
+            if type(c) is not int or not 0 <= c < layout.n:
+                raise ValueError(f"class id {c!r} is not an int in 0..{layout.n - 1}")
     return SortTrace(layout, tuple(values))
 
 
@@ -321,24 +322,26 @@ def detect_write_conflicts(trace: SortTrace) -> list[tuple[int, int, tuple[int, 
     equal count returns [] at once.  Layouts that cover every pair exactly
     once never conflict; even-n layouts produce exactly n/2 - 1 doubled
     cells, each written with the same value from both sides (benign).
-    Writers are listed in the order the trace commits them: the left
-    sub-phases before the right ones.
+    Otherwise one walk finds the doubled pairs; their writers are listed in the
+    order the trace commits them: the left sub-phases before the right ones.
     """
     bits, slots, n = trace.bits, trace.layout.slots, trace.layout.n
     if bits is None or sum(map(sum, bits)) == len(slots) - 1:
         return []
-    directions = _directions(slots)
-    # A pair's comparison sets one cell, so only pairs seen twice can conflict;
-    # pair small < big has the code small * n + big.
-    codes = [list(map(add, map(mul, smalls, repeat(n)), bigs)) for *_, smalls, bigs in directions]
-    seen = Counter(chain(*codes))
-    doubled = set(compress(seen, map(lt, repeat(1), seen.values())))
+    # Pair small < big marks small * n + big; two slots of one class mark the diagonal.
+    seen, doubled = bytearray(n * n), set()
+    for a, b in zip(slots, islice(slots, 1, None)):
+        key = a * n + b if a < b else b * n + a
+        if seen[key]:
+            doubled.update(((a, b), (b, a)))
+        seen[key] = 1
+    if any(seen[::n + 1]):
+        _reject_shared(slots)
+    points = compress(count(), map(doubled.__contains__, zip(slots, islice(slots, 1, None))))
     writers: dict[tuple[int, int], list[int]] = {}
-    for (small_slots, big_slots, smalls, bigs), direction_codes in zip(directions, codes):
-        for i in compress(count(), map(doubled.__contains__, direction_codes)):
-            small, big = smalls[i], bigs[i]
-            if bits[small][big]:
-                writers.setdefault((small, big), []).append(small_slots[i])
-            else:
-                writers.setdefault((big, small), []).append(big_slots[i])
+    # A left crosspoint has its greater class on the right; the left sub-phases commit first.
+    for s in sorted(points, key=lambda s: slots[s] > slots[s + 1]):
+        small, big = sorted(slots[s:s + 2])
+        row = small if bits[small][big] else big
+        writers.setdefault((row, small + big - row), []).append(s if slots[s] == row else s + 1)
     return sorted((row, col, tuple(slot_list)) for (row, col), slot_list in writers.items())

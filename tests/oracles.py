@@ -14,7 +14,7 @@ from functools import lru_cache, reduce
 from itertools import islice
 from math import gcd
 
-from xbar.array_builder import EXAMPLES, min_pe_count, replicate_lower_bound
+from xbar.array_builder import EXAMPLES, Layout, min_pe_count, replicate_lower_bound
 from xbar.netlist import NetBuilder, Netlist
 from xbar.pe_simulator import COLUMNS, TraceEvent
 from xbar.query_circuits import _encoder
@@ -108,6 +108,36 @@ def layout_reference(n):
         slots += [n - 1, 0]
         tags += ["odd-tail", "odd-tail"]
     return tuple(slots), tuple(tags)
+
+
+def euler_layout(n, rng):
+    """A minimal layout from a random Euler trail over the complete graph K_n (Hierholzer).
+
+    Every class of K_n has degree n - 1.  For odd n that is even, so a closed
+    trail covers each pair once in n(n-1)/2 crosspoints.  For even n every
+    degree is odd; n/2 - 1 added edges pair up all classes but two, which
+    become the trail's ends, and the added pairs are the doubled ones.  Both
+    counts are the Chinese postman bound, min_pe_count(n) - 1 crosspoints.
+    """
+    ends = list(range(n))
+    rng.shuffle(ends)
+    adjacent = {a: [b for b in range(n) if b != a] for a in range(n)}
+    if n % 2 == 0:
+        for a, b in zip(ends[2::2], ends[3::2]):
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+    for neighbours in adjacent.values():
+        rng.shuffle(neighbours)
+    stack, trail = [ends[0]], []
+    while stack:
+        a = stack[-1]
+        if adjacent[a]:
+            b = adjacent[a].pop()
+            adjacent[b].remove(a)
+            stack.append(b)
+        else:
+            trail.append(stack.pop())
+    return Layout(n, tuple(reversed(trail)))
 
 
 # Per direction: whether the greater class sits right, the exchange and reply

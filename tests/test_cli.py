@@ -187,6 +187,30 @@ def test_sort_input_file(tmp_path, capsys):
     assert json.loads(out)["ranks"] == [3, 1, 4, 0, 2]
 
 
+def test_sort_inline_input_starting_negative_needs_equals(capsys):
+    # argparse takes "-5,3" after a space for an option; "--input=-5,3" binds it.
+    code, out = run(capsys, "sort", "--n", "2", "--input=-5,3", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["input"] == [-5, 3] and doc["ranks"] == [0, 1]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_sort_reader_closing_stdout_early_exits_141_quietly(fmt):
+    # Unbuffered stdout hands one large write to the OS once, and a pipe closed
+    # mid-write cuts it short without an error, so the child gets the default
+    # buffered stdout, which retries and raises.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    argv = [sys.executable, "-m", "xbar.cli", "sort", "--n", "256", "--format", fmt]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_sort_bad_input_file(tmp_path, capsys):
     path = tmp_path / "vals.txt"
     path.write_text("8\nnope\n")

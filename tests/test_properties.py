@@ -16,14 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xbar import query_circuits
-from xbar.array_builder import Layout, build, validate
+from xbar.array_builder import Layout, build, min_pe_count, validate
 from xbar.cli import main
 from xbar.netlist import depth, evaluate, legalize, series_depth
 from xbar.pe_simulator import TraceEvent, compare_phase, detect_write_conflicts, load_phase, sort
 
 from oracles import (build_max_circuit, build_min_circuit, build_rank_circuit_threshold,
-                     csv_reference, evaluate_reference, events_reference, jsonl_reference,
-                     oracle_ranks, twrite_conflicts, validate_reference)
+                     csv_reference, euler_layout, evaluate_reference, events_reference,
+                     jsonl_reference, oracle_ranks, twrite_conflicts, validate_reference)
 
 # Negatives, duplicates (small range) and values well past 2**64.
 keys = st.one_of(
@@ -85,6 +85,19 @@ def test_conflicts_match_twrite_scan(values):
 
 tied_lists = st.integers(min_value=2, max_value=24).flatmap(
     lambda n: st.lists(keys, min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_lists, st.randoms(use_true_random=False))
+def test_euler_layouts_validate_sort_and_match_twrite_scan(values, rng):
+    # A random Euler trail over K_n: its doubled pairs (even n) sit at random
+    # places, where `build(n)` always doubles the same ones.
+    layout = euler_layout(len(values), rng)
+    assert validate(layout).ok
+    assert len(layout.slots) == min_pe_count(layout.n)
+    _, ranks, trace = sort(layout, values)
+    assert list(ranks) == oracle_ranks(values)
+    assert detect_write_conflicts(trace) == twrite_conflicts(trace)
 
 
 @settings(max_examples=50, deadline=None)
@@ -224,6 +237,41 @@ def test_csv_rows_match_jsonl_objects(values):
     for row, obj in zip(rows, objects):
         assert list(obj) == [k for k in header if k in obj]
         assert row == [str(obj.get(k, "")) for k in header]
+
+
+def _cli_stdout(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=40).flatmap(
+    lambda n: st.lists(keys, min_size=n, max_size=n)))
+def test_sort_stdout_matches_json_dumps_of_reference_doc(values):
+    n = len(values)
+    layout = build(n)
+    _, _, trace = sort(layout, values)
+    # The matrix from its definition: row i holds a 1 for every k that sorts before i.
+    t = [[int(values[k] < values[i] or (values[k] == values[i] and k < i)) for k in range(n)]
+         for i in range(n)]
+    doc = {
+        "n": n,
+        "slots": list(layout.slots),
+        "input": values,
+        "t": t,
+        "ranks": oracle_ranks(values),
+        "order": sorted(range(n), key=lambda i: (values[i], i)),
+        "phase_count": 7,
+        "conflicts": [{"row": row, "col": col, "slots": list(slots)}
+                      for row, col, slots in twrite_conflicts(trace)],
+    }
+    # "--input=" binds a list that starts with a negative value.
+    argv = ("sort", "--n", str(n), "--input=" + ",".join(map(str, values)))
+    assert _cli_stdout(*argv, "--format", "json") == json.dumps(doc) + "\n"
+    grid = _cli_stdout(*argv).splitlines()[:n]
+    assert grid == ["".join(map(str, row)) for row in t]
 
 
 STAGES = {
