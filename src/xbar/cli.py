@@ -362,7 +362,9 @@ def main(argv=None) -> int:
     except (DataError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:  # exit as SIGPIPE would; the flush at exit goes to devnull
+    except BrokenPipeError:
+        # Assumes the pipe is stdout, the only unguarded writer (trace file errors
+        # are DataError). Exit as SIGPIPE would; fd 1 to devnull so exit's flush can't raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
 

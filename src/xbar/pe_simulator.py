@@ -252,14 +252,12 @@ def load_phase(layout: Layout, values: Sequence[int]) -> SortTrace:
     """
     if len(values) != layout.n:
         raise ValueError(f"got {len(values)} values for {layout.n} classes")
-    if not (set(map(type, chain(values, layout.slots))) <= {int} and
-            0 <= min(layout.slots, default=0) and max(layout.slots, default=-1) < layout.n):
-        for v in values:  # walk to name the first offender
-            if type(v) is not int:
-                raise ValueError(f"value {v!r} is a {type(v).__name__}, not an int")
-        for c in layout.slots:
-            if type(c) is not int or not 0 <= c < layout.n:
-                raise ValueError(f"class id {c!r} is not an int in 0..{layout.n - 1}")
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"value {v!r} is a {type(v).__name__}, not an int")
+    for c in layout.slots:
+        if type(c) is not int or not 0 <= c < layout.n:
+            raise ValueError(f"class id {c!r} is not an int in 0..{layout.n - 1}")
     return SortTrace(layout, tuple(values))
 
 

@@ -195,20 +195,34 @@ def test_sort_inline_input_starting_negative_needs_equals(capsys):
     assert doc["input"] == [-5, 3] and doc["ranks"] == [0, 1]
 
 
-@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-def test_sort_reader_closing_stdout_early_exits_141_quietly(fmt):
-    # Unbuffered stdout hands one large write to the OS once, and a pipe closed
-    # mid-write cuts it short without an error, so the child gets the default
-    # buffered stdout, which retries and raises.
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+def _close_after_10_bytes(fmt, unbuffered):
+    """Run `xbar sort --n 512`, read 10 bytes, close the pipe; (exit code, stderr)."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONUNBUFFERED", "XBAR_SEED")}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    argv = [sys.executable, "-m", "xbar.cli", "sort", "--n", "256", "--format", fmt]
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # Every format prints far more than a pipe holds at n=512 (the text grid
+    # alone is 262,656 bytes), so the child is still writing when the pipe closes.
+    argv = [sys.executable, "-m", "xbar.cli", "sort", "--n", "512", "--seed", "0",
+            "--format", fmt]
     proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
     err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
-    assert err == b""
+    return proc.wait(timeout=60), err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_sort_reader_closing_stdout_early_exits_141_quietly(fmt):
+    assert _close_after_10_bytes(fmt, unbuffered=False) == (141, b"")
+
+
+@pytest.mark.xfail(reason="unbuffered stdout hands the whole document to one os.write; a "
+                          "pipe closed mid-write cuts it short without an error, so the "
+                          "child exits 0", strict=False)
+def test_sort_reader_closing_unbuffered_stdout_early_exits_141():
+    assert _close_after_10_bytes("json", unbuffered=True) == (141, b"")
 
 
 def test_sort_bad_input_file(tmp_path, capsys):
