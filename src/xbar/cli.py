@@ -10,13 +10,13 @@ line), or, when omitted, from a seeded generator (``--seed`` or the
 Each handler imports the layers it runs, so a command loads only what it
 uses.  ``build`` and ``validate`` load `array_builder` (which builds on
 `cyclic_perm`); ``sort`` adds `pe_simulator`; ``rank``, ``min`` and
-``max`` add `query_circuits` and its `netlist` to that; ``search`` loads
-`array_builder` and `query_circuits`; ``depth`` loads `query_circuits`
-and `netlist` only; ``perm`` loads `cyclic_perm` only; ``--help`` loads
-no other layer.
+``max`` add `query_circuits` and its `netlist` to that; ``search`` and
+``depth`` load `query_circuits` and `netlist` only; ``perm`` loads
+`cyclic_perm` only; ``--help`` loads no other layer.
 """
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -171,7 +171,7 @@ def _cmd_sort(args) -> int:
     if args.trace:
         _write_trace(trace, args.trace, sys.stdout.write if args.format == "csv" else None)
     elif args.format == "csv":
-        trace.write_csv(sys.stdout)
+        trace.write(csv=sys.stdout.write)
     if args.format == "csv":
         return 0
     layout, values = trace.layout, trace.values
@@ -203,10 +203,9 @@ def _cmd_index(args) -> int:
     from . import query_circuits
 
     if args.command == "search":
-        from . import array_builder
-
-        layout = array_builder.build(args.n)
-        index = query_circuits.search(layout, _input_values(args, args.n), args.key)
+        if args.n < 2:
+            raise DataError(f"need at least 2 classes, got n={args.n}")
+        index = query_circuits.search(_input_values(args, args.n), args.key)
     elif args.command == "rank":
         index = query_circuits.select_rank(_run_sort(args)[0], args.r)
     else:
@@ -286,9 +285,8 @@ def _cmd_perm(args) -> int:
     return 0
 
 
-def _add_common(sub, *, n=True, values=False, formats=("text", "json", "csv")):
-    if n:
-        sub.add_argument("--n", type=int, required=True, help="number of classes")
+def _add_common(sub, *, values=False, formats=("text", "json", "csv")):
+    sub.add_argument("--n", type=int, required=True, help="number of classes")
     if values:
         sub.add_argument("--input", help="comma-separated values or a file, one value per line")
         sub.add_argument("--seed", type=int, default=None,
@@ -355,6 +353,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "validate" and args.layout is None and args.n is None:
         parser.error("validate needs --n or --layout")
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        # Unbuffered stdout (python -u, PYTHONUNBUFFERED) drops the rest of a short
+        # write without an error; a BufferedWriter retries it, so a closed pipe raises.
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(out.buffer), out.encoding, out.errors,
+                                      line_buffering=out.line_buffering)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a reader that closed early shows up here, not at exit

@@ -20,22 +20,23 @@ making it, `compare_phase` setting the matrix `bits` and `rank_phase` the
 row-sum `ranks`.  Its events are derived on demand from those fields,
 one block of event groups per phase: a group per class, slot or
 crosspoint.  The crosspoints are split by direction in C-level passes
-over the slots.  `write` streams a block to each sink, JSON lines or CSV, by
-repeating the sink's line template and filling a chunk of groups with one
-`%` over a flat int tuple, taken once for all sinks; each chunk goes to its
-sink as soon as it is made.  `write_jsonl` and `write_csv` stream to a file,
-and `to_jsonl` and `to_csv` collect the same text as one str.  The lines
-equal `json.dumps` and `csv.writer` output, as every payload is an exact int.
+over the slots.  A block has one set of int columns and one form per
+group shape; a reply block has two forms, as the small class loses or
+wins, and picks one per crosspoint.  `write` is the one way to the text:
+it streams each block to each sink, JSON lines or CSV, by repeating the
+sink's line template and filling a chunk of groups with one `%` over a
+flat int tuple, taken once for all sinks; each chunk goes to its sink as
+soon as it is made.  The lines equal `json.dumps` and `csv.writer`
+output, as every payload is an exact int.
 
 The final matrix satisfies bits[i][k] = 1 iff A[k] < A[i], or A[k] == A[i]
 with k < i; row sums are therefore the ranks of a stable sort.
 """
 
-import io
 import json
 from functools import partial
 from itertools import chain, compress, count, islice, repeat
-from operator import eq, getitem, gt, lt, not_
+from operator import eq, getitem, gt, lt
 from typing import NamedTuple, Sequence
 
 from .array_builder import Layout
@@ -94,80 +95,65 @@ class SortTrace(NamedTuple):
         return tuple(TracePhase(name, tuple(evs)) for name, evs in by_name.items())
 
     def _blocks(self):
-        """Yield (phase, picks, variants) per block of one phase's groups, in trace order.
+        """Yield (phase, forms, picks, cols) per block of one phase's groups, in trace order.
 
-        A group is one class (clear, rank), slot (load) or crosspoint.  Each variant is
-        a form and its columns: the form's `...` fields take, line by line, one int per
-        column, a column holding one int per group of that variant.  `picks` is None for
-        a block of one variant; otherwise it gives each group's variant, in trace order.
+        A group is one class (clear, rank), slot (load) or crosspoint.  Group g renders
+        through forms[picks[g]]; `picks` is None for a block of one form.  A form's `...`
+        fields take, line by line, one int per column, and each column holds one int
+        per group.
         """
         slots, vals, bits = self.layout.slots, self.values, self.bits
         first = dict(zip(reversed(slots), range(len(slots) - 1, -1, -1)))
         classes = sorted(first)
-        yield "clear", None, ((_CLEAR, (list(map(first.__getitem__, classes)), classes)),)
-        yield "load", None, ((_LOAD, (range(len(slots)), list(map(vals.__getitem__, slots)),
-                                      slots)),)
+        yield "clear", (_CLEAR,), None, (list(map(first.__getitem__, classes)), classes)
+        yield "load", (_LOAD,), None, (range(len(slots)), list(map(vals.__getitem__, slots)),
+                                       slots)
         if bits is None:
             return
         for (exchange, reply, send, lose, win), (small_slots, big_slots, smalls, bigs) in zip(
                 _DIRECTIONS, _directions(slots)):
             sent = list(map(vals.__getitem__, bigs))
-            yield exchange, None, ((send, (big_slots, sent, small_slots, sent)),)
-            # bits[small][big] is set when small won: its slot writes and replies 0.
+            yield exchange, (send,), None, (big_slots, sent, small_slots, sent)
+            # bits[small][big] is set when small won: its slot writes and replies 0.  After
+            # the small slots, each column takes the lose form's int or the win form's, by `won`.
             won = list(map(getitem, map(bits.__getitem__, smalls), bigs))
-            lost = list(map(not_, won))
-            ss, bs, sm, bg = ([list(compress(c, m)) for m in (lost, won)]
-                              for c in (small_slots, big_slots, smalls, bigs))
-            yield reply, won, ((lose, (ss[0], bs[0], bs[0], bg[0], sm[0])),
-                               (win, (ss[1], sm[1], bg[1], ss[1], bs[1])))
+            yield reply, (lose, win), won, (small_slots, *(
+                list(map(getitem, zip(if_lost, if_won), won)) for if_lost, if_won in (
+                    (big_slots, smalls), (big_slots, bigs), (bigs, small_slots),
+                    (smalls, big_slots))))
         if self.ranks:
             ids = range(len(self.ranks))
-            yield "rank", None, ((_RANK, (list(map(first.__getitem__, ids)), self.ranks, ids)),)
+            yield "rank", (_RANK,), None, (list(map(first.__getitem__, ids)), self.ranks, ids)
 
     def events(self):
         """Yield (phase name, event) for every event of the stages run, in order."""
-        for phase, picks, variants in self._blocks():
-            groups = _merge(tuple(_filled(form, cols) for form, cols in variants), picks)
+        for phase, forms, picks, cols in self._blocks():
+            groups = map(getitem, zip(*(_filled(f, cols) for f in forms)), picks or repeat(0))
             yield from zip(repeat(phase), chain.from_iterable(groups))
 
     def write(self, jsonl=None, csv=None) -> None:
         """Stream the trace as JSON lines to `jsonl` and as CSV to `csv`, in one walk.
 
-        Each sink given is a callable taking str.  Every block's groups go through the
-        sink's line templates _CHUNK at a time: each chunk's ints are taken once, then
-        filled into each sink's templates with one `%` and handed to it at once.
+        Each sink given is a callable taking str.  A JSON line is one object over
+        COLUMNS that leaves out absent payload keys; the CSV is a COLUMNS header, then
+        one row per event with absent payload fields empty.  Every block's groups go
+        through the sink's line templates _CHUNK at a time: each chunk's ints are taken
+        once, then filled into each sink's templates with one `%` and handed to it at once.
         """
         if csv is not None:
             csv(",".join(COLUMNS) + "\r\n")
         sinks = [(line, sink) for line, sink in ((_jsonl_line, jsonl), (_csv_line, csv))
                  if sink is not None]
-        for phase, picks, variants in self._blocks():
+        for phase, forms, picks, cols in self._blocks():
             fills = []
             for line, sink in sinks:
-                forms = tuple("".join(line(phase, ev) for ev in form) for form, _ in variants)
-                fills.append((repeat(forms[0]) if picks is None else
-                              map(forms.__getitem__, picks), sink))
-            ints = chain.from_iterable(_merge(tuple(zip(*cols) for _, cols in variants), picks))
-            width = len(variants[0][1])  # ints per group, the same for every variant
+                texts = tuple("".join(line(phase, ev) for ev in form) for form in forms)
+                fills.append((repeat(texts[0]) if picks is None else
+                              map(texts.__getitem__, picks), sink))
+            ints, width = chain.from_iterable(zip(*cols)), len(cols)
             while chunk := tuple(islice(ints, _CHUNK * width)):
                 for templates, sink in fills:
                     sink("".join(islice(templates, len(chunk) // width)) % chunk)
-
-    def write_jsonl(self, fh) -> None:
-        """One JSON object per event over COLUMNS, leaving out absent payload keys."""
-        self.write(jsonl=fh.write)
-
-    def write_csv(self, fh) -> None:
-        """A COLUMNS header, then one row per event; absent payload fields are empty."""
-        self.write(csv=fh.write)
-
-    def to_jsonl(self) -> str:
-        """`write_jsonl`'s text as one str."""
-        return _collect(self.write_jsonl)
-
-    def to_csv(self) -> str:
-        """`write_csv`'s text as one str."""
-        return _collect(self.write_csv)
 
 
 def _jsonl_line(phase, ev) -> str:
@@ -178,13 +164,6 @@ def _jsonl_line(phase, ev) -> str:
 def _csv_line(phase, ev) -> str:
     return ",".join("" if v is None else "%d" if v is ... else str(v)
                     for v in (phase, *ev)) + "\r\n"
-
-
-def _collect(write_to) -> str:
-    """The text that write_to(fh) writes, as one str."""
-    buf = io.StringIO()
-    write_to(buf)
-    return buf.getvalue()
 
 
 # A form is a group's lines, each a TraceEvent whose `...` fields the group's ints
@@ -216,11 +195,6 @@ def _filled(form, cols):
     cols = iter(cols)
     return zip(*(map(_event, zip(*(next(cols) if f is ... else repeat(f) for f in line)))
                  for line in form))
-
-
-def _merge(streams, picks):
-    """Per group, the next item of the stream it picks; a lone stream needs no picks."""
-    return streams[0] if picks is None else map(next, map(streams.__getitem__, picks))
 
 
 def _reject_shared(slots: Sequence[int]) -> None:

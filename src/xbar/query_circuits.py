@@ -37,10 +37,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .netlist import DepthReport, NetBuilder, Netlist, depth, evaluate
 
-if TYPE_CHECKING:  # annotations only, so `xbar depth` loads no layout or permutation code
+if TYPE_CHECKING:  # annotations only; the one function that makes a Fraction imports it
     from fractions import Fraction
-
-    from .array_builder import Layout
 
 # Per-adder depth margin of the carry-prefix cell structure, measured once
 # on the built popcount trees: depth(tree for n inputs) never exceeds
@@ -296,7 +294,7 @@ def rank_at_least_probabilistic(
     return verdict, miss
 
 
-def search(layout: "Layout", values: Sequence[int], key) -> int | None:
+def search(values: Sequence[int], key) -> int | None:
     """Find the smallest class index whose element equals `key`.
 
     One replicate per class suffices: each designated slot tests its
@@ -304,10 +302,8 @@ def search(layout: "Layout", values: Sequence[int], key) -> int | None:
     feeds the priority encoder.  Returns None when the key is absent
     (the encoder's valid wire stays low).
     """
-    if len(values) != layout.n:
-        raise ValueError(f"got {len(values)} values for {layout.n} classes")
-    matches = [1 if values[i] == key else 0 for i in range(layout.n)]
-    net = build_priority_encoder(layout.n)
+    matches = [1 if v == key else 0 for v in values]
+    net = build_priority_encoder(len(values))
     out = evaluate(net, row_assignments(matches, "m"))
     return decode_bits(out) if out["valid"] else None
 

@@ -213,6 +213,13 @@ def twrite_conflicts(trace):
     ]
 
 
+def written(trace, sink):
+    """The text `trace.write` hands its `sink` ("jsonl" or "csv"), joined into one str."""
+    pieces = []
+    trace.write(**{sink: pieces.append})
+    return "".join(pieces)
+
+
 def jsonl_reference(trace):
     """The trace as JSON lines: one `json.dumps` of a dict per event."""
     return "\n".join(

@@ -41,8 +41,7 @@ def test_cli_import_skips_dataclasses_and_fractions():
     (["sort", "--n", "5"], ["array_builder", "cyclic_perm", "pe_simulator"]),
     (["rank", "--n", "5", "--r", "1"],
      ["array_builder", "cyclic_perm", "netlist", "pe_simulator", "query_circuits"]),
-    (["search", "--n", "5", "--key", "3"],
-     ["array_builder", "cyclic_perm", "netlist", "query_circuits"]),
+    (["search", "--n", "5", "--key", "3"], ["netlist", "query_circuits"]),
     (["depth", "--circuit", "adder-tree", "--n", "8", "--fanin", "2"],
      ["netlist", "query_circuits"]),
 ])
@@ -195,34 +194,38 @@ def test_sort_inline_input_starting_negative_needs_equals(capsys):
     assert doc["input"] == [-5, 3] and doc["ranks"] == [0, 1]
 
 
-def _close_after_10_bytes(fmt, unbuffered):
-    """Run `xbar sort --n 512`, read 10 bytes, close the pipe; (exit code, stderr)."""
+def _close_after_10_bytes(argv, unbuffered):
+    """Run `xbar *argv`, read 10 bytes, close the pipe; (exit code, stderr)."""
     env = {key: value for key, value in os.environ.items()
            if key not in ("PYTHONUNBUFFERED", "XBAR_SEED")}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    # Every format prints far more than a pipe holds at n=512 (the text grid
-    # alone is 262,656 bytes), so the child is still writing when the pipe closes.
-    argv = [sys.executable, "-m", "xbar.cli", "sort", "--n", "512", "--seed", "0",
-            "--format", fmt]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen([sys.executable, "-m", "xbar.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
     err = proc.stderr.read()
     return proc.wait(timeout=60), err
 
 
+# Every case prints far more than a pipe holds at n=512 (the sort's text grid
+# alone is 262,656 bytes), so the child is still writing when the pipe closes.
+def _sort_512(fmt):
+    return ["sort", "--n", "512", "--seed", "0", "--format", fmt]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_sort_reader_closing_stdout_early_exits_141_quietly(fmt):
-    assert _close_after_10_bytes(fmt, unbuffered=False) == (141, b"")
+    assert _close_after_10_bytes(_sort_512(fmt), unbuffered=False) == (141, b"")
 
 
-@pytest.mark.xfail(reason="unbuffered stdout hands the whole document to one os.write; a "
-                          "pipe closed mid-write cuts it short without an error, so the "
-                          "child exits 0", strict=False)
-def test_sort_reader_closing_unbuffered_stdout_early_exits_141():
-    assert _close_after_10_bytes("json", unbuffered=True) == (141, b"")
+# Unbuffered stdout hands a whole document to one os.write; the CLI buffers it
+# again so that a pipe closed mid-write raises instead of cutting it short.
+@pytest.mark.parametrize("argv", [_sort_512("json"), ["build", "--n", "512", "--format", "csv"]],
+                         ids=["sort-json", "build-csv"])
+def test_sort_reader_closing_unbuffered_stdout_early_exits_141(argv):
+    assert _close_after_10_bytes(argv, unbuffered=True) == (141, b"")
 
 
 def test_sort_bad_input_file(tmp_path, capsys):

@@ -9,7 +9,6 @@ agrees.
 import contextlib
 import hashlib
 import io
-from types import SimpleNamespace
 
 import pytest
 
@@ -25,7 +24,7 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# values -> (conflict count, sha256 of to_jsonl(), sha256 of to_csv())
+# values -> (conflict count, sha256 of the JSON-lines trace, sha256 of the CSV trace)
 TRACE_DIGESTS = [
     ([6, 7, 8, 5], 1,
      "1da51491b96fffa4c9970c31e37091833c2e06f5bc3788f78c04274b605a8775",
@@ -47,8 +46,8 @@ TRACE_DIGESTS = [
 def test_trace_bytes(values, conflicts, jsonl, csv):
     _, _, trace = sort(build(len(values)), values)
     assert len(detect_write_conflicts(trace)) == conflicts
-    assert _sha(trace.to_jsonl()) == jsonl
-    assert _sha(trace.to_csv()) == csv
+    assert _sha(oracles.written(trace, "jsonl")) == jsonl
+    assert _sha(oracles.written(trace, "csv")) == csv
 
 
 # `xbar build --n n --format f` -> sha256 of its stdout.
@@ -134,11 +133,11 @@ def test_sort_csv_and_trace_file_bytes(tmp_path, args, outputs):
 
 def test_writers_stream_chunks():
     _, _, trace = sort(build(64), list(range(64, 0, -1)))
-    for write, to_text in ((trace.write_jsonl, trace.to_jsonl), (trace.write_csv, trace.to_csv)):
+    for sink, reference in (("jsonl", oracles.jsonl_reference), ("csv", oracles.csv_reference)):
         pieces = []
-        write(SimpleNamespace(write=pieces.append))
+        trace.write(**{sink: pieces.append})
         assert len(pieces) > 1
-        assert "".join(pieces) == to_text()
+        assert "".join(pieces) == reference(trace)
 
 
 # `xbar perm --n n [--j j] --format f` -> sha256 of its stdout; j None lists the Q partition.

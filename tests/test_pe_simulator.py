@@ -15,7 +15,7 @@ from xbar.pe_simulator import (
     sort,
 )
 
-from oracles import oracle_ranks, twrite_conflicts
+from oracles import oracle_ranks, twrite_conflicts, written
 
 T4 = ((0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0))
 R4 = (1, 2, 3, 0)
@@ -206,9 +206,9 @@ def test_compare_rejects_same_class_adjacency():
 
 @pytest.mark.parametrize(
     "consumer",
-    [compare_phase, detect_write_conflicts, SortTrace.to_jsonl, SortTrace.to_csv,
-     lambda trace: list(trace.events())],
-    ids=["compare_phase", "detect_write_conflicts", "to_jsonl", "to_csv", "events"])
+    [compare_phase, detect_write_conflicts, lambda trace: written(trace, "jsonl"),
+     lambda trace: written(trace, "csv"), lambda trace: list(trace.events())],
+    ids=["compare_phase", "detect_write_conflicts", "write_jsonl", "write_csv", "events"])
 def test_same_class_adjacency_names_its_first_crosspoint(consumer):
     # Slots 2,3 (class 2) and 4,5 (class 1) each join two slots of one class.
     layout = Layout(3, (1, 0, 2, 2, 1, 1, 0))
@@ -220,11 +220,11 @@ def test_same_class_adjacency_names_its_first_crosspoint(consumer):
 
 def test_trace_serializations():
     _, _, trace = sort(build(4), [6, 7, 8, 5])
-    lines = trace.to_jsonl().strip().splitlines()
+    lines = written(trace, "jsonl").strip().splitlines()
     docs = [json.loads(line) for line in lines]
     assert {d["phase"] for d in docs} == set(PHASE_NAMES)
     assert all({"phase", "slot", "action"} <= d.keys() for d in docs)
-    csv_text = trace.to_csv()
+    csv_text = written(trace, "csv")
     header, *rows = csv_text.strip().splitlines()
     assert header == "phase,slot,action,value,row,col"
     assert len(rows) == len(docs)

@@ -23,7 +23,8 @@ from xbar.pe_simulator import TraceEvent, compare_phase, detect_write_conflicts,
 
 from oracles import (build_max_circuit, build_min_circuit, build_rank_circuit_threshold,
                      csv_reference, euler_layout, evaluate_reference, events_reference,
-                     jsonl_reference, oracle_ranks, twrite_conflicts, validate_reference)
+                     jsonl_reference, oracle_ranks, twrite_conflicts, validate_reference,
+                     written)
 
 # Negatives, duplicates (small range) and values well past 2**64.
 keys = st.one_of(
@@ -230,8 +231,8 @@ def test_built_layouts_round_trip_through_validate(tmp_path):
 @given(int_lists)
 def test_csv_rows_match_jsonl_objects(values):
     _, _, trace = sort(build(len(values)), values)
-    header, *rows = csv.reader(io.StringIO(trace.to_csv()))
-    objects = [json.loads(line) for line in trace.to_jsonl().splitlines()]
+    header, *rows = csv.reader(io.StringIO(written(trace, "csv")))
+    objects = [json.loads(line) for line in written(trace, "jsonl").splitlines()]
     assert header == ["phase", "slot", "action", "value", "row", "col"]
     assert len(rows) == len(objects)
     for row, obj in zip(rows, objects):
@@ -288,7 +289,7 @@ def test_jsonl_templates_match_json_dumps(stage, values):
     # Each stage adds phases, so together they reach every template key.
     trace = STAGES[stage](build(len(values)), values)
     # Bytes, not str: pytest's str diff of a long mismatch is slow to build.
-    assert trace.to_jsonl().encode() == jsonl_reference(trace).encode()
+    assert written(trace, "jsonl").encode() == jsonl_reference(trace).encode()
 
 
 @settings(max_examples=100, deadline=None)
@@ -310,7 +311,16 @@ def test_events_match_per_event_reference(stage, values):
 @with_fixed_values("sort")
 def test_csv_templates_match_csv_writer(stage, values):
     trace = STAGES[stage](build(len(values)), values)
-    assert trace.to_csv().encode() == csv_reference(trace).encode()
+    assert written(trace, "csv").encode() == csv_reference(trace).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(STAGES)), int_lists)
+def test_one_walk_to_both_sinks_matches_two_single_sink_walks(stage, values):
+    trace = STAGES[stage](build(len(values)), values)
+    jsonl, csv_text = [], []
+    trace.write(jsonl=jsonl.append, csv=csv_text.append)
+    assert ("".join(jsonl), "".join(csv_text)) == (written(trace, "jsonl"), written(trace, "csv"))
 
 
 json_values = st.recursive(
