@@ -149,7 +149,9 @@ def _run_sort(args):
 def _write_trace(trace, path: str, csv=None) -> None:
     """Stream the trace as JSON lines to the file `path`, and to the `csv` sink in the same walk.
 
-    An OSError from the file, on open, write or close, becomes a DataError.
+    The file is opened in binary, so the trace's bytes go to disk as made, the same
+    on every platform.  An OSError from the file, on open, write or close, becomes a
+    DataError.
     """
     def guarded(call, *args):
         try:
@@ -157,9 +159,9 @@ def _write_trace(trace, path: str, csv=None) -> None:
         except OSError as exc:
             raise DataError(f"cannot write trace to {path}: {exc}") from None
 
-    fh = guarded(open, path, "w")
+    fh = guarded(open, path, "wb")
     try:
-        trace.write(jsonl=lambda text: guarded(fh.write, text), csv=csv)
+        trace.write(jsonl=lambda chunk: guarded(fh.write, chunk), csv=csv)
     finally:
         guarded(fh.close)
 
@@ -168,11 +170,13 @@ def _cmd_sort(args) -> int:
     from . import pe_simulator
 
     bits, ranks, trace = _run_sort(args)
+    # The CSV goes to stdout as text: it may be a StringIO, as when run in process.
+    csv = (lambda chunk: sys.stdout.write(chunk.decode())) if args.format == "csv" else None
     if args.trace:
-        _write_trace(trace, args.trace, sys.stdout.write if args.format == "csv" else None)
-    elif args.format == "csv":
-        trace.write(csv=sys.stdout.write)
-    if args.format == "csv":
+        _write_trace(trace, args.trace, csv)
+    elif csv:
+        trace.write(csv=csv)
+    if csv:
         return 0
     layout, values = trace.layout, trace.values
     order = sorted(range(layout.n), key=ranks.__getitem__)  # element indices in sorted order

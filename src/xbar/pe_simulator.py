@@ -26,8 +26,11 @@ wins, and picks one per crosspoint.  `write` is the one way to the text:
 it streams each block to each sink, JSON lines or CSV, by repeating the
 sink's line template and filling a chunk of groups with one `%` over a
 flat int tuple, taken once for all sinks; each chunk goes to its sink as
-soon as it is made.  The lines equal `json.dumps` and `csv.writer`
-output, as every payload is an exact int.
+soon as it is made.  The templates are bytes, so the sinks take bytes: a
+`%` over ASCII bytes is cheaper than one over str, and a binary file
+takes the chunks as they are, with no text layer to encode them again.
+The lines equal `json.dumps` and `csv.writer` output, encoded as ASCII,
+as every payload is an exact int.
 
 The final matrix satisfies bits[i][k] = 1 iff A[k] < A[i], or A[k] == A[i]
 with k < i; row sums are therefore the ranks of a stable sort.
@@ -134,26 +137,28 @@ class SortTrace(NamedTuple):
     def write(self, jsonl=None, csv=None) -> None:
         """Stream the trace as JSON lines to `jsonl` and as CSV to `csv`, in one walk.
 
-        Each sink given is a callable taking str.  A JSON line is one object over
-        COLUMNS that leaves out absent payload keys; the CSV is a COLUMNS header, then
-        one row per event with absent payload fields empty.  Every block's groups go
-        through the sink's line templates _CHUNK at a time: each chunk's ints are taken
-        once, then filled into each sink's templates with one `%` and handed to it at once.
+        Each sink given is a callable taking bytes, all of them ASCII: a binary file's
+        `write` takes them as made, and a text stream's takes them decoded.  A JSON line
+        is one object over COLUMNS that leaves out absent payload keys; the CSV is a
+        COLUMNS header, then one row per event with absent payload fields empty.  Every
+        block's groups go through the sink's line templates, encoded once per block,
+        _CHUNK at a time: each chunk's ints are taken once, then filled into each sink's
+        templates with one bytes `%` and handed to it at once.
         """
         if csv is not None:
-            csv(",".join(COLUMNS) + "\r\n")
+            csv(",".join(COLUMNS).encode() + b"\r\n")
         sinks = [(line, sink) for line, sink in ((_jsonl_line, jsonl), (_csv_line, csv))
                  if sink is not None]
         for phase, forms, picks, cols in self._blocks():
             fills = []
             for line, sink in sinks:
-                texts = tuple("".join(line(phase, ev) for ev in form) for form in forms)
+                texts = tuple("".join(line(phase, ev) for ev in form).encode() for form in forms)
                 fills.append((repeat(texts[0]) if picks is None else
                               map(texts.__getitem__, picks), sink))
             ints, width = chain.from_iterable(zip(*cols)), len(cols)
             while chunk := tuple(islice(ints, _CHUNK * width)):
                 for templates, sink in fills:
-                    sink("".join(islice(templates, len(chunk) // width)) % chunk)
+                    sink(b"".join(islice(templates, len(chunk) // width)) % chunk)
 
 
 def _jsonl_line(phase, ev) -> str:

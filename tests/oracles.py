@@ -214,10 +214,14 @@ def twrite_conflicts(trace):
 
 
 def written(trace, sink):
-    """The text `trace.write` hands its `sink` ("jsonl" or "csv"), joined into one str."""
+    """The bytes `trace.write` hands its `sink` ("jsonl" or "csv"), joined and read as ASCII.
+
+    Every piece must be bytes, and a byte outside ASCII raises UnicodeDecodeError.
+    """
     pieces = []
     trace.write(**{sink: pieces.append})
-    return "".join(pieces)
+    assert {type(piece) for piece in pieces} == {bytes}, {type(piece) for piece in pieces}
+    return b"".join(pieces).decode("ascii")
 
 
 def jsonl_reference(trace):

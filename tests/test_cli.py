@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from xbar import pe_simulator
+from xbar import cli, pe_simulator
+from xbar.array_builder import build
 from xbar.cli import main
 from xbar.pe_simulator import SortTrace
 
@@ -170,6 +173,33 @@ def test_sort_csv_walks_the_trace_once_without_a_conflict_scan(tmp_path, capsys,
     assert code == 0
     assert calls == ["walk"]
     assert out.count("\r\n") == path.read_text().count("\n") + 1  # the header
+
+
+def test_write_trace_writes_the_sink_bytes_in_binary(tmp_path):
+    # The sink takes bytes, which only a file opened in binary accepts, and on
+    # every platform the file holds exactly those bytes.
+    _, _, trace = pe_simulator.sort(build(65), [(-1) ** i * 10 ** 21 + i % 7 for i in range(65)])
+    path = tmp_path / "t.jsonl"
+    cli._write_trace(trace, str(path))
+    pieces = []
+    trace.write(jsonl=pieces.append)
+    with open(path, "rb") as fh:
+        assert fh.read() == b"".join(pieces)
+
+
+def test_sort_csv_in_process_matches_a_subprocess_run(tmp_path):
+    # How the bench runs a command in process: stdout is a StringIO, so the CSV
+    # reaches it as str while the trace file takes the same walk's bytes.
+    argv = ["sort", "--n", "65", "--format", "csv", "--trace"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, str(tmp_path / "in.jsonl")])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "xbar.cli", *argv, str(tmp_path / "sub.jsonl")],
+                          capture_output=True, env=env, timeout=60)
+    assert (code, done.returncode, done.stderr) == (0, 0, b"")
+    assert out.getvalue().encode() == done.stdout
+    assert (tmp_path / "in.jsonl").read_bytes() == (tmp_path / "sub.jsonl").read_bytes()
 
 
 def test_sort_csv_is_trace(capsys):

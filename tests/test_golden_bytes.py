@@ -137,7 +137,8 @@ def test_writers_stream_chunks():
         pieces = []
         trace.write(**{sink: pieces.append})
         assert len(pieces) > 1
-        assert "".join(pieces) == reference(trace)
+        assert {type(piece) for piece in pieces} == {bytes}
+        assert b"".join(pieces) == reference(trace).encode()
 
 
 # `xbar perm --n n [--j j] --format f` -> sha256 of its stdout; j None lists the Q partition.

@@ -318,9 +318,11 @@ def test_csv_templates_match_csv_writer(stage, values):
 @given(st.sampled_from(sorted(STAGES)), int_lists)
 def test_one_walk_to_both_sinks_matches_two_single_sink_walks(stage, values):
     trace = STAGES[stage](build(len(values)), values)
-    jsonl, csv_text = [], []
-    trace.write(jsonl=jsonl.append, csv=csv_text.append)
-    assert ("".join(jsonl), "".join(csv_text)) == (written(trace, "jsonl"), written(trace, "csv"))
+    jsonl, csv_bytes = [], []
+    trace.write(jsonl=jsonl.append, csv=csv_bytes.append)
+    assert {type(piece) for piece in jsonl + csv_bytes} == {bytes}
+    assert (b"".join(jsonl).decode(), b"".join(csv_bytes).decode()) == (
+        written(trace, "jsonl"), written(trace, "csv"))
 
 
 json_values = st.recursive(
