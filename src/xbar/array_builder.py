@@ -132,7 +132,9 @@ class ValidationReport(NamedTuple):
 
 def min_pe_count(n: int) -> int:
     """Fewest slots that can realize all C(n,2) adjacencies: n^2/2 for even n,
-    n(n-1)/2 + 1 for odd n."""
+    n(n-1)/2 + 1 for odd n: one more than the Chinese postman bound on a walk
+    covering K_n (Kwan 1962; Edmonds & Johnson 1973), C(n,2) edges for odd n
+    and C(n,2) + n/2 - 1 for even n, where all n degrees are odd."""
     if n < 2:
         raise ValueError(f"need at least 2 classes, got n={n}")
     return n * n // 2 if n % 2 == 0 else n * (n - 1) // 2 + 1

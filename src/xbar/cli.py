@@ -150,8 +150,8 @@ def _write_trace(trace, path: str, csv=None) -> None:
     """Stream the trace as JSON lines to the file `path`, and to the `csv` sink in the same walk.
 
     The file is opened in binary, so the trace's bytes go to disk as made, the same
-    on every platform.  An OSError from the file, on open, write or close, becomes a
-    DataError.
+    on every platform, each flushed before `csv` gets it.  An OSError from the file,
+    on open, write, flush or close, becomes a DataError.
     """
     def guarded(call, *args):
         try:
@@ -159,9 +159,13 @@ def _write_trace(trace, path: str, csv=None) -> None:
         except OSError as exc:
             raise DataError(f"cannot write trace to {path}: {exc}") from None
 
+    def write(chunk: bytes) -> None:
+        fh.write(chunk)
+        fh.flush()
+
     fh = guarded(open, path, "wb")
     try:
-        trace.write(jsonl=lambda chunk: guarded(fh.write, chunk), csv=csv)
+        trace.write(jsonl=lambda chunk: guarded(write, chunk), csv=csv)
     finally:
         guarded(fh.close)
 

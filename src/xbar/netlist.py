@@ -127,13 +127,9 @@ class NetBuilder:
         return self._fold("NOR", ins, 1, inverted=True)
 
     def not_(self, x: "Wire | int") -> "Wire | int":
-        if isinstance(x, int):
-            return 1 - x
-        return self._emit("NOT", (x,))
+        return self.nor_(x)
 
     def xor2(self, a: "Wire | int", b: "Wire | int") -> "Wire | int":
-        if isinstance(a, int) and isinstance(b, int):
-            return a ^ b
         if isinstance(a, int):
             a, b = b, a
         if isinstance(b, int):
@@ -142,8 +138,7 @@ class NetBuilder:
 
     def threshold(self, ins: "list[Wire | int]", m: int) -> "Wire | int":
         wires = [x for x in ins if type(x) is Wire]
-        if len(wires) < len(ins):  # each constant 0/1 input lowers the bar by its value
-            m -= sum(x for x in ins if type(x) is not Wire)
+        m -= sum(x for x in ins if type(x) is not Wire)  # each constant lowers the bar by its value
         if m <= 0:
             return 1
         if m > len(wires):

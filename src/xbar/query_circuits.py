@@ -23,10 +23,10 @@ Circuits provided:
   chunks, with its exact miss probability as a fraction.
 
 The min, max, select-rank and adder-tree queries run one row circuit
-over all n rows in a single bit-sliced evaluation, lane i being row i.
-For depth accounting the min, max and threshold-rank circuits are given
-as stages in series, n copies of the row circuit and then the encoder,
-which `xbar.netlist.series_depth` composes without laying out n rows.
+over every row's n - 1 off-diagonal bits in one bit-sliced evaluation,
+lane i being row i; min, max and select-rank then run the encoder.  The
+same stages, n row copies and then the encoder, are what `series_depth`
+composes into the depth `xbar depth` reports, without laying out n rows.
 
 Depth accounting comes from `xbar.netlist.depth`; unit-delay THRESHOLD
 gates are reported with their fan-in so the optimism is visible.
@@ -185,20 +185,19 @@ def build_popcount_tree(n: int) -> Netlist:
     return nb.build()
 
 
-def _run_rows(bits: Sequence[Sequence[int]], row_net: Netlist, diagonal: int = 0) -> dict:
-    """Evaluate `row_net` once on every row: input `b<k>` packs column k, lane i = row i.
+def _run_rows(bits: Sequence[Sequence[int]], row_net: Netlist) -> dict:
+    """Evaluate `row_net` once on every row's n - 1 off-diagonal bits, lane i = row i.
 
-    The diagonal bit is read as `diagonal`, the row gate's identity.
+    Input `b<k>` of row i is column k below the diagonal (k < i) and column k + 1 from it on.
     """
-    columns = {}
-    for k, column in enumerate(zip(*bits)):
-        packed = int("".join(map(str, reversed(column))), 2)
-        columns[f"b{k}"] = packed & ~(1 << k) | diagonal << k
-    return evaluate(row_net, columns, lanes=len(bits))
+    columns = [int("".join(map(str, reversed(column))), 2) for column in zip(*bits)]
+    lows = [(2 << k) - 1 for k in range(len(bits) - 1)]  # lanes 0..k, which take column k + 1
+    inputs = {f"b{k}": columns[k] & ~low | columns[k + 1] & low for k, low in enumerate(lows)}
+    return evaluate(row_net, inputs, lanes=len(bits))
 
 
-def _row_stages(gate, n: int, width: int) -> list:
-    """n copies of the row circuit `hit = gate(nb, b0, ..., b<width-1>)`, then the encoder.
+def _row_stages(gate, n: int) -> list:
+    """n copies of the row circuit `hit = gate(nb, b0, ..., b<n-2>)`, then the encoder.
 
     The row flags are one-hot for any matrix a full sort produces, so the
     encoder needs no valid wire.
@@ -206,12 +205,12 @@ def _row_stages(gate, n: int, width: int) -> list:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     nb = NetBuilder()
-    nb.output("hit", gate(nb, *[nb.input(f"b{k}") for k in range(width)]))
+    nb.output("hit", gate(nb, *[nb.input(f"b{k}") for k in range(n - 1)]))
     return [(nb.build(), n), (build_encoder(n, with_valid=False), 1)]
 
 
-def _hit_index(bits: Sequence[Sequence[int]], gate, diagonal: int = 0) -> int:
-    """Run `gate`'s row circuit on every row (diagonal read as `diagonal`); encode the hot row.
+def _hit_index(bits: Sequence[Sequence[int]], stages: list) -> int:
+    """Evaluate `stages`' row circuit on every row, then its encoder on the hot row.
 
     The flags are one-hot only on a matrix a full sort produces: a zero
     diagonal and row sums forming a permutation of 0..n-1.  Any other
@@ -222,20 +221,21 @@ def _hit_index(bits: Sequence[Sequence[int]], gate, diagonal: int = 0) -> int:
     if any(bits[i][i] for i in range(n)) or sorted(map(sum, bits)) != list(range(n)):
         raise ValueError("matrix is not from a full sort: it needs a zero diagonal "
                          f"and row sums forming a permutation of 0..{n - 1}")
-    (row, _), (encoder, _) = _row_stages(gate, n, n)
-    hits = _run_rows(bits, row, diagonal)["hit"]
-    flags = [(hits >> i) & 1 for i in range(n)]
-    return decode_bits(evaluate(encoder, row_assignments(flags, "x")))
+    (row, _), (encoder, _) = stages
+    hits = _run_rows(bits, row)["hit"]
+    return decode_bits(evaluate(encoder, {f"x{i}": (hits >> i) & 1 for i in range(n)}))
 
 
 def rank_via_adder_tree(bits: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], DepthReport]:
-    """Rank every row (diagonal read as 0) with the popcount adder tree.
+    """Rank every row with the popcount adder tree over its n - 1 off-diagonal bits.
 
     Returns the ranks together with the measured critical-path depth of
-    the tree at fan-in 2.
+    the tree at fan-in 2 (a 1 x 1 matrix has no tree: rank 0 at depth 0).
     """
     n = len(bits)
-    net = build_popcount_tree(n)
+    if n == 1:
+        return (0,), DepthReport(2, 0, 0)
+    net = build_popcount_tree(n - 1)
     out = _run_rows(bits, net)
     ranks = tuple(decode_bits({k: (v >> i) & 1 for k, v in out.items()}) for i in range(n))
     return ranks, depth(net, 2)
@@ -254,14 +254,13 @@ def select_rank(bits: Sequence[Sequence[int]], r: int) -> int:
     if not 0 <= r <= n - 1:
         raise ValueError(f"rank {r} outside 0..{n - 1}")
     width = (n - 1).bit_length() + 1
-    comp = (~r) & ((1 << width) - 1)
-    comp_bits = [(comp >> b) & 1 for b in range(width)]
+    comp_bits = [(~r >> b) & 1 for b in range(width)]
 
     def rank_is_r(nb: NetBuilder, *row):
         total = (_popcount_bits(nb, row) + [0] * width)[:width]
         return nb.nor_(*_bk_add(nb, total, comp_bits, cin=1)[:width])
 
-    return _hit_index(bits, rank_is_r)
+    return _hit_index(bits, _row_stages(rank_is_r, n))
 
 
 def rank_at_least_probabilistic(
@@ -309,23 +308,23 @@ def search(values: Sequence[int], key) -> int | None:
 
 
 def min_index(bits: Sequence[Sequence[int]]) -> int:
-    """Index of the all-zero row: a NOR over every row, then the encoder."""
-    return _hit_index(bits, NetBuilder.nor_)
+    """Index of the all-zero row: `min_stages`, a NOR over every row, then the encoder."""
+    return _hit_index(bits, min_stages(len(bits)))
 
 
 def max_index(bits: Sequence[Sequence[int]]) -> int:
-    """Index of the all-ones row (diagonal read as 1): an AND over every row."""
-    return _hit_index(bits, NetBuilder.and_, diagonal=1)
+    """Index of the all-ones row: `max_stages`, an AND over every row, then the encoder."""
+    return _hit_index(bits, max_stages(len(bits)))
 
 
 def min_stages(n: int) -> list:
-    """`min_index` for `series_depth`: a NOR over each row's n - 1 off-diagonal bits."""
-    return _row_stages(NetBuilder.nor_, n, n - 1)
+    """`min_index`'s stages: a NOR over each row's n - 1 off-diagonal bits, then the encoder."""
+    return _row_stages(NetBuilder.nor_, n)
 
 
 def max_stages(n: int) -> list:
-    """`max_index` for `series_depth`: an AND over each row's n - 1 off-diagonal bits."""
-    return _row_stages(NetBuilder.and_, n, n - 1)
+    """`max_index`'s stages: an AND over each row's n - 1 off-diagonal bits, then the encoder."""
+    return _row_stages(NetBuilder.and_, n)
 
 
 def row_assignments(bits: Sequence[int], prefix: str = "b") -> dict[str, int]:

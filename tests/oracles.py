@@ -11,7 +11,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import islice
+from itertools import combinations, islice
 from math import gcd
 
 from xbar.array_builder import EXAMPLES, Layout, min_pe_count, replicate_lower_bound
@@ -138,6 +138,29 @@ def euler_layout(n, rng):
         else:
             trail.append(stack.pop())
     return Layout(n, tuple(reversed(trail)))
+
+
+def shortest_covering_walk(n):
+    """Fewest slots of any walk over classes 0..n-1 whose adjacent slots cover every pair.
+
+    A breadth-first search over (last class, covered pairs), from every
+    first class, one slot per level: the first level holding a state with
+    every pair covered is the answer.  The state count is n * 2^C(n,2), so
+    this is for n <= 6 (about 1 s there).
+    """
+    bit = {}
+    for k, (a, b) in enumerate(combinations(range(n), 2)):
+        bit[a, b] = bit[b, a] = 1 << k
+    every = (1 << n * (n - 1) // 2) - 1
+    frontier = {(c, 0) for c in range(n)}
+    seen = set(frontier)
+    slots = 1
+    while all(covered != every for _, covered in frontier):
+        frontier = {(c, covered | bit[last, c]) for last, covered in frontier
+                    for c in range(n) if c != last} - seen
+        seen |= frontier
+        slots += 1
+    return slots
 
 
 # Per direction: whether the greater class sits right, the exchange and reply
@@ -307,7 +330,7 @@ def build_min_circuit(n: int) -> Netlist:
 
 
 def build_max_circuit(n: int) -> Netlist:
-    """Index of the all-ones row (diagonal treated as constant 1): AND per row."""
+    """Index of the all-ones matrix row: one AND per row, then the encoder."""
     return _row_flag_circuit("max", n, NetBuilder.and_)
 
 
@@ -335,6 +358,26 @@ def build_rank_circuit_threshold(n: int) -> Netlist:
     for i, row in enumerate(_matrix_rows(nb, n, diagonal=True)):
         _encoder(nb, _exact_count_onehot(nb, row), prefix=f"rank{i}_bit")
     return nb.build()
+
+
+def cone_floors(net, b):
+    """Per output, the fan-in cone floor ceil(log_b m), m the primary inputs it depends on.
+
+    A gate of fan-in at most b sees at most b^d inputs at depth d, so an
+    output with m inputs in its support needs depth at least ceil(log_b m).
+    The support is one OR of input bitmasks per gate; `legalize` does not
+    change it, so it is taken on `net` as built.  The bound holds for
+    `depth(net, b)` only when every gate of the legalized netlist has fan-in
+    at most b: THRESHOLD gates stay wide, so netlists with them are outside it.
+    """
+    support = {w: 1 << i for i, w in enumerate(net.inputs)}
+    for g in net.gates:
+        support[g.gid] = reduce(operator.or_, map(support.__getitem__, g.inputs))
+    floors = {}
+    for name, wire in net.outputs.items():
+        m = 0 if isinstance(wire, int) else bin(support[wire]).count("1")
+        floors[name] = next(d for d in range(m + 1) if b ** d >= m)
+    return floors
 
 
 @dataclass(slots=True)

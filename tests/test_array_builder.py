@@ -11,7 +11,7 @@ from xbar.array_builder import (
     validate,
 )
 
-from oracles import layout_reference, pair_counts
+from oracles import layout_reference, pair_counts, shortest_covering_walk
 
 
 def test_min_pe_count_values():
@@ -21,6 +21,12 @@ def test_min_pe_count_values():
     assert min_pe_count(2) == 2
     with pytest.raises(ValueError):
         min_pe_count(1)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_no_covering_walk_is_shorter_than_min_pe_count(n):
+    # The postman bound from an exhaustive search, not from the formula under test.
+    assert shortest_covering_walk(n) == min_pe_count(n)
 
 
 def test_replicate_lower_bounds():

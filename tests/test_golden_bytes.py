@@ -429,16 +429,16 @@ ENCODER_NO_VALID_DIGESTS = (
 # select_rank(reversed-order matrix, r = n // 2) builds one row netlist
 # internally: sha256 of its to_text() for each n in SIZES.
 SELECT_RANK_ROW_DIGESTS = (
-    "290998ee25547d3a58af9e966e43fd0f3343e34bc88553aa8ce830adfb4556e5",
-    "a5af15a3466c5071a865bf3bda740f69c3d6f36f3f6ec0a2155d32942970babd",
-    "93851633051d4b7f7f42fc431d294c5236fe9e66029b42101caa44f915fa8450",
-    "454fe7d62fbce47340ecfb59693af906ea30c4f93e3b627694fcf4043517dc50",
-    "f111c5d9750b51362e90cafb28fb2ef952340807182a3caa3dd52579fa2a0175",
+    "87c9d358616b8d922880123013dfc3fec73d42f71ae84f6bbc25bc5b69b0261f",
+    "c493c5ce4273c0d89abb07f1ddd264a9b9eeef47c178078d277ebecab30801f9",
+    "5a750bc3b0bb13292a5fa5fcd84cd37b94515f46534a613c75145759e8a2ffcd",
+    "93e715352d8a1bb8474c7ad84ededdfc4b3fc1652dc9e297dc06a1b6c42b71bb",
+    "cfa4db2a003bb8f642cc8335320275f44343b268b4b0e1bc3e9bd9af642fac3e",
 )
 
 # Gates evaluated per query, (row netlist, encoder): the row netlist runs
 # once over n lanes, then the encoder once.
-SELECT_RANK_GATES = ((9, 0), (18, 0), (38, 2), (54, 3), (119, 4))
+SELECT_RANK_GATES = ((3, 0), (10, 0), (27, 2), (49, 3), (114, 4))
 
 
 @pytest.mark.parametrize("name", sorted(NETLIST_DIGESTS))

@@ -22,9 +22,9 @@ from xbar.netlist import depth, evaluate, legalize, series_depth
 from xbar.pe_simulator import TraceEvent, compare_phase, detect_write_conflicts, load_phase, sort
 
 from oracles import (build_max_circuit, build_min_circuit, build_rank_circuit_threshold,
-                     csv_reference, euler_layout, evaluate_reference, events_reference,
-                     jsonl_reference, oracle_ranks, twrite_conflicts, validate_reference,
-                     written)
+                     cone_floors, csv_reference, euler_layout, evaluate_reference,
+                     events_reference, jsonl_reference, oracle_ranks, twrite_conflicts,
+                     validate_reference, written)
 
 # Negatives, duplicates (small range) and values well past 2**64.
 keys = st.one_of(
@@ -138,6 +138,35 @@ def test_packed_lanes_match_reference_per_lane(builder, n, lanes, data):
     for i in range(lanes):
         want = evaluate_reference(net, {w: (v >> i) & 1 for w, v in assignment.items()})
         assert {o: (v >> i) & 1 for o, v in out.items()} == want, (i, builder, n)
+
+
+# The netlists without THRESHOLD gates, which `legalize` leaves wide: the library's
+# and the references', plus the row and encoder netlists of `min_stages`/`max_stages`.
+FLOORED = {name: BUILDERS[name] for name in (
+    "build_encoder", "build_max_circuit", "build_min_circuit", "build_popcount_tree",
+    "build_priority_encoder")}
+FLOORED.update(min_row=lambda n: query_circuits.min_stages(n)[0][0],
+               max_row=lambda n: query_circuits.max_stages(n)[0][0],
+               row_encoder=lambda n: query_circuits.min_stages(n)[1][0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FLOORED)), st.integers(min_value=2, max_value=64),
+       st.integers(min_value=2, max_value=4))
+def test_depth_is_at_least_the_fanin_cone_floor(name, n, b):
+    net = FLOORED[name](n)
+    assert not any(g.kind == "THRESHOLD" for g in net.gates)
+    assert depth(net, b).depth >= max(cone_floors(net, b).values()), (name, n, b)
+
+
+def test_fanin_2_depth_over_cone_floor_for_n_a_power_of_two():
+    # Balanced trees meet the floor; the priority encoder's prefix NOR and its
+    # encoder OR are each a full tree, so it takes twice the floor.
+    for n in (4, 8, 16, 32, 64):
+        for name in FLOORED.keys() - {"build_popcount_tree"}:
+            net = FLOORED[name](n)
+            ratio = 2 if name == "build_priority_encoder" else 1
+            assert depth(net, 2).depth == ratio * max(cone_floors(net, 2).values()), (name, n)
 
 
 LEGALIZED_BUILDERS = ("build_min_circuit", "build_max_circuit", "build_priority_encoder",

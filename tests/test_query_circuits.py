@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from xbar import query_circuits
 from xbar.array_builder import build
 from xbar.netlist import depth, evaluate, legalize, series_depth
 from xbar.pe_simulator import sort
@@ -14,6 +15,7 @@ from xbar.query_circuits import (
     build_priority_encoder,
     decode_bits,
     max_index,
+    max_stages,
     min_index,
     min_stages,
     rank_at_least_probabilistic,
@@ -213,6 +215,31 @@ def test_select_rank_every_rank():
 def test_queries_reject_non_permutation_matrices(query, bits):
     with pytest.raises(ValueError, match="not from a full sort"):
         query(bits)
+
+
+def test_queries_evaluate_the_stages_xbar_depth_reports(monkeypatch):
+    # Each query's row circuit reads the n - 1 off-diagonal bits: min and max run
+    # exactly the netlists their stages hand `series_depth`.
+    evaluated = []
+    evaluate = query_circuits.evaluate
+
+    def recording(net, assignment, lanes=1):
+        evaluated.append(net)
+        return evaluate(net, assignment, lanes)
+
+    monkeypatch.setattr(query_circuits, "evaluate", recording)
+    rng = random.Random(40)
+    for n in range(2, 41):
+        values = [rng.randrange(n // 2 + 1) for _ in range(n)]  # ties at every n > 2
+        t, ranks, _ = sort(build(n), values)
+        for query, stages, rank in ((min_index, min_stages, 0), (max_index, max_stages, n - 1)):
+            evaluated.clear()
+            assert query(t) == ranks.index(rank)
+            assert [net.to_text() for net in evaluated] == [net.to_text() for net, _ in stages(n)]
+        evaluated.clear()
+        r = rng.randrange(n)
+        assert select_rank(t, r) == ranks.index(r)
+        assert evaluated[0].inputs == [f"b{k}" for k in range(n - 1)]
 
 
 def test_probabilistic_rank_examples():
