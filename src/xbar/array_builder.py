@@ -228,22 +228,24 @@ def validate(layout: Layout) -> ValidationReport:
     if out_of_range:
         violations.append(f"slot class ids out of range 0..{n - 1}: {out_of_range}")
 
+    # Each crosspoint of two classes counts its pair under the code lo * span + hi
+    # (see _pairs), made once from lo and hi, the slots picked by the lt/gt masks.
+    base = min(0, min(counts))
+    span = max(n - 1, max(counts)) + 1 - base
     after = slots[1:]
-    for s in compress(count(), map(eq, slots, after)):
+    below, above = list(map(lt, slots, after)), list(map(gt, slots, after))
+    codes = Counter(map(add, map(mul, compress(slots, below), repeat(span)), compress(after, below)))
+    codes.update(map(add, map(mul, compress(after, above), repeat(span)), compress(slots, above)))
+    counted = sum(codes.values())  # any other crosspoint joins two slots of one class
+    same = compress(count(), map(eq, slots, after)) if counted < len(slots) - 1 else ()
+    for s in same:
         violations.append(f"adjacent same-class slots at positions {s},{s + 1} (class {slots[s]})")
 
     expected = min_pe_count(n) if n >= 2 else 0
     if len(slots) != expected:
         violations.append(f"pe count {len(slots)} != minimal {expected}")
 
-    # Each crosspoint counts its pair under the code lo * span + hi (see _pairs):
-    # left * span + right where left < right, right * span + left where left > right.
-    base = min(0, min(counts))
-    span = max(n - 1, max(counts)) + 1 - base
-    heads = list(map(mul, slots, repeat(span)))
-    codes = Counter(compress(map(add, heads, after), map(lt, slots, after)))
-    codes.update(compress(map(add, islice(heads, 1, None), slots), map(gt, slots, after)))
-    repeated = compress(codes, map(lt, repeat(1), codes.values()))
+    repeated = compress(codes, map(lt, repeat(1), codes.values())) if counted > len(codes) else ()
     redundant = list(zip(*_pairs(sorted(repeated), base, span)))
     # A pair with an out-of-range id is redundant, but neither covered nor doubled.
     doubled = [p for p in redundant if p[0] >= 0 and p[1] < n]

@@ -12,12 +12,12 @@ uses.  ``build`` and ``validate`` load `array_builder` (which builds on
 `cyclic_perm`); ``sort`` adds `pe_simulator`; ``rank``, ``min`` and
 ``max`` add `query_circuits` and its `netlist` to that; ``search`` and
 ``depth`` load `query_circuits` and `netlist` only; ``perm`` loads
-`cyclic_perm` only; ``--help`` loads no other layer.
+`cyclic_perm` only; ``--help`` loads no other layer.  Only `_emit_json`,
+``validate --layout`` and ``sort``, which read or write JSON, import `json`.
 """
 
 import argparse
 import io
-import json
 import os
 import sys
 from itertools import chain, count
@@ -82,6 +82,7 @@ def _fanin(text: str):
 
 
 def _emit_json(doc) -> None:
+    import json
     print(json.dumps(doc))
 
 
@@ -96,7 +97,10 @@ def _cmd_build(args) -> int:
 
     layout = array_builder.build(args.n)
     if args.format == "json":
-        _emit_json({**layout.to_json_dict(), "provenance": list(array_builder.provenance(args.n))})
+        # The bytes json.dumps would write: no provenance tag holds a quote or a backslash.
+        sys.stdout.write('{"n": %d, "slots": [%s], "provenance": ["%s"]}\n' % (
+            layout.n, ("%d, " * len(layout.slots) % layout.slots)[:-2],
+            '", "'.join(array_builder.provenance(args.n))))
     elif args.format == "csv":
         rows = zip(count(), layout.slots, array_builder.provenance(args.n))
         sys.stdout.write("slot,class,provenance\n" + "%d,%d,%s\n" * len(layout.slots)
@@ -111,6 +115,7 @@ def _cmd_validate(args) -> int:
     from . import array_builder
 
     if args.layout is not None:
+        import json
         try:
             with open(args.layout) as fh:
                 layout = array_builder.Layout.from_json_dict(json.load(fh))
@@ -171,6 +176,8 @@ def _write_trace(trace, path: str, csv=None) -> None:
 
 
 def _cmd_sort(args) -> int:
+    import json
+
     from . import pe_simulator
 
     bits, ranks, trace = _run_sort(args)
@@ -288,8 +295,11 @@ def _cmd_perm(args) -> int:
     if args.format == "json":
         _emit_json({"n": args.n, "sets": groups})
     else:
-        for i, group in enumerate(groups):
-            print(f"Q{i}: " + " ".join("(" + ",".join(map(str, c)) + ")" for c in group))
+        # One "(%d,...,%d)" piece per cycle length, then one % over every class id.
+        pieces = {k: "(" + ",".join(["%d"] * k) + ")" for k in {len(c) for g in groups for c in g}}
+        lines = [f"Q{i}: " + " ".join(map(pieces.get, map(len, g))) for i, g in enumerate(groups)]
+        sys.stdout.write("\n".join(lines + [""])
+                         % tuple(chain.from_iterable(chain.from_iterable(groups))))
     return 0
 
 

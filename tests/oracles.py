@@ -14,7 +14,10 @@ from functools import lru_cache, reduce
 from itertools import combinations, islice
 from math import gcd
 
-from xbar.array_builder import EXAMPLES, Layout, min_pe_count, replicate_lower_bound
+from xbar.array_builder import (
+    EXAMPLES, Layout, build, min_pe_count, provenance, replicate_lower_bound,
+)
+from xbar.cyclic_perm import partition_Q
 from xbar.netlist import NetBuilder, Netlist
 from xbar.pe_simulator import COLUMNS, TraceEvent
 from xbar.query_circuits import _encoder
@@ -108,6 +111,19 @@ def layout_reference(n):
         slots += [n - 1, 0]
         tags += ["odd-tail", "odd-tail"]
     return tuple(slots), tuple(tags)
+
+
+def build_json_reference(n):
+    """`xbar build --n n --format json` stdout: `json.dumps` of the layout and its tags."""
+    return json.dumps({**build(n).to_json_dict(), "provenance": list(provenance(n))}) + "\n"
+
+
+def perm_text_reference(n):
+    """`xbar perm --n n` stdout: a `Q<i>:` line per group, each cycle joined by commas."""
+    return "".join(
+        f"Q{i}: " + " ".join("(" + ",".join(map(str, c)) + ")" for c in group) + "\n"
+        for i, group in enumerate(partition_Q(n))
+    )
 
 
 def euler_layout(n, rng):

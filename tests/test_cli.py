@@ -15,6 +15,7 @@ from xbar.array_builder import build
 from xbar.cli import main
 from xbar.pe_simulator import SortTrace
 
+from oracles import build_json_reference, perm_text_reference
 from test_golden_bytes import TRACE_DIGESTS
 
 
@@ -28,12 +29,29 @@ def test_cli_import_skips_dataclasses_and_fractions():
     # Every command pays for what `import xbar.cli` loads; -S keeps site-packages
     # (and whatever they import) out, so only xbar's own imports count.
     probe = ("import sys, xbar.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))")
+             "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'json'}"
+             " & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def _modules_after(argv):
+    """The xbar modules, and json if loaded, after `main(argv)`, sorted.
+
+    A fresh -S process, as above, since this session has imported every module already.
+    """
+    probe = ("import sys; from xbar.cli import main\n"
+             "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('xbar.') or m == 'json'),"
+             " file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout, done.stderr
+    return done.stderr.split()
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -50,16 +68,30 @@ def test_cli_import_skips_dataclasses_and_fractions():
 ])
 def test_commands_load_only_their_layers(argv, loaded):
     # Each handler imports its own layers, so e.g. build starts no simulator or
-    # netlist code and depth no layout or simulator code.  A fresh -S process,
-    # as above, since this session has imported every module already.
-    probe = ("import sys; from xbar.cli import main\n"
-             "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
-             "print(sorted(m for m in sys.modules if m.startswith('xbar.')), file=sys.stderr)")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    done = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0 and done.stdout, done.stderr
-    assert done.stderr == repr(sorted(["xbar.cli", *map("xbar.".__add__, loaded)])) + "\n"
+    # netlist code and depth no layout or simulator code.
+    got = [m for m in _modules_after(argv) if m != "json"]
+    assert got == sorted(["xbar.cli", *map("xbar.".__add__, loaded)])
+
+
+@pytest.mark.parametrize("argv, wants_json", [
+    (["--help"], False),
+    (["build", "--n", "5"], False),
+    (["build", "--n", "5", "--format", "json"], False),
+    (["build", "--n", "5", "--format", "csv"], False),
+    (["validate", "--n", "5"], False),
+    (["perm", "--n", "6"], False),
+    (["depth", "--circuit", "min", "--n", "8"], False),
+    (["validate", "--layout", "{layout}"], True),
+    (["sort", "--n", "5"], True),
+    (["rank", "--n", "5", "--r", "1", "--format", "json"], True),
+])
+def test_only_json_handlers_load_json(argv, wants_json, tmp_path):
+    # build writes its JSON through a % template, so only _emit_json,
+    # validate --layout and sort import json.
+    layout = tmp_path / "layout.json"
+    layout.write_text('{"n": 2, "slots": [0, 1]}')
+    argv = [str(layout) if a == "{layout}" else a for a in argv]
+    assert ("json" in _modules_after(argv)) == wants_json
 
 
 def test_build_text(capsys):
@@ -392,6 +424,20 @@ def test_perm_commands(capsys):
     assert doc["sets"][2] == [[2, 5]]
     code, _ = run(capsys, "perm", "--n", "7")
     assert code == 2  # partition needs even n
+
+
+LISTING_NS = [2, 3, 4, 5, 8, 13, 64, 65, 255, 256, 511, 512]
+
+
+@pytest.mark.parametrize("n", LISTING_NS)
+def test_build_json_bytes_match_json_dumps(capsys, n):
+    # The golden digests stop at n=16; the % template must match json.dumps at every size.
+    assert run(capsys, "build", "--n", str(n), "--format", "json") == (0, build_json_reference(n))
+
+
+@pytest.mark.parametrize("n", [n for n in LISTING_NS if n % 2 == 0 and n >= 4])
+def test_perm_text_bytes_match_per_cycle_rendering(capsys, n):
+    assert run(capsys, "perm", "--n", str(n)) == (0, perm_text_reference(n))
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1])

@@ -231,8 +231,18 @@ def mutated_layouts(draw):
     return Layout(n, tuple(slots))
 
 
+# build(5) ends ..., 3, 4, 0.  validate skips its same-class scan when every
+# crosspoint joins two classes, and its repeated-pair scan when no pair code
+# counts twice; each example below needs the scan that the guard must not skip.
+_SLOTS_5 = build(5).slots
+
+
 @settings(max_examples=400, deadline=None)
 @given(mutated_layouts())
+@example(Layout(5, _SLOTS_5 + (4,)))  # odd n, (0, 4) doubled, no same-class crosspoint
+@example(Layout(5, _SLOTS_5 + (0,)))  # same-class pair at the last crosspoint
+@example(Layout(5, _SLOTS_5 + (4, 4)))  # (0, 4) doubled and a same-class crosspoint
+@example(Layout(5, _SLOTS_5 + (7, 0)))  # out-of-range 7 in the doubled pair (0, 7)
 def test_validate_matches_reference(layout):
     got, want = validate(layout), validate_reference(layout)
     for name in ("violations", "ok", "pe_count", "expected_pe_count",
