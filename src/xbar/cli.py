@@ -45,15 +45,17 @@ def _parse_values(raw: str) -> list[int]:
     if not os.path.exists(text):
         raise DataError(f"--input {raw!r} is neither a comma-separated int list nor a file")
     values = []
-    with open(text) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                raise DataError(f"{text}:{lineno}: not an integer: {line!r}") from None
+    try:
+        with open(text) as fh:
+            for lineno, line in enumerate(map(str.strip, fh), start=1):
+                if not line:
+                    continue
+                try:
+                    values.append(int(line))
+                except ValueError:
+                    raise DataError(f"{text}:{lineno}: not an integer: {line!r}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read --input {text}: {exc}") from None
     return values
 
 

@@ -17,7 +17,10 @@ All sends in a sub-phase read pre-phase state and all writes commit at the
 sub-phase end, so the run is deterministic.  A run is one `SortTrace`:
 each stage takes it and returns it with one more field set, `load_phase`
 making it, `compare_phase` setting the matrix `bits` and `rank_phase` the
-row-sum `ranks`.  Its events are derived on demand from those fields,
+row-sum `ranks`.  Its `phases` name the phases those fields show were run.
+`compare_phase` rejects a crosspoint joining two slots of one class after
+its walk, by the diagonal cell only such a crosspoint writes.  The trace's
+events are derived on demand from those fields,
 one block of event groups per phase: a group per class, slot or
 crosspoint.  The crosspoints are split by direction in C-level passes
 over the slots.  A block has one set of int columns and one form per
@@ -68,11 +71,6 @@ class TraceEvent(NamedTuple):
 COLUMNS = ("phase", *TraceEvent._fields)
 
 
-class TracePhase(NamedTuple):
-    name: str
-    events: tuple[TraceEvent, ...]
-
-
 class SortTrace(NamedTuple):
     """One run of the machine: its inputs and the result of each stage run.
 
@@ -91,11 +89,8 @@ class SortTrace(NamedTuple):
         return max((abs(v).bit_length() for v in self.values), default=0)
 
     @property
-    def phases(self) -> tuple[TracePhase, ...]:
-        by_name = {name: [] for name in PHASE_NAMES[:phase_count(self)]}
-        for name, ev in self.events():
-            by_name[name].append(ev)
-        return tuple(TracePhase(name, tuple(evs)) for name, evs in by_name.items())
+    def phases(self) -> tuple[str, ...]:
+        return PHASE_NAMES[:phase_count(self)]
 
     def _blocks(self):
         """Yield (phase, forms, picks, cols) per block of one phase's groups, in trace order.
@@ -246,10 +241,10 @@ def compare_phase(state: SortTrace) -> SortTrace:
     Each crosspoint performs exactly one comparison, so a run makes
     slots - 1 comparisons total.  Redundant adjacencies (even n) write
     the same cell twice with the same value; the trace keeps both writes
-    for conflict accounting.
+    for conflict accounting.  Only a crosspoint joining two slots of one class
+    writes the diagonal; a set diagonal cell raises ValueError naming the first.
     """
     vals, slots = state.values, state.layout.slots
-    _reject_shared(slots)
     t = [[0] * len(vals) for _ in vals]
     for small, big in zip(slots, islice(slots, 1, None)):
         if small > big:
@@ -258,6 +253,8 @@ def compare_phase(state: SortTrace) -> SortTrace:
             t[small][big] = 1
         else:
             t[big][small] = 1
+    if any(map(getitem, t, count())):
+        _reject_shared(slots)
     return state._replace(bits=tuple(map(tuple, t)))
 
 

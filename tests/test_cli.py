@@ -301,6 +301,18 @@ def test_sort_bad_input_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["sort"], ["search", "--key", "1"]])
+def test_unreadable_input_file_exits_two(tmp_path, capsys, command):
+    # A directory exists, so it is taken for a file, but opening it fails.
+    code = main([*command, "--n", "3", "--input", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read --input {tmp_path}: [Errno ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_sort_length_mismatch(capsys):
     code, _ = run(capsys, "sort", "--n", "4", "--input", "1,2,3")
     assert code == 2

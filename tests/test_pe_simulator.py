@@ -17,6 +17,16 @@ from xbar.pe_simulator import (
 
 from oracles import oracle_ranks, twrite_conflicts, written
 
+
+def phase_events(trace, name):
+    return [ev for phase, ev in trace.events() if phase == name]
+
+
+def seen_phases(trace):
+    """The phase names of `trace.events()`, in first-seen order."""
+    return list(dict.fromkeys(phase for phase, _ in trace.events()))
+
+
 T4 = ((0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0))
 R4 = (1, 2, 3, 0)
 T5 = ((0, 1, 0, 1, 1), (0, 0, 0, 1, 0), (1, 1, 0, 1, 1), (0, 0, 0, 0, 0), (0, 1, 0, 1, 0))
@@ -25,7 +35,7 @@ R5 = (3, 1, 4, 0, 2)
 
 def test_load_broadcasts_to_every_replicate():
     state = load_phase(build(5), [8, 6, 9, 5, 7])
-    loads = [ev for ev in state.phases[1].events]
+    loads = phase_events(state, "load")
     class2 = [ev for ev in loads if ev.row == 2]
     assert len(class2) == build(5).slots.count(2)
     assert all(ev.value == 9 for ev in class2)
@@ -34,15 +44,15 @@ def test_load_broadcasts_to_every_replicate():
 def test_load_covers_all_slots():
     layout = build(7)
     state = load_phase(layout, list(range(7)))
-    loads = state.phases[1].events
+    loads = phase_events(state, "load")
     assert len(loads) == 22
     assert sum(1 for ev in loads if ev.row == 0) == 4
 
 
 def test_load_phase_names_and_clear():
     state = load_phase(build(4), [3, 1, 2, 0])
-    assert [p.name for p in state.phases] == ["clear", "load"]
-    assert [ev.row for ev in state.phases[0].events] == [0, 1, 2, 3]
+    assert seen_phases(state) == ["clear", "load"]
+    assert [ev.row for ev in phase_events(state, "clear")] == [0, 1, 2, 3]
     assert state.bits is None
 
 
@@ -54,7 +64,7 @@ def test_load_rejects_length_mismatch():
 def test_golden_four_element_matrix():
     trace = compare_phase(load_phase(build(4), [6, 7, 8, 5]))
     assert trace.bits == T4
-    assert [p.name for p in trace.phases] == list(PHASE_NAMES[:6])
+    assert seen_phases(trace) == list(PHASE_NAMES[:6])
 
 
 def test_golden_five_element_matrix():
@@ -106,7 +116,9 @@ def test_phase_count_constant():
     for n in (2, 3, 5, 12, 31):
         _, _, trace = sort(build(n), list(range(n)))
         assert phase_count(trace) == 7
-        assert [p.name for p in trace.phases] == list(PHASE_NAMES)
+        assert trace.phases == PHASE_NAMES
+        # n = 2 has one crosspoint, a left one, so its right sub-phases run without events.
+        assert seen_phases(trace) == [p for p in PHASE_NAMES if n > 2 or "right" not in p]
 
 
 def test_conflicts_even_and_odd():
@@ -148,12 +160,14 @@ def test_conflict_writers_in_trace_order():
 
 
 def test_phase_count_matches_phases_after_each_stage():
-    state = load_phase(build(5), [8, 6, 9, 5, 7])
-    assert phase_count(state) == len(state.phases) == 2
-    compared = compare_phase(state)
-    assert phase_count(compared) == len(compared.phases) == 6
-    _, _, trace = sort(build(5), [8, 6, 9, 5, 7])
-    assert phase_count(trace) == len(trace.phases) == 7
+    # build(n) for n > 2 has crosspoints of both directions, so every phase run has events.
+    for n in (3, 4, 5, 8):
+        state = load_phase(build(n), list(range(n, 0, -1)))
+        compared = compare_phase(state)
+        ranked = rank_phase(compared)
+        for trace, count in ((state, 2), (compared, 6), (ranked, 7)):
+            assert list(trace.phases) == seen_phases(trace) == list(PHASE_NAMES[:count])
+            assert phase_count(trace) == count
 
 
 def test_stages_leave_the_trace_they_are_given_unchanged():
@@ -204,18 +218,36 @@ def test_compare_rejects_same_class_adjacency():
         compare_phase(state)
 
 
+# (layout, first shared crosspoint, its class), at odd and even n.
+SHARED_CLASS_LAYOUTS = [
+    # Slots 2,3 (class 2) and 4,5 (class 1) each join two slots of one class.
+    (Layout(3, (1, 0, 2, 2, 1, 1, 0)), 2, 2),
+    # At the first crosspoint, with a second shared one at the last.
+    (Layout(3, (0, 0, 1, 2, 2)), 0, 0),
+    (Layout(4, (1, 1, 0, 2, 3, 3)), 0, 1),
+    # At the last crosspoint only.
+    (Layout(3, (0, 1, 2, 0, 0)), 3, 0),
+    (Layout(4, (0, 1, 2, 3, 0, 2, 2)), 5, 2),
+    # Right after a doubled pair: (0, 1) and (2, 3) sit on crosspoints 0 and 1.
+    (Layout(3, (0, 1, 0, 0, 2, 1)), 2, 0),
+    (Layout(4, (2, 3, 2, 2, 0, 1, 3)), 2, 2),
+]
+
+
 @pytest.mark.parametrize(
     "consumer",
     [compare_phase, detect_write_conflicts, lambda trace: written(trace, "jsonl"),
      lambda trace: written(trace, "csv"), lambda trace: list(trace.events())],
     ids=["compare_phase", "detect_write_conflicts", "write_jsonl", "write_csv", "events"])
 def test_same_class_adjacency_names_its_first_crosspoint(consumer):
-    # Slots 2,3 (class 2) and 4,5 (class 1) each join two slots of one class.
-    layout = Layout(3, (1, 0, 2, 2, 1, 1, 0))
-    trace = load_phase(layout, [5, 3, 4])._replace(bits=((0, 0, 0),) * 3)
-    with pytest.raises(ValueError) as exc:
-        consumer(trace)
-    assert str(exc.value) == "adjacent slots 2,3 share class 2; cannot compare"
+    for layout, first, cls in SHARED_CLASS_LAYOUTS:
+        # load_phase checks only the class ids; the shared class is left to the consumers.
+        trace = load_phase(layout, list(range(layout.n, 0, -1)))._replace(
+            bits=((0,) * layout.n,) * layout.n)
+        with pytest.raises(ValueError) as exc:
+            consumer(trace)
+        assert str(exc.value) == (
+            f"adjacent slots {first},{first + 1} share class {cls}; cannot compare")
 
 
 def test_trace_serializations():

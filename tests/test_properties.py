@@ -41,15 +41,14 @@ value_lists = st.integers(min_value=2, max_value=12).flatmap(
 def test_sort_matches_oracle_and_tie_rule(values):
     _, ranks, trace = sort(build(len(values)), values)
     assert list(ranks) == oracle_ranks(values)
-    for phase in trace.phases:
-        for ev in phase.events:
-            if ev.action == "twrite":
-                row, col = ev.row, ev.col
-                # Row `row` records that element `col` lost: strictly
-                # smaller, or equal with the smaller index.
-                assert values[col] < values[row] or (
-                    values[col] == values[row] and col < row
-                )
+    for _, ev in trace.events():
+        if ev.action == "twrite":
+            row, col = ev.row, ev.col
+            # Row `row` records that element `col` lost: strictly
+            # smaller, or equal with the smaller index.
+            assert values[col] < values[row] or (
+                values[col] == values[row] and col < row
+            )
 
 
 int_lists = st.integers(min_value=2, max_value=24).flatmap(
@@ -99,6 +98,10 @@ def test_euler_layouts_validate_sort_and_match_twrite_scan(values, rng):
     _, ranks, trace = sort(layout, values)
     assert list(ranks) == oracle_ranks(values)
     assert detect_write_conflicts(trace) == twrite_conflicts(trace)
+    # The renderers, with the doubled pairs' crosspoints where `build(n)` never puts them.
+    assert list(trace.events()) == list(events_reference(trace))
+    assert written(trace, "jsonl") == jsonl_reference(trace)
+    assert written(trace, "csv") == csv_reference(trace)
 
 
 @settings(max_examples=50, deadline=None)
