@@ -43,12 +43,9 @@ class Layout(NamedTuple):
         """One-line rendering, class ids joined by dashes."""
         return "-".join(str(c) for c in self.slots)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "slots": list(self.slots)}
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Layout":
-        """Inverse of `to_json_dict`; raises ValueError on a malformed document.
+        """The layout of a ``{"n": ..., "slots": [...]}`` document; raises ValueError if malformed.
 
         A `provenance` list, as `xbar build` writes it, must be empty or hold one
         tag per slot; it is then dropped.

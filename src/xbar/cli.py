@@ -2,7 +2,8 @@
 
 Thin adapters around the library; no logic beyond parsing, dispatch and
 formatting.  Exit codes: 0 success, 1 validation violations, 2 usage or
-data errors, 141 (128 + SIGPIPE) when the reader closes stdout early.
+data errors (a data error is any ValueError, printed as ``error: ...``),
+141 (128 + SIGPIPE) when the reader closes stdout early.
 Input arrays come inline (comma-separated), from a file (one value per
 line), or, when omitted, from a seeded generator (``--seed`` or the
 ``XBAR_SEED`` environment variable).
@@ -23,17 +24,13 @@ import sys
 from itertools import chain, count
 
 
-class DataError(Exception):
-    """Bad input data (as opposed to bad flags)."""
-
-
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     try:
         return int(os.environ.get("XBAR_SEED", "0"))
     except ValueError as exc:
-        raise DataError(f"XBAR_SEED must be an integer: {exc}") from None
+        raise ValueError(f"XBAR_SEED must be an integer: {exc}") from None
 
 
 def _parse_values(raw: str) -> list[int]:
@@ -43,7 +40,7 @@ def _parse_values(raw: str) -> list[int]:
     except ValueError:
         pass
     if not os.path.exists(text):
-        raise DataError(f"--input {raw!r} is neither a comma-separated int list nor a file")
+        raise ValueError(f"--input {raw!r} is neither a comma-separated int list nor a file")
     values = []
     try:
         with open(text) as fh:
@@ -53,9 +50,9 @@ def _parse_values(raw: str) -> list[int]:
                 try:
                     values.append(int(line))
                 except ValueError:
-                    raise DataError(f"{text}:{lineno}: not an integer: {line!r}") from None
+                    raise ValueError(f"{text}:{lineno}: not an integer: {line!r}") from None
     except OSError as exc:
-        raise DataError(f"cannot read --input {text}: {exc}") from None
+        raise ValueError(f"cannot read --input {text}: {exc}") from None
     return values
 
 
@@ -63,7 +60,7 @@ def _input_values(args, n: int) -> list[int]:
     if args.input is not None:
         values = _parse_values(args.input)
         if len(values) != n:
-            raise DataError(f"--input supplies {len(values)} values but --n is {n}")
+            raise ValueError(f"--input supplies {len(values)} values but --n is {n}")
         return values
     import random
 
@@ -122,11 +119,11 @@ def _cmd_validate(args) -> int:
             with open(args.layout) as fh:
                 layout = array_builder.Layout.from_json_dict(json.load(fh))
         except (OSError, ValueError, KeyError, RecursionError) as exc:
-            raise DataError(f"cannot read layout from {args.layout}: {exc}") from None
+            raise ValueError(f"cannot read layout from {args.layout}: {exc}") from None
     else:
         layout = array_builder.build(args.n)
     if args.format == "json" and layout.n > len(layout.slots):
-        raise DataError(f"--format json needs n <= slots: n {layout.n}, {len(layout.slots)} slots")
+        raise ValueError(f"--format json needs n <= slots: n {layout.n}, {len(layout.slots)} slots")
     report = array_builder.validate(layout)
     if args.format == "json":
         _emit_json(report.to_json_dict())
@@ -158,13 +155,13 @@ def _write_trace(trace, path: str, csv=None) -> None:
 
     The file is opened in binary, so the trace's bytes go to disk as made, the same
     on every platform, each flushed before `csv` gets it.  An OSError from the file,
-    on open, write, flush or close, becomes a DataError.
+    on open, write, flush or close, becomes a ValueError.
     """
     def guarded(call, *args):
         try:
             return call(*args)
         except OSError as exc:
-            raise DataError(f"cannot write trace to {path}: {exc}") from None
+            raise ValueError(f"cannot write trace to {path}: {exc}") from None
 
     def write(chunk: bytes) -> None:
         fh.write(chunk)
@@ -221,7 +218,7 @@ def _cmd_index(args) -> int:
 
     if args.command == "search":
         if args.n < 2:
-            raise DataError(f"need at least 2 classes, got n={args.n}")
+            raise ValueError(f"need at least 2 classes, got n={args.n}")
         index = query_circuits.search(_input_values(args, args.n), args.key)
     elif args.command == "rank":
         index = query_circuits.select_rank(_run_sort(args)[0], args.r)
@@ -268,7 +265,7 @@ def _cmd_depth(args) -> int:
     circuits = globals().get("_CIRCUITS") or __getattr__("_CIRCUITS")
     report = series_depth(circuits[args.circuit](args.n), args.fanin)
     if args.format == "json":
-        _emit_json(report.to_json_dict())
+        _emit_json(report._asdict())
     else:
         extra = (
             f", max threshold fan-in {report.max_threshold_fanin}"
@@ -290,9 +287,9 @@ def _cmd_perm(args) -> int:
             print("".join("(" + ",".join(map(str, c)) + ")" for c in cycles))
         return 0
     if args.n < 2:
-        raise DataError(f"need at least 2 classes, got n={args.n}")
+        raise ValueError(f"need at least 2 classes, got n={args.n}")
     if args.n % 2:
-        raise DataError("the cycle partition needs even --n; pass --j to inspect one power")
+        raise ValueError("the cycle partition needs even --n; pass --j to inspect one power")
     groups = partition_Q(args.n)
     if args.format == "json":
         _emit_json({"n": args.n, "sets": groups})
@@ -326,8 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_build)
 
     p = subs.add_parser("validate", help="check a layout's structural claims")
-    p.add_argument("--n", type=int, help="build and validate the layout for n classes")
-    p.add_argument("--layout", help="validate a layout JSON file instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=int, help="build and validate the layout for n classes")
+    source.add_argument("--layout", help="validate a layout JSON file instead")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_validate)
 
@@ -369,10 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "validate" and args.layout is None and args.n is None:
-        parser.error("validate needs --n or --layout")
+    args = _build_parser().parse_args(argv)
     out = sys.stdout
     if isinstance(getattr(out, "buffer", None), io.RawIOBase):
         # Unbuffered stdout (python -u, PYTHONUNBUFFERED) drops the rest of a short
@@ -383,12 +378,12 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # so a reader that closed early shows up here, not at exit
         return code
-    except (DataError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # Assumes the pipe is stdout, the only unguarded writer (trace file errors
-        # are DataError). Exit as SIGPIPE would; fd 1 to devnull so exit's flush can't raise.
+        # are ValueError). Exit as SIGPIPE would; fd 1 to devnull so exit's flush can't raise.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
 

@@ -5,6 +5,8 @@ AND, OR, NOR, NOT, THRESHOLD(m) and HALF_ADD; a gate's id doubles as its
 output wire name.  HALF_ADD is the two-input sum cell (xor); carries are
 built from AND/OR explicitly.  THRESHOLD(m) outputs 1 when at least m
 of its inputs are 1 and is charged unit delay regardless of fan-in.
+Every netlist, `legalize`'s rewrite included, is assembled by
+`NetBuilder`, so its gate ids run g0, g1, ... in construction order.
 
 `evaluate` walks the gate list once in construction order (netlists are
 built topologically) and is bit-sliced: bit i of a wire's int is lane i,
@@ -50,9 +52,6 @@ class Netlist(NamedTuple):
     gates: list[Gate]
     outputs: dict[str, str | int]
 
-    def gate_count(self) -> int:
-        return len(self.gates)
-
     def to_text(self) -> str:
         lines = [f"inputs {','.join(self.inputs)}"]
         lines += [
@@ -71,9 +70,6 @@ class DepthReport(NamedTuple):
     depth: int
     gate_count: int
     max_threshold_fanin: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return self._asdict()
 
 
 class NetBuilder:
@@ -229,28 +225,18 @@ def legalize(net: Netlist, b: int) -> Netlist:
         raise ValueError(f"fan-in limit must be >= 2, got {b}")
     if not any(len(g.inputs) > b and g.kind in _TREE_KINDS for g in net.gates):
         return net
-    out = Netlist(net.name, list(net.inputs), [], {})
-    counter = [0]
-
-    def emit(kind: str, inputs: tuple[Wire, ...], param: int | None = None) -> Wire:
-        gid = f"L{counter[0]}"
-        counter[0] += 1
-        out.gates.append(Gate(gid, kind, inputs, param))
-        return gid
-
-    wire_map: dict[Wire, Wire] = {w: w for w in net.inputs}
+    nb = NetBuilder(net.name)
+    wire_map: dict[Wire, Wire] = {w: nb.input(w) for w in net.inputs}
     for g in net.gates:
         ins = tuple(map(wire_map.__getitem__, g.inputs))
         if g.kind in _TREE_KINDS and len(ins) > b:
-            new = _legal_tree(emit, g.kind, ins, b)
+            new = _legal_tree(nb._emit, g.kind, ins, b)
         else:
-            new = emit(g.kind, ins, g.param)
+            new = nb._emit(g.kind, ins, g.param)
         wire_map[g.gid] = new
-    out.outputs.update(
-        (name, wire if isinstance(wire, int) else wire_map[wire])
-        for name, wire in net.outputs.items()
-    )
-    return out
+    for name, wire in net.outputs.items():
+        nb.output(name, wire if isinstance(wire, int) else wire_map[wire])
+    return nb.build()
 
 
 def depth(net: Netlist, fanin_limit: "str | int" = "unbounded") -> DepthReport:
@@ -274,7 +260,7 @@ def depth(net: Netlist, fanin_limit: "str | int" = "unbounded") -> DepthReport:
     return DepthReport(
         fanin_limit=fanin_limit,
         depth=d,
-        gate_count=target.gate_count(),
+        gate_count=len(target.gates),
         max_threshold_fanin=max(thr) if thr else None,
     )
 

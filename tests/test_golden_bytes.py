@@ -15,6 +15,7 @@ import pytest
 from xbar import query_circuits
 from xbar.array_builder import build
 from xbar.cli import main
+from xbar.netlist import legalize
 from xbar.pe_simulator import detect_write_conflicts, sort
 
 import oracles
@@ -448,6 +449,27 @@ def test_netlist_text_bytes(name):
     assert got == NETLIST_DIGESTS[name]
 
 
+# (builder name, n, fan-in limit) -> sha256 of legalize(builder(n), b).to_text().
+LEGALIZED_DIGESTS = {
+    ("build_priority_encoder", 5, 2):
+        "4f8975a90e2d500f5a368f2854651cfaeed54f3b226f8718ead665344fede14b",
+    ("build_priority_encoder", 5, 3):
+        "3222e809e6563523b459b190fe829069344d059a287e13618d1f8c1599d4aa85",
+    ("build_priority_encoder", 16, 2):
+        "91d549d27480b9977cceb425da833e0363966fa1e3c482c335e59d53ad8499fb",
+    ("build_priority_encoder", 16, 3):
+        "aa2c0e141dedd96619fdd3ac676f3219edebbad812c144b2246e8bea3ff62571",
+    ("build_ones_counter", 8, 2):
+        "9a03a838480979d8671c6192eeafd9831efb41bdf712c8b21270130c99c4a4f5",
+}
+
+
+@pytest.mark.parametrize("name, n, b", sorted(LEGALIZED_DIGESTS))
+def test_legalized_netlist_bytes(name, n, b):
+    net = legalize(getattr(query_circuits, name)(n), b)
+    assert _sha(net.to_text()) == LEGALIZED_DIGESTS[name, n, b]
+
+
 def test_encoder_without_valid_bytes():
     got = tuple(_sha(query_circuits.build_encoder(n, with_valid=False).to_text()) for n in SIZES)
     assert got == ENCODER_NO_VALID_DIGESTS
@@ -470,4 +492,4 @@ def test_select_rank_row_netlist_bytes(monkeypatch):
         assert (row_lanes, encoder_lanes) == (n, 1)
         assert _sha(row.to_text()) == digest
         assert encoder.to_text() == query_circuits.build_encoder(n, with_valid=False).to_text()
-        assert (row.gate_count(), encoder.gate_count()) == gates
+        assert (len(row.gates), len(encoder.gates)) == gates

@@ -261,7 +261,7 @@ def test_validate_matches_reference(layout):
 def test_built_layouts_round_trip_through_validate(tmp_path):
     path = tmp_path / "layout.json"
     for n in range(2, 65):
-        path.write_text(json.dumps(build(n).to_json_dict()))
+        path.write_text(json.dumps({"n": n, "slots": list(build(n).slots)}))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(["validate", "--layout", str(path)])
