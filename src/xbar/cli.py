@@ -85,6 +85,11 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc))
 
 
+def _int_list(ints) -> str:
+    """The JSON text of a list of ints, as json.dumps writes it, from one `%` template."""
+    return "[" + ("%d, " * len(ints) % tuple(ints))[:-2] + "]"
+
+
 def _digit_rows(bits) -> list[str]:
     """Each 0/1 matrix row as its string of digits."""
     digits = bytes.maketrans(b"\0\1", b"01")
@@ -97,8 +102,8 @@ def _cmd_build(args) -> int:
     layout = array_builder.build(args.n)
     if args.format == "json":
         # The bytes json.dumps would write: no provenance tag holds a quote or a backslash.
-        sys.stdout.write('{"n": %d, "slots": [%s], "provenance": ["%s"]}\n' % (
-            layout.n, ("%d, " * len(layout.slots) % layout.slots)[:-2],
+        sys.stdout.write('{"n": %d, "slots": %s, "provenance": ["%s"]}\n' % (
+            layout.n, _int_list(layout.slots),
             '", "'.join(array_builder.provenance(args.n))))
     elif args.format == "csv":
         rows = zip(count(), layout.slots, array_builder.provenance(args.n))
@@ -195,11 +200,11 @@ def _cmd_sort(args) -> int:
     if args.format == "json":
         # The bytes of json.dumps(doc), with each matrix row written from its digits.
         cells = [{"row": row, "col": col, "slots": slots} for row, col, slots in conflicts]
-        sys.stdout.write('{"n": %s, "slots": %s, "input": %s, "t": [%s], "ranks": %s, '
-                         '"order": %s, "phase_count": %s, "conflicts": %s}\n' % (
-            *map(json.dumps, (layout.n, layout.slots, values)),
+        sys.stdout.write('{"n": %d, "slots": %s, "input": %s, "t": [%s], "ranks": %s, '
+                         '"order": %s, "phase_count": %d, "conflicts": %s}\n' % (
+            layout.n, *map(_int_list, (layout.slots, values)),
             ", ".join("[" + ", ".join(row) + "]" for row in rows),
-            *map(json.dumps, (ranks, order, pe_simulator.phase_count(trace), cells))))
+            *map(_int_list, (ranks, order)), pe_simulator.phase_count(trace), json.dumps(cells)))
     else:
         sys.stdout.write("".join(row + "\n" for row in rows))
         print("R: " + " ".join(map(str, ranks)))

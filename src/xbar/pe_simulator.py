@@ -28,10 +28,12 @@ group shape; a reply block has two forms, as the small class loses or
 wins, and picks one per crosspoint.  `write` is the one way to the text:
 it streams each block to each sink, JSON lines or CSV, by repeating the
 sink's line template and filling a chunk of groups with one `%` over a
-flat int tuple, taken once for all sinks; each chunk goes to its sink as
-soon as it is made.  The templates are bytes, so the sinks take bytes: a
-`%` over ASCII bytes is cheaper than one over str, and a binary file
-takes the chunks as they are, with no text layer to encode them again.
+flat tuple, built one extended slice per column and taken once for all
+sinks; each chunk goes to its sink as soon as it is made.  Keys and
+ranks are rendered once per class and fill `value` fields with `%s`.
+The templates are bytes, so the sinks take bytes: a `%` over ASCII bytes
+is cheaper than one over str, and a binary file takes the chunks as
+they are, with no text layer to encode them again.
 The lines equal `json.dumps` and `csv.writer` output, encoded as ASCII,
 as every payload is an exact int.
 
@@ -97,8 +99,8 @@ class SortTrace(NamedTuple):
 
         A group is one class (clear, rank), slot (load) or crosspoint.  Group g renders
         through forms[picks[g]]; `picks` is None for a block of one form.  A form's `...`
-        fields take, line by line, one int per column, and each column holds one int
-        per group.
+        fields take, line by line, one item per column, and each column holds one item
+        per group: for a `value` field an item of `values` or `ranks`, else an int.
         """
         slots, vals, bits = self.layout.slots, self.values, self.bits
         first = dict(zip(reversed(slots), range(len(slots) - 1, -1, -1)))
@@ -137,33 +139,46 @@ class SortTrace(NamedTuple):
         is one object over COLUMNS that leaves out absent payload keys; the CSV is a
         COLUMNS header, then one row per event with absent payload fields empty.  Every
         block's groups go through the sink's line templates, encoded once per block,
-        _CHUNK at a time: each chunk's ints are taken once, then filled into each sink's
-        templates with one bytes `%` and handed to it at once.
+        _CHUNK at a time: each chunk's flat tuple is built once, one extended slice per
+        column, and filled into each sink's templates with one bytes `%`.  Keys and ranks
+        are rendered once per class, so `value` fields take them with `%s`, all else `%d`.
         """
         if csv is not None:
             csv(",".join(COLUMNS).encode() + b"\r\n")
         sinks = [(line, sink) for line, sink in ((_jsonl_line, jsonl), (_csv_line, csv))
                  if sink is not None]
-        for phase, forms, picks, cols in self._blocks():
+        rendered = self._replace(values=tuple(map(b"%d".__mod__, self.values)),
+                                 ranks=self.ranks and tuple(map(b"%d".__mod__, self.ranks)))
+        for phase, forms, picks, cols in rendered._blocks():
             fills = []
             for line, sink in sinks:
                 texts = tuple("".join(line(phase, ev) for ev in form).encode() for form in forms)
                 fills.append((repeat(texts[0]) if picks is None else
                               map(texts.__getitem__, picks), sink))
-            ints, width = chain.from_iterable(zip(*cols)), len(cols)
-            while chunk := tuple(islice(ints, _CHUNK * width)):
+            width, groups = len(cols), len(cols[0])
+            for start in range(0, groups, _CHUNK):
+                size = min(_CHUNK, groups - start)
+                ints = [0] * (width * size)
+                for i, col in enumerate(cols):
+                    ints[i::width] = col[start:start + size]
+                chunk = tuple(ints)
                 for templates, sink in fills:
-                    sink(b"".join(islice(templates, len(chunk) // width)) % chunk)
+                    sink(b"".join(islice(templates, size)) % chunk)
+
+
+def _field(k, v, text) -> str:
+    """Column k's template text: `%s` for a rendered value, `%d` for any other `...`."""
+    return ("%s" if k == "value" else "%d") if v is ... else text(v)
 
 
 def _jsonl_line(phase, ev) -> str:
-    return "{" + ", ".join(f'"{k}": {"%d" if v is ... else json.dumps(v)}'
+    return "{" + ", ".join(f'"{k}": {_field(k, v, json.dumps)}'
                            for k, v in zip(COLUMNS, (phase, *ev)) if v is not None) + "}\n"
 
 
 def _csv_line(phase, ev) -> str:
-    return ",".join("" if v is None else "%d" if v is ... else str(v)
-                    for v in (phase, *ev)) + "\r\n"
+    return ",".join("" if v is None else _field(k, v, str)
+                    for k, v in zip(COLUMNS, (phase, *ev))) + "\r\n"
 
 
 # A form is a group's lines, each a TraceEvent whose `...` fields the group's ints
@@ -184,8 +199,9 @@ _DIRECTIONS = tuple(
         ("left", "send_left", "recv_right", "signal_send_right", "signal_recv_left"),
         ("right", "send_right", "recv_left", "signal_send_left", "signal_recv_right")))
 
-# Groups per `%` in a render: a bound on the template and int tuple built at once.
-_CHUNK = 1024
+# Groups per `%` in a render: a bound on the template and the tuple interleaved at
+# once.  Interleaving a whole block at once raised the n=512 trace's peak by 9 MB.
+_CHUNK = 512
 
 _event = partial(tuple.__new__, TraceEvent)  # one C call per event, not TraceEvent's __new__
 

@@ -292,6 +292,10 @@ def _cli_stdout(*argv) -> str:
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=2, max_value=40).flatmap(
     lambda n: st.lists(keys, min_size=n, max_size=n)))
+# The sizes the benchmark sorts: signed keys up to 10**21 at odd n, tied keys at even
+# n, whose doubled pairs give `conflicts` entries.
+@example(_fixed_values(255, wide=True))
+@example(_fixed_values(256, wide=False))
 def test_sort_stdout_matches_json_dumps_of_reference_doc(values):
     n = len(values)
     layout = build(n)
