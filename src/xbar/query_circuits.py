@@ -17,8 +17,8 @@ Circuits provided:
   resulting one-hot feeds the encoder;
 * popcount adder trees built from fan-in-2 carry-prefix adders
   (HALF_ADD sum cells, AND/OR carry cells), used both to rank rows and
-  to select the row whose rank equals a target (a two's-complement
-  subtraction and a zero detector after the tree);
+  to select the row whose rank equals a target (one AND after the tree
+  compares its bits with the constant);
 * a probabilistic rank-at-least-j test that sums row bits in k-wide
   chunks, with its exact miss probability as a fraction.
 
@@ -39,11 +39,6 @@ from .netlist import DepthReport, NetBuilder, Netlist, depth, evaluate
 
 if TYPE_CHECKING:  # annotations only; the one function that makes a Fraction imports it
     from fractions import Fraction
-
-# Per-adder depth margin of the carry-prefix cell structure, measured once
-# on the built popcount trees: depth(tree for n inputs) never exceeds
-# ceil(lg n) * (2 * ceil(lg ceil(lg n)) + this constant).
-ADDER_TREE_DEPTH_MARGIN = 2
 
 
 def _output_bits(nb: NetBuilder, bits: list, prefix: str) -> None:
@@ -138,7 +133,7 @@ def _bk_carries(nb: NetBuilder, g: list, p: list) -> list:
     return G
 
 
-def _bk_add(nb: NetBuilder, a_bits: list, b_bits: list, cin=0) -> list:
+def _bk_add(nb: NetBuilder, a_bits: list, b_bits: list) -> list:
     """Add two little-endian bit vectors with a carry-prefix adder.
 
     Operands may mix wires and constant bits; the result has
@@ -149,9 +144,8 @@ def _bk_add(nb: NetBuilder, a_bits: list, b_bits: list, cin=0) -> list:
     b = list(b_bits) + [0] * (w - len(b_bits))
     p = [nb.xor2(a[i], b[i]) for i in range(w)]
     g = [nb.and_(a[i], b[i]) for i in range(w)]
-    g[0] = nb.or_(g[0], nb.and_(p[0], cin))
     carries = _bk_carries(nb, g, p)
-    sums = [nb.xor2(p[0], cin)]
+    sums = [p[0]]
     sums += [nb.xor2(p[i], carries[i - 1]) for i in range(1, w)]
     sums.append(carries[w - 1])
     return sums
@@ -242,25 +236,12 @@ def rank_via_adder_tree(bits: Sequence[Sequence[int]]) -> tuple[tuple[int, ...],
 
 
 def select_rank(bits: Sequence[Sequence[int]], r: int) -> int:
-    """Index of the unique row whose popcount equals r.
+    """Index of the unique row whose popcount equals r: `select_rank_stages`, then the encoder.
 
-    Circuit route: one row circuit (popcount tree, add the two's
-    complement of r over ceil(lg n) + 1 bits, NOR the difference bits
-    into a zero flag), evaluated once over all rows as bit-sliced lanes.
-    The encoder turns the one-hot flags into the index.  Raises
-    ValueError on a matrix that no full sort produces.
+    Raises ValueError for r outside 0..n-1 and on a matrix that no full
+    sort produces.
     """
-    n = len(bits)
-    if not 0 <= r <= n - 1:
-        raise ValueError(f"rank {r} outside 0..{n - 1}")
-    width = (n - 1).bit_length() + 1
-    comp_bits = [(~r >> b) & 1 for b in range(width)]
-
-    def rank_is_r(nb: NetBuilder, *row):
-        total = (_popcount_bits(nb, row) + [0] * width)[:width]
-        return nb.nor_(*_bk_add(nb, total, comp_bits, cin=1)[:width])
-
-    return _hit_index(bits, _row_stages(rank_is_r, n))
+    return _hit_index(bits, select_rank_stages(len(bits), r))
 
 
 def rank_at_least_probabilistic(
@@ -325,6 +306,23 @@ def min_stages(n: int) -> list:
 def max_stages(n: int) -> list:
     """`max_index`'s stages: an AND over each row's n - 1 off-diagonal bits, then the encoder."""
     return _row_stages(NetBuilder.and_, n)
+
+
+def select_rank_stages(n: int, r: int) -> list:
+    """`select_rank`'s stages: a popcount tree per row, one AND comparing it with r, the encoder.
+
+    The AND takes popcount bit k as it is where r has a 1 and negated
+    where r has a 0.  Every r in 0..n-1 fits the popcount's bits; any
+    other r raises ValueError.
+    """
+    if not 0 <= r <= n - 1:
+        raise ValueError(f"rank {r} outside 0..{n - 1}")
+
+    def rank_is_r(nb: NetBuilder, *row):
+        bits = enumerate(_popcount_bits(nb, row))
+        return nb.and_(*(w if r >> k & 1 else nb.not_(w) for k, w in bits))
+
+    return _row_stages(rank_is_r, n)
 
 
 def row_assignments(bits: Sequence[int], prefix: str = "b") -> dict[str, int]:

@@ -312,6 +312,17 @@ def pack_lanes(words, width, prefix="b"):
             for i in range(width)}
 
 
+def all_vectors(m):
+    """The m input ints that hold all 2^m vectors as lanes: int k holds bit k of L in lane L.
+
+    Int k is its bit's block pattern, 2^k zero lanes then 2^k one lanes,
+    repeated 2^(m-k-1) times: the block times the base-2^(2^(k+1)) repunit.
+    """
+    every_lane = (1 << (1 << m)) - 1
+    return [every_lane // ((1 << (2 << k)) - 1) * (((1 << (1 << k)) - 1) << (1 << k))
+            for k in range(m)]
+
+
 def lane_values(outputs, nbits, lanes, prefix="bit"):
     """Read outputs `<prefix>0..<prefix><nbits-1>` back as one int per lane."""
     return [sum(((outputs[f"{prefix}{k}"] >> r) & 1) << k for k in range(nbits))

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -331,6 +333,36 @@ def test_min_max_rank_search(capsys):
                     "--format", "json")
     assert code == 0
     assert json.loads(out) == {"index": None, "exact": True}
+
+
+def _readme_cli_block():
+    """The lines of README's `## CLI` ```sh block, each as (argv after `xbar`, `# -> ` result)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    lines = []
+    for line in block.splitlines():
+        prog, *argv = shlex.split(line, comments=True)
+        assert prog == "xbar", line
+        result = re.search(r"# -> (.*?)(?: \(|$)", line)
+        lines.append((argv, result and result.group(1)))
+    return lines
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    # Every line exits 0 from a fresh directory; `validate --layout layout.json`
+    # reads the document the `build --n 12 --format json` line wrote there.
+    monkeypatch.chdir(tmp_path)
+    checked = {}
+    for argv, result in _readme_cli_block():
+        code, out = run(capsys, *argv)
+        assert code == 0, argv
+        if argv == ["build", "--n", "12", "--format", "json"]:
+            (tmp_path / "layout.json").write_text(out)
+        if result:
+            assert out.strip() == result, argv
+            checked[argv[0]] = result
+    assert checked == {"min": "index 3", "max": "index 2", "rank": "index 4"}
+    assert (tmp_path / "t.jsonl").stat().st_size > 0
 
 
 def test_validate_clean_and_violations(tmp_path, capsys):

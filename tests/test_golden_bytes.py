@@ -430,16 +430,17 @@ ENCODER_NO_VALID_DIGESTS = (
 # select_rank(reversed-order matrix, r = n // 2) builds one row netlist
 # internally: sha256 of its to_text() for each n in SIZES.
 SELECT_RANK_ROW_DIGESTS = (
-    "87c9d358616b8d922880123013dfc3fec73d42f71ae84f6bbc25bc5b69b0261f",
-    "c493c5ce4273c0d89abb07f1ddd264a9b9eeef47c178078d277ebecab30801f9",
-    "5a750bc3b0bb13292a5fa5fcd84cd37b94515f46534a613c75145759e8a2ffcd",
-    "93e715352d8a1bb8474c7ad84ededdfc4b3fc1652dc9e297dc06a1b6c42b71bb",
-    "cfa4db2a003bb8f642cc8335320275f44343b268b4b0e1bc3e9bd9af642fac3e",
+    "5c935a794b009b21b6fe219930d2125097abe0ab697d18f5869cc47233d30ddd",
+    "1f838f24c631cbe4f0d0226d64e6b3ba3b17ef9f81cf481a56c0df3439897ef8",
+    "3faf8bcc7a8469864e8aa8e41d15499785aa5c37c98b9be4064f65cd806f74d1",
+    "fa1ef5678e8d024445d09aef6daea11ff867a76c94d18067d0a0e04109aa6493",
+    "fc90d95148110fae86d7d0b9685bae3b18e3066c6a54ba3d0415bd00924edac0",
 )
 
 # Gates evaluated per query, (row netlist, encoder): the row netlist runs
-# once over n lanes, then the encoder once.
-SELECT_RANK_GATES = ((3, 0), (10, 0), (27, 2), (49, 3), (114, 4))
+# once over n lanes, then the encoder once.  At n = 2, r = 1 the row is
+# `hit = b0` with no gate.
+SELECT_RANK_GATES = ((0, 0), (4, 0), (15, 2), (36, 3), (96, 4))
 
 
 @pytest.mark.parametrize("name", sorted(NETLIST_DIGESTS))

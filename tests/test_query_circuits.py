@@ -23,10 +23,11 @@ from xbar.query_circuits import (
     row_assignments,
     search,
     select_rank,
+    select_rank_stages,
     threshold_rank_stages,
 )
 
-from oracles import (argmax_index, argmin_index, build_min_circuit,
+from oracles import (all_vectors, argmax_index, argmin_index, build_min_circuit,
                      build_rank_circuit_threshold, lane_values, oracle_ranks, pack_lanes)
 
 T4 = ((0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0))
@@ -153,6 +154,15 @@ def test_popcount_tree_exhaustive(n):
         assert decode_bits(out) == sum(bits)
 
 
+@pytest.mark.parametrize("m", range(1, 13))
+def test_popcount_tree_on_every_vector(m):
+    # One bit-sliced evaluation over all 2^m lanes, lane L carrying vector L.
+    net = build_popcount_tree(m)
+    lanes = 1 << m
+    out = evaluate(net, dict(zip(net.inputs, all_vectors(m))), lanes)
+    assert lane_values(out, len(net.outputs), lanes) == [bin(L).count("1") for L in range(lanes)]
+
+
 def test_popcount_tree_two_bits_is_one_adder():
     report = depth(build_popcount_tree(2), 2)
     assert report.depth <= 2
@@ -204,6 +214,38 @@ def test_select_rank_every_rank():
         select_rank(t, 5)
 
 
+@pytest.mark.parametrize("n", range(2, 14))
+def test_select_rank_row_on_every_vector(n):
+    # The row reads n - 1 bits: all 2^(n-1) of them at once, for every r.
+    lanes = 1 << (n - 1)
+    inputs = {f"b{k}": v for k, v in enumerate(all_vectors(n - 1))}
+    counts = [bin(L).count("1") for L in range(lanes)]
+    for r in range(n):
+        (row, _), _ = select_rank_stages(n, r)
+        want = sum(1 << L for L, c in enumerate(counts) if c == r)
+        assert evaluate(row, inputs, lanes)["hit"] == want, r
+    for r in (-1, n):
+        with pytest.raises(ValueError, match=f"rank {r} outside 0..{n - 1}"):
+            select_rank_stages(n, r)
+
+
+def test_select_rank_depth_barely_depends_on_r():
+    # The row compares the popcount with a constant, so r only decides which
+    # bits pass through a NOT: at most one level apart at every fan-in.  With
+    # unbounded fan-in every r gives one depth except at n = 2^k + 1: there the
+    # popcount's top bit is its deepest and is 1 only for r = n - 1, so every
+    # other r puts a NOT on the critical path.
+    for n in range(2, 41):
+        depths = {b: set() for b in ("unbounded", 2, 3)}
+        for r in range(n):
+            stages = select_rank_stages(n, r)
+            for b, seen in depths.items():
+                seen.add(series_depth(stages, b).depth)
+        for b, seen in depths.items():
+            assert max(seen) - min(seen) <= 1, (n, b, seen)
+        assert len(depths["unbounded"]) == 1 or (n - 1) & (n - 2) == 0, (n, depths)
+
+
 # Matrices no full sort produces: their row sums are not a permutation of
 # 0..n-1, so the row flags are not one-hot and the encoders would return
 # an index outside 0..n-1.
@@ -240,6 +282,8 @@ def test_queries_evaluate_the_stages_xbar_depth_reports(monkeypatch):
         r = rng.randrange(n)
         assert select_rank(t, r) == ranks.index(r)
         assert evaluated[0].inputs == [f"b{k}" for k in range(n - 1)]
+        assert [net.to_text() for net in evaluated] == [
+            net.to_text() for net, _ in select_rank_stages(n, r)]
 
 
 def test_probabilistic_rank_examples():
