@@ -14,7 +14,8 @@ uses.  ``build`` and ``validate`` load `array_builder` (which builds on
 ``max`` add `query_circuits` and its `netlist` to that; ``search`` and
 ``depth`` load `query_circuits` and `netlist` only; ``perm`` loads
 `cyclic_perm` only; ``--help`` loads no other layer.  Only `_emit_json`,
-``validate --layout`` and ``sort``, which read or write JSON, import `json`.
+``validate --layout`` and ``sort --trace`` import `json`: every other JSON
+document is written from a `%` template.
 """
 
 import argparse
@@ -180,8 +181,6 @@ def _write_trace(trace, path: str, csv=None) -> None:
 
 
 def _cmd_sort(args) -> int:
-    import json
-
     from . import pe_simulator
 
     bits, ranks, trace = _run_sort(args)
@@ -199,12 +198,13 @@ def _cmd_sort(args) -> int:
     rows = _digit_rows(bits)
     if args.format == "json":
         # The bytes of json.dumps(doc), with each matrix row written from its digits.
-        cells = [{"row": row, "col": col, "slots": slots} for row, col, slots in conflicts]
+        cells = ['{"row": %d, "col": %d, "slots": %s}' % (row, col, _int_list(slots))
+                 for row, col, slots in conflicts]
         sys.stdout.write('{"n": %d, "slots": %s, "input": %s, "t": [%s], "ranks": %s, '
-                         '"order": %s, "phase_count": %d, "conflicts": %s}\n' % (
+                         '"order": %s, "phase_count": %d, "conflicts": [%s]}\n' % (
             layout.n, *map(_int_list, (layout.slots, values)),
             ", ".join("[" + ", ".join(row) + "]" for row in rows),
-            *map(_int_list, (ranks, order)), pe_simulator.phase_count(trace), json.dumps(cells)))
+            *map(_int_list, (ranks, order)), pe_simulator.phase_count(trace), ", ".join(cells)))
     else:
         sys.stdout.write("".join(row + "\n" for row in rows))
         print("R: " + " ".join(map(str, ranks)))
@@ -230,7 +230,7 @@ def _cmd_index(args) -> int:
     else:
         index = getattr(query_circuits, f"{args.command}_index")(_run_sort(args)[0])
     if args.format == "json":
-        _emit_json({"index": index, "exact": True})
+        sys.stdout.write('{"index": %s, "exact": true}\n' % ("null" if index is None else index))
     else:
         print(f"index {'none' if index is None else index}")
     return 0

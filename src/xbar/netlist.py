@@ -26,7 +26,7 @@ Structural text format: one gate per line, ``gateId KIND[param] <- wire,wire,...
 """
 
 import operator
-from functools import reduce
+from functools import partial, reduce
 from typing import NamedTuple
 
 Wire = str
@@ -37,6 +37,9 @@ class Gate(NamedTuple):
     kind: str
     inputs: tuple[str, ...]
     param: int | None = None
+
+
+_gate = partial(tuple.__new__, Gate)  # one C call per gate, not Gate's __new__
 
 
 class Netlist(NamedTuple):
@@ -94,7 +97,7 @@ class NetBuilder:
     def _emit(self, kind: str, inputs: tuple[Wire, ...], param: int | None = None) -> Wire:
         gid = f"g{self._next}"
         self._next += 1
-        self.net.gates.append(Gate(gid, kind, inputs, param))
+        self.net.gates.append(_gate((gid, kind, inputs, param)))
         return gid
 
     def _fold(self, kind: str, ins: tuple, absorbing: int, inverted: bool = False) -> "Wire | int":
@@ -102,11 +105,12 @@ class NetBuilder:
 
         The identity constant drops out and the absorbing one decides the
         gate.  An `inverted` gate (NOR) flips its constant results and turns
-        a single wire into a NOT instead of passing it through.
+        a single wire into a NOT instead of passing it through.  Constants
+        are 0/1, so with neither one among `ins` they are all wires.
         """
         if absorbing in ins:
             return absorbing ^ inverted
-        wires = tuple(x for x in ins if not isinstance(x, int))
+        wires = tuple(x for x in ins if not isinstance(x, int)) if 1 - absorbing in ins else ins
         if not wires:
             return (1 - absorbing) ^ inverted
         if len(wires) == 1:
@@ -182,15 +186,14 @@ def evaluate(net: Netlist, assignments: dict, lanes: int = 1) -> dict:
         if name not in assignments:
             raise KeyError(f"missing value for input wire {name!r}")
         values[name] = assignments[name]
-    for g in net.gates:
-        ins = [values[w] for w in g.inputs]
-        if g.kind == "THRESHOLD":
-            v = _at_least(ins, g.param, mask)
-        elif g.kind in _FOLDS:
-            v = reduce(_FOLDS[g.kind], ins)
+    for gid, kind, inputs, param in net.gates:
+        if kind == "THRESHOLD":
+            v = _at_least(list(map(values.__getitem__, inputs)), param, mask)
+        elif kind in _FOLDS:
+            v = reduce(_FOLDS[kind], map(values.__getitem__, inputs))
         else:
-            raise ValueError(f"unknown gate kind {g.kind}")
-        values[g.gid] = v ^ mask if g.kind in ("NOR", "NOT") else v
+            raise ValueError(f"unknown gate kind {kind}")
+        values[gid] = v ^ mask if kind in ("NOR", "NOT") else v
     return {
         name: (-wire & mask if isinstance(wire, int) else values[wire])
         for name, wire in net.outputs.items()

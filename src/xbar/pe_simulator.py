@@ -35,13 +35,13 @@ The templates are bytes, so the sinks take bytes: a `%` over ASCII bytes
 is cheaper than one over str, and a binary file takes the chunks as
 they are, with no text layer to encode them again.
 The lines equal `json.dumps` and `csv.writer` output, encoded as ASCII,
-as every payload is an exact int.
+as every payload is an exact int.  Only the trace writer needs `json`,
+for the names in its JSON-lines templates, so it alone imports it.
 
 The final matrix satisfies bits[i][k] = 1 iff A[k] < A[i], or A[k] == A[i]
 with k < i; row sums are therefore the ranks of a stable sort.
 """
 
-import json
 from functools import partial
 from itertools import chain, compress, count, islice, repeat
 from operator import eq, getitem, gt, lt
@@ -172,6 +172,8 @@ def _field(k, v, text) -> str:
 
 
 def _jsonl_line(phase, ev) -> str:
+    import json  # here, so only a run that writes JSON lines loads it
+
     return "{" + ", ".join(f'"{k}": {_field(k, v, json.dumps)}'
                            for k, v in zip(COLUMNS, (phase, *ev)) if v is not None) + "}\n"
 

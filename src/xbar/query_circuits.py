@@ -179,12 +179,15 @@ def build_popcount_tree(n: int) -> Netlist:
     return nb.build()
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a 0/1 column's bytes -> its base-2 digits
+
+
 def _run_rows(bits: Sequence[Sequence[int]], row_net: Netlist) -> dict:
     """Evaluate `row_net` once on every row's n - 1 off-diagonal bits, lane i = row i.
 
     Input `b<k>` of row i is column k below the diagonal (k < i) and column k + 1 from it on.
     """
-    columns = [int("".join(map(str, reversed(column))), 2) for column in zip(*bits)]
+    columns = [int(bytes(column[::-1]).translate(_DIGITS), 2) for column in zip(*bits)]
     lows = [(2 << k) - 1 for k in range(len(bits) - 1)]  # lanes 0..k, which take column k + 1
     inputs = {f"b{k}": columns[k] & ~low | columns[k + 1] & low for k, low in enumerate(lows)}
     return evaluate(row_net, inputs, lanes=len(bits))

@@ -84,15 +84,23 @@ def test_commands_load_only_their_layers(argv, loaded):
     (["perm", "--n", "6"], False),
     (["depth", "--circuit", "min", "--n", "8"], False),
     (["validate", "--layout", "{layout}"], True),
-    (["sort", "--n", "5"], True),
-    (["rank", "--n", "5", "--r", "1", "--format", "json"], True),
+    (["sort", "--n", "5"], False),
+    (["rank", "--n", "5", "--r", "1", "--format", "json"], False),
+    (["sort", "--n", "5", "--format", "json"], False),
+    (["sort", "--n", "5", "--format", "csv"], False),
+    (["sort", "--n", "5", "--trace", "{trace}"], True),
+    (["min", "--n", "5", "--format", "json"], False),
+    (["max", "--n", "5", "--format", "json"], False),
+    (["search", "--n", "5", "--key", "3", "--format", "json"], False),
 ])
 def test_only_json_handlers_load_json(argv, wants_json, tmp_path):
-    # build writes its JSON through a % template, so only _emit_json,
-    # validate --layout and sort import json.
+    # build, sort and the index queries write their JSON through % templates,
+    # so only _emit_json, validate --layout and the JSON-lines trace writer of
+    # sort --trace import json.
     layout = tmp_path / "layout.json"
     layout.write_text('{"n": 2, "slots": [0, 1]}')
-    argv = [str(layout) if a == "{layout}" else a for a in argv]
+    paths = {"{layout}": str(layout), "{trace}": str(tmp_path / "t.jsonl")}
+    argv = [paths.get(a, a) for a in argv]
     assert ("json" in _modules_after(argv)) == wants_json
 
 
@@ -333,6 +341,35 @@ def test_min_max_rank_search(capsys):
                     "--format", "json")
     assert code == 0
     assert json.loads(out) == {"index": None, "exact": True}
+
+
+@pytest.mark.parametrize("n", [*range(2, 67, 2), 255, 256])
+def test_sort_json_bytes_match_json_dumps(capsys, n):
+    # Even n doubles n/2 - 1 pairs, so `conflicts` goes through its template that often.
+    code, out = run(capsys, "sort", "--n", str(n), "--seed", str(n), "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and out == json.dumps(doc) + "\n"
+    assert len(doc["conflicts"]) == (n // 2 - 1 if n % 2 == 0 else 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["min", "--n", "4", "--input", "6,7,8,5"],
+    ["min", "--n", "3", "--input", "1,2,3"],
+    ["max", "--n", "5", "--input", "8,6,9,5,7"],
+    ["max", "--n", "256", "--seed", "3"],
+    ["rank", "--n", "5", "--input", "8,6,9,5,7", "--r", "2"],
+    ["rank", "--n", "128", "--seed", "5", "--r", "77"],
+    ["search", "--n", "5", "--input", "8,6,9,5,7", "--key", "9"],
+    ["search", "--n", "5", "--input", "8,6,9,5,7", "--key", "4"],
+    ["search", "--n", "256", "--seed", "1", "--key", "-1"],
+])
+def test_index_json_bytes_match_json_dumps(capsys, argv):
+    # The index document is a % template: json.dumps bytes, the text's index, null when absent.
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0 and out == json.dumps(json.loads(out)) + "\n"
+    text = run(capsys, *argv)[1]
+    index = None if text == "index none\n" else int(text.removeprefix("index "))
+    assert json.loads(out) == {"index": index, "exact": True}
 
 
 def _readme_cli_block():

@@ -229,6 +229,72 @@ def test_select_rank_row_on_every_vector(n):
             select_rank_stages(n, r)
 
 
+# Every m-input builder on all 2^m vectors, m 1..12 and one m = 16 case: one
+# bit-sliced evaluate per netlist, lane L carrying vector L.  The unbounded
+# netlist and its legalized forms at fan-in 2..4 must all read `want(L)`.
+# The encoders and the ones counter refuse one input, so they start at m = 2.
+EVERY_VECTOR_MS = [*range(1, 13), 16]
+
+
+def _assert_on_every_vector(net, m, want):
+    """Each output of `net` and of `legalize(net, b)`, b 2..4, is want(L)[output] in lane L."""
+    lanes = 1 << m
+    rows = [want(L) for L in range(lanes)]
+    digits = bytes.maketrans(b"\0\1", b"01")
+    expected = {name: int(bytes(row[name] for row in reversed(rows)).translate(digits), 2)
+                for name in rows[0]}
+    inputs = dict(zip(net.inputs, all_vectors(m)))
+    for b in ("unbounded", 2, 3, 4):
+        legal = net if b == "unbounded" else legalize(net, b)
+        if legal is not net or b == "unbounded":  # a net with no wide gate is its own form
+            assert evaluate(legal, inputs, lanes) == expected, (m, b)
+
+
+def _bits_of(value, m, prefix="bit"):
+    """`value` as the outputs of an m-input encoder: max(1, lg m) little-endian bits."""
+    return {f"{prefix}{j}": value >> j & 1 for j in range(max(1, (m - 1).bit_length()))}
+
+
+@pytest.mark.parametrize("m", EVERY_VECTOR_MS[1:])
+def test_encoder_on_every_vector(m):
+    # Output bit j ORs the inputs whose index has bit j set, hot or not.
+    masks = [sum(1 << i for i in range(m) if i >> j & 1)
+             for j in range(max(1, (m - 1).bit_length()))]
+
+    def want(L):
+        return {**{f"bit{j}": int(L & mask != 0) for j, mask in enumerate(masks)},
+                "valid": int(L != 0)}
+
+    _assert_on_every_vector(build_encoder(m), m, want)
+
+
+@pytest.mark.parametrize("m", EVERY_VECTOR_MS[1:])
+def test_priority_encoder_on_every_vector(m):
+    # The lowest hot input wins; with none hot, valid is low and the index reads 0.
+    def want(L):
+        return {**_bits_of((L & -L).bit_length() - 1 if L else 0, m), "valid": int(L != 0)}
+
+    _assert_on_every_vector(build_priority_encoder(m), m, want)
+
+
+@pytest.mark.parametrize("m", EVERY_VECTOR_MS[1:])
+def test_ones_counter_on_every_vector(m):
+    # Count m has no detector, so an all-ones vector reads 0 with no e<k> hot.
+    by_count = [{**{f"e{k}": int(k == c) for k in range(m)}, **_bits_of(c % m, m)}
+                for c in range(m + 1)]
+    _assert_on_every_vector(build_ones_counter(m), m, lambda L: by_count[bin(L).count("1")])
+
+
+@pytest.mark.parametrize("m", EVERY_VECTOR_MS)
+@pytest.mark.parametrize("stages, hit", [(min_stages, lambda L, m: L == 0),
+                                         (max_stages, lambda L, m: L == (1 << m) - 1)],
+                         ids=["min", "max"])
+def test_min_max_rows_on_every_vector(stages, hit, m):
+    # The row of an n-class query reads n - 1 bits: NOR hits the all-zero row, AND the all-ones.
+    (row, _), _ = stages(m + 1)
+    _assert_on_every_vector(row, m, lambda L: {"hit": int(hit(L, m))})
+
+
 def test_select_rank_depth_barely_depends_on_r():
     # The row compares the popcount with a constant, so r only decides which
     # bits pass through a NOT: at most one level apart at every fan-in.  With
