@@ -69,6 +69,19 @@ def _input_values(args, n: int) -> list[int]:
     return [rng.randrange(0, 100) for _ in range(n)]
 
 
+MAX_N = 2048  # the largest --n any command takes; at it, each finishes within about 10 s
+
+
+def _n(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n > MAX_N:
+        raise argparse.ArgumentTypeError(f"at most {MAX_N} classes, got {n}")
+    return n
+
+
 def _fanin(text: str):
     if text == "unbounded":
         return "unbounded"
@@ -272,11 +285,8 @@ def _cmd_depth(args) -> int:
     if args.format == "json":
         _emit_json(report._asdict())
     else:
-        extra = (
-            f", max threshold fan-in {report.max_threshold_fanin}"
-            if report.max_threshold_fanin is not None
-            else ""
-        )
+        width = report.max_threshold_fanin
+        extra = "" if width is None else f", max threshold fan-in {width}"
         print(f"depth {report.depth} (fanin {report.fanin_limit}, {report.gate_count} gates{extra})")
     return 0
 
@@ -308,7 +318,7 @@ def _cmd_perm(args) -> int:
 
 
 def _add_common(sub, *, values=False, formats=("text", "json", "csv")):
-    sub.add_argument("--n", type=int, required=True, help="number of classes")
+    sub.add_argument("--n", type=_n, required=True, help="number of classes")
     if values:
         sub.add_argument("--input", help="comma-separated values or a file, one value per line")
         sub.add_argument("--seed", type=int, default=None,
@@ -329,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="check a layout's structural claims")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--n", type=int, help="build and validate the layout for n classes")
+    source.add_argument("--n", type=_n, help="build and validate the layout for n classes")
     source.add_argument("--layout", help="validate a layout JSON file instead")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_validate)
@@ -356,14 +366,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("depth", help="critical-path depth of a query circuit")
     p.add_argument("--circuit", choices=sorted(_CIRCUIT_BUILDERS), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_n, required=True)
     p.add_argument("--fanin", type=_fanin, default="unbounded",
                    help="'unbounded' or an integer fan-in limit >= 2")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_depth)
 
     p = subs.add_parser("perm", help="inspect shift powers and their cycle partition")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_n, required=True)
     p.add_argument("--j", type=int, help="exponent; omit to list the Q partition")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_perm)

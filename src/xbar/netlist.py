@@ -50,7 +50,6 @@ class Netlist(NamedTuple):
     builders fill fresh ones in place, so there are no shared defaults.
     """
 
-    name: str
     inputs: list[str]
     gates: list[Gate]
     outputs: dict[str, str | int]
@@ -83,9 +82,8 @@ class NetBuilder:
     collapses to its wire, a one-input NOR becomes a NOT.
     """
 
-    def __init__(self, name: str = ""):
-        self.net = Netlist(name, [], [], {})
-        self._next = 0
+    def __init__(self):
+        self.net = Netlist([], [], {})
 
     def input(self, name: str) -> Wire:
         self.net.inputs.append(name)
@@ -95,9 +93,9 @@ class NetBuilder:
         self.net.outputs[name] = wire
 
     def _emit(self, kind: str, inputs: tuple[Wire, ...], param: int | None = None) -> Wire:
-        gid = f"g{self._next}"
-        self._next += 1
-        self.net.gates.append(_gate((gid, kind, inputs, param)))
+        gates = self.net.gates
+        gid = f"g{len(gates)}"
+        gates.append(_gate((gid, kind, inputs, param)))
         return gid
 
     def _fold(self, kind: str, ins: tuple, absorbing: int, inverted: bool = False) -> "Wire | int":
@@ -228,7 +226,7 @@ def legalize(net: Netlist, b: int) -> Netlist:
         raise ValueError(f"fan-in limit must be >= 2, got {b}")
     if not any(len(g.inputs) > b and g.kind in _TREE_KINDS for g in net.gates):
         return net
-    nb = NetBuilder(net.name)
+    nb = NetBuilder()
     wire_map: dict[Wire, Wire] = {w: nb.input(w) for w in net.inputs}
     for g in net.gates:
         ins = tuple(map(wire_map.__getitem__, g.inputs))
@@ -260,12 +258,7 @@ def depth(net: Netlist, fanin_limit: "str | int" = "unbounded") -> DepthReport:
         default=0,
     )
     thr = [len(g.inputs) for g in target.gates if g.kind == "THRESHOLD"]
-    return DepthReport(
-        fanin_limit=fanin_limit,
-        depth=d,
-        gate_count=len(target.gates),
-        max_threshold_fanin=max(thr) if thr else None,
-    )
+    return DepthReport(fanin_limit, d, len(target.gates), max(thr, default=None))
 
 
 def series_depth(stages, fanin_limit: "str | int" = "unbounded") -> DepthReport:

@@ -87,10 +87,6 @@ class SortTrace(NamedTuple):
     ranks: tuple[int, ...] | None = None
 
     @property
-    def key_bits(self) -> int:
-        return max((abs(v).bit_length() for v in self.values), default=0)
-
-    @property
     def phases(self) -> tuple[str, ...]:
         return PHASE_NAMES[:phase_count(self)]
 

@@ -35,7 +35,7 @@ gates are reported with their fan-in so the optimism is visible.
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
-from .netlist import DepthReport, NetBuilder, Netlist, depth, evaluate
+from .netlist import NetBuilder, Netlist, evaluate
 
 if TYPE_CHECKING:  # annotations only; the one function that makes a Fraction imports it
     from fractions import Fraction
@@ -66,7 +66,7 @@ def build_encoder(n: int, with_valid: bool = True) -> Netlist:
     """
     if n < 2:
         raise ValueError(f"encoder needs n >= 2, got {n}")
-    nb = NetBuilder(f"encoder{n}")
+    nb = NetBuilder()
     wires = [nb.input(f"x{i}") for i in range(n)]
     _encoder(nb, wires)
     if with_valid:
@@ -82,7 +82,7 @@ def build_priority_encoder(n: int) -> Netlist:
     """
     if n < 2:
         raise ValueError(f"encoder needs n >= 2, got {n}")
-    nb = NetBuilder(f"priority_encoder{n}")
+    nb = NetBuilder()
     m = [nb.input(f"m{i}") for i in range(n)]
     masked = [m[0]]
     masked += [nb.and_(m[i], nb.nor_(*m[:i])) for i in range(1, n)]
@@ -101,7 +101,7 @@ def build_ones_counter(n: int) -> Netlist:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    nb = NetBuilder(f"ones_counter{n}")
+    nb = NetBuilder()
     wires = [nb.input(f"b{i}") for i in range(n)]
     es = [nb.and_(nb.not_(nb.threshold(wires, m + 1)), nb.threshold(wires, m)) for m in range(n)]
     _output_bits(nb, es, "e")
@@ -173,7 +173,7 @@ def build_popcount_tree(n: int) -> Netlist:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    nb = NetBuilder(f"popcount{n}")
+    nb = NetBuilder()
     wires = [nb.input(f"b{i}") for i in range(n)]
     _output_bits(nb, _popcount_bits(nb, wires), "bit")
     return nb.build()
@@ -223,19 +223,17 @@ def _hit_index(bits: Sequence[Sequence[int]], stages: list) -> int:
     return decode_bits(evaluate(encoder, {f"x{i}": (hits >> i) & 1 for i in range(n)}))
 
 
-def rank_via_adder_tree(bits: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], DepthReport]:
+def rank_via_adder_tree(bits: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Rank every row with the popcount adder tree over its n - 1 off-diagonal bits.
 
-    Returns the ranks together with the measured critical-path depth of
-    the tree at fan-in 2 (a 1 x 1 matrix has no tree: rank 0 at depth 0).
+    A 1 x 1 matrix has no tree: its one row has rank 0.  The tree's depth is
+    what `xbar depth --circuit adder-tree --n <n - 1>` reports.
     """
     n = len(bits)
     if n == 1:
-        return (0,), DepthReport(2, 0, 0)
-    net = build_popcount_tree(n - 1)
-    out = _run_rows(bits, net)
-    ranks = tuple(decode_bits({k: (v >> i) & 1 for k, v in out.items()}) for i in range(n))
-    return ranks, depth(net, 2)
+        return (0,)
+    out = _run_rows(bits, build_popcount_tree(n - 1))
+    return tuple(decode_bits({k: (v >> i) & 1 for k, v in out.items()}) for i in range(n))
 
 
 def select_rank(bits: Sequence[Sequence[int]], r: int) -> int:

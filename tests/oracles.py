@@ -339,11 +339,11 @@ def _matrix_rows(nb: NetBuilder, n: int, diagonal: bool):
         yield [nb.input(f"t_{i}_{k}") for k in range(n) if diagonal or k != i]
 
 
-def _row_flag_circuit(name: str, n: int, gate) -> Netlist:
+def _row_flag_circuit(n: int, gate) -> Netlist:
     """One `gate` per matrix row over its off-diagonal bits, then the encoder."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    nb = NetBuilder(f"{name}{n}")
+    nb = NetBuilder()
     _encoder(nb, [gate(nb, *row) for row in _matrix_rows(nb, n, diagonal=False)])
     return nb.build()
 
@@ -355,12 +355,12 @@ def build_min_circuit(n: int) -> Netlist:
     The row flags are one-hot for any matrix produced by a full sort, so
     no valid wire is needed.
     """
-    return _row_flag_circuit("min", n, NetBuilder.nor_)
+    return _row_flag_circuit(n, NetBuilder.nor_)
 
 
 def build_max_circuit(n: int) -> Netlist:
     """Index of the all-ones matrix row: one AND per row, then the encoder."""
-    return _row_flag_circuit("max", n, NetBuilder.and_)
+    return _row_flag_circuit(n, NetBuilder.and_)
 
 
 def _exact_count_onehot(nb: NetBuilder, wires: list) -> list:
@@ -383,7 +383,7 @@ def build_rank_circuit_threshold(n: int) -> Netlist:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    nb = NetBuilder(f"rank_threshold{n}")
+    nb = NetBuilder()
     for i, row in enumerate(_matrix_rows(nb, n, diagonal=True)):
         _encoder(nb, _exact_count_onehot(nb, row), prefix=f"rank{i}_bit")
     return nb.build()

@@ -17,7 +17,7 @@ from xbar.array_builder import build
 from xbar.cli import main
 from xbar.pe_simulator import SortTrace
 
-from oracles import build_json_reference, perm_text_reference
+from oracles import build_json_reference, perm_text_reference, validate_reference
 from test_golden_bytes import TRACE_DIGESTS
 
 
@@ -463,6 +463,13 @@ def test_validate_json_keeps_report_when_n_fits_slot_count(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("n", [2, 7, 12, 65])
+def test_validate_csv_lists_each_pairs_crosspoints(capsys, n):
+    coverage = validate_reference(build(n)).pair_coverage
+    rows = "".join(f"{lo}-{hi},{count}\n" for (lo, hi), count in sorted(coverage.items()))
+    assert run(capsys, "validate", "--n", str(n), "--format", "csv") == (0, "pair,count\n" + rows)
+
+
 def test_validate_roundtrip_through_build(tmp_path, capsys):
     code, out = run(capsys, "build", "--n", "9", "--format", "json")
     layout_file = tmp_path / "layout.json"
@@ -495,6 +502,24 @@ def test_depth_needs_two_classes(capsys, circuit, n):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == f"error: need n >= 2, got {n}\n"
+
+
+@pytest.mark.parametrize("circuit, n, message", [
+    ("adder-tree", 0, "need n >= 1, got 0"),
+    ("encoder", 1, "encoder needs n >= 2, got 1"),
+    ("priority-encoder", 1, "encoder needs n >= 2, got 1"),
+    ("ones-counter", 1, "need n >= 2, got 1"),
+])
+def test_depth_refuses_n_below_each_builders_floor(capsys, circuit, n, message):
+    code = main(["depth", "--circuit", circuit, "--n", str(n)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_depth_adder_tree_over_one_bit_has_no_gates(capsys):
+    # One bit is its own count: the tree the 2 x 2 matrix's rows rank with.
+    assert run(capsys, "depth", "--circuit", "adder-tree", "--n", "1") == (
+        0, "depth 0 (fanin unbounded, 0 gates)\n")
 
 
 def test_perm_commands(capsys):
@@ -558,6 +583,38 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["depth", "--circuit", "min", "--n", "8", "--fanin", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["build"], ["validate"], ["sort"], ["min"], ["max"], ["rank", "--r", "0"],
+    ["search", "--key", "0"], ["depth", "--circuit", "min"], ["perm"],
+], ids=lambda argv: argv[0])
+def test_n_above_the_bound_is_a_usage_error(capsys, monkeypatch, argv):
+    # Refused by argparse before any layout, matrix or netlist is made; were it
+    # dispatched, the stand-in handler fails the test instead of allocating.
+    for name in [name for name in vars(cli) if name.startswith("_cmd_")]:
+        monkeypatch.setattr(cli, name, lambda args: pytest.fail("--n was not refused"))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--n", "100000000"])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.startswith("usage: ")
+    assert captured.err.endswith(f"error: argument --n: at most {cli.MAX_N} classes, "
+                                 "got 100000000\n")
+
+
+def test_n_at_the_bound_runs_and_a_non_int_n_is_argparses_error(capsys):
+    code, out = run(capsys, "perm", "--n", str(cli.MAX_N))
+    assert (code, len(out.splitlines())) == (0, cli.MAX_N // 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["perm", "--n", str(cli.MAX_N + 1)])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--n", "many"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --n: invalid int value: 'many'\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
-from xbar.netlist import DepthReport, NetBuilder, Netlist, depth, evaluate, legalize
+from xbar.netlist import DepthReport, NetBuilder, Netlist, depth, evaluate, legalize, series_depth
 
 
 def _wide_sample_net():
     """One gate of every kind, several wider than any fan-in limit."""
-    nb = NetBuilder("sample")
+    nb = NetBuilder()
     w = [nb.input(f"i{k}") for k in range(6)]
     nb.output("and6", nb.and_(*w))
     nb.output("or5", nb.or_(*w[:5]))
@@ -55,6 +55,14 @@ def test_evaluate_missing_input():
         evaluate(net, {"i0": 1})
 
 
+def test_evaluate_rejects_unknown_gate_kind():
+    nb = NetBuilder()
+    a, b = nb.input("a"), nb.input("b")
+    nb.output("y", nb._emit("XOR", (a, b)))
+    with pytest.raises(ValueError, match="unknown gate kind XOR"):
+        evaluate(nb.build(), {"a": 1, "b": 0})
+
+
 @pytest.mark.parametrize("b", [2, 3])
 def test_legalize_preserves_function(b):
     net = _wide_sample_net()
@@ -68,7 +76,7 @@ def test_legalize_preserves_function(b):
 
 
 def test_legalize_tree_depths():
-    nb = NetBuilder("wide")
+    nb = NetBuilder()
     w = [nb.input(f"i{k}") for k in range(16)]
     nb.output("a", nb.and_(*w))
     nb.output("o", nb.or_(*w[:5]))
@@ -92,14 +100,14 @@ def test_legalize_passes_legal_netlist_through():
     # The widest AND has 6 inputs; the 6-input THRESHOLD is exempt at any limit.
     net = _wide_sample_net()
     assert legalize(net, 6) is net
-    nb = NetBuilder("thr")
+    nb = NetBuilder()
     nb.output("t", nb.threshold([nb.input(f"i{k}") for k in range(5)], 2))
     thr = nb.build()
     assert legalize(thr, 2) is thr
 
 
 def test_legalize_rewrites_one_wide_gate():
-    nb = NetBuilder("one-wide")
+    nb = NetBuilder()
     w = [nb.input(f"i{k}") for k in range(3)]
     nb.output("x", nb.xor2(w[0], w[1]))
     nb.output("a", nb.and_(*w))
@@ -127,7 +135,7 @@ def test_depth_reports():
 
 
 def test_depth_identity_wire_is_zero():
-    nb = NetBuilder("wire")
+    nb = NetBuilder()
     a = nb.input("a")
     nb.output("y", a)
     assert depth(nb.build()).depth == 0
@@ -135,7 +143,7 @@ def test_depth_identity_wire_is_zero():
 
 
 def test_builder_constant_folding():
-    nb = NetBuilder("fold")
+    nb = NetBuilder()
     a = nb.input("a")
     assert nb.and_(a, 0) == 0
     assert nb.and_(a, 1) == a
@@ -153,7 +161,7 @@ def test_builder_constant_folding():
 
 
 def test_builder_folds_and_or_nor_alike():
-    nb = NetBuilder("fold")
+    nb = NetBuilder()
     a, b = nb.input("a"), nb.input("b")
     assert (nb.and_(), nb.or_(), nb.nor_(0, 0)) == (1, 0, 1)
     assert (nb.and_(1, 0, a), nb.or_(0, 1, a), nb.nor_(a, 1, b)) == (0, 1, 0)
@@ -168,7 +176,7 @@ def test_builder_folds_and_or_nor_alike():
 
 
 def test_text_format():
-    nb = NetBuilder("fmt")
+    nb = NetBuilder()
     a, b = nb.input("a"), nb.input("b")
     t = nb.threshold([a, b], 2)
     nb.output("y", t)
@@ -183,3 +191,15 @@ def test_netlist_gate_count():
     net = _wide_sample_net()
     assert isinstance(net, Netlist)
     assert isinstance(depth(net), DepthReport)
+
+
+def test_netlist_holds_only_its_wiring():
+    assert Netlist._fields == ("inputs", "gates", "outputs")
+    net = _wide_sample_net()
+    assert [g.gid for g in net.gates] == [f"g{k}" for k in range(len(net.gates))]
+
+
+@pytest.mark.parametrize("b", ["unbounded", 2, 3, 7])
+def test_series_depth_of_a_bare_netlist_is_its_depth(b):
+    net = _wide_sample_net()
+    assert series_depth(net, b) == depth(net, b)

@@ -260,7 +260,6 @@ def test_trace_serializations():
     header, *rows = csv_text.strip().splitlines()
     assert header == "phase,slot,action,value,row,col"
     assert len(rows) == len(docs)
-    assert trace.key_bits == 4  # widest key is 8
 
 
 def test_sort_rejects_layout_missing_pairs():

@@ -113,7 +113,7 @@ def test_select_rank_matches_sorted_order(values):
         assert query_circuits.select_rank(bits, r) == order[r]
     assert query_circuits.min_index(bits) == order[0]
     assert query_circuits.max_index(bits) == order[-1]
-    assert query_circuits.rank_via_adder_tree(bits)[0] == ranks
+    assert query_circuits.rank_via_adder_tree(bits) == ranks
 
 
 # The library's netlist builders, plus the n-row reference netlists.
@@ -256,6 +256,22 @@ def test_validate_matches_reference(layout):
     if layout.n <= len(layout.slots):
         # Serialised, so the key order of the CLI's JSON is compared too.
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_layouts())
+@example(Layout(5, _SLOTS_5 + (7, 0)))  # out-of-range 7 in the doubled pair (0, 7)
+@example(Layout(4, (-2, 0, 1, 2, 3, -1, 0)))  # negative ids at the start and inside
+def test_validate_csv_lists_reference_pair_coverage(tmp_path_factory, layout):
+    path = tmp_path_factory.getbasetemp() / "csv-layout.json"
+    path.write_text(json.dumps({"n": layout.n, "slots": list(layout.slots)}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["validate", "--layout", str(path), "--format", "csv"])
+    want = validate_reference(layout)
+    assert code == (1 if want.violations else 0)
+    assert out.getvalue() == "pair,count\n" + "".join(
+        f"{lo}-{hi},{count}\n" for (lo, hi), count in sorted(want.pair_coverage.items()))
 
 
 def test_built_layouts_round_trip_through_validate(tmp_path):
