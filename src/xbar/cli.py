@@ -169,41 +169,29 @@ def _run_sort(args):
     return pe_simulator.sort(array_builder.build(args.n), _input_values(args, args.n))
 
 
-def _write_trace(trace, path: str, csv=None) -> None:
-    """Stream the trace as JSON lines to the file `path`, and to the `csv` sink in the same walk.
+def _write_trace(trace, path: str) -> None:
+    """Stream the trace as JSON lines to the file `path`.
 
-    The file is opened in binary, so the trace's bytes go to disk as made, the same
-    on every platform, each flushed before `csv` gets it.  An OSError from the file,
-    on open, write, flush or close, becomes a ValueError.
+    The file is opened in binary, so it takes the trace's bytes as made, the same on
+    every platform.  An OSError from the file, on open, write or close, becomes a
+    ValueError.
     """
-    def guarded(call, *args):
-        try:
-            return call(*args)
-        except OSError as exc:
-            raise ValueError(f"cannot write trace to {path}: {exc}") from None
-
-    def write(chunk: bytes) -> None:
-        fh.write(chunk)
-        fh.flush()
-
-    fh = guarded(open, path, "wb")
     try:
-        trace.write(jsonl=lambda chunk: guarded(write, chunk), csv=csv)
-    finally:
-        guarded(fh.close)
+        with open(path, "wb") as fh:
+            trace.write(jsonl=fh.write)
+    except OSError as exc:
+        raise ValueError(f"cannot write trace to {path}: {exc}") from None
 
 
 def _cmd_sort(args) -> int:
     from . import pe_simulator
 
     bits, ranks, trace = _run_sort(args)
-    # The CSV goes to stdout as text: it may be a StringIO, as when run in process.
-    csv = (lambda chunk: sys.stdout.write(chunk.decode())) if args.format == "csv" else None
     if args.trace:
-        _write_trace(trace, args.trace, csv)
-    elif csv:
-        trace.write(csv=csv)
-    if csv:
+        _write_trace(trace, args.trace)  # before stdout, so a failed trace leaves it empty
+    if args.format == "csv":
+        # The CSV goes to stdout as text: it may be a StringIO, as when run in process.
+        trace.write(csv=lambda chunk: sys.stdout.write(chunk.decode()))
         return 0
     layout, values = trace.layout, trace.values
     order = sorted(range(layout.n), key=ranks.__getitem__)  # element indices in sorted order

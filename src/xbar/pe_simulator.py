@@ -26,11 +26,11 @@ crosspoint.  The crosspoints are split by direction in C-level passes
 over the slots.  A block has one set of int columns and one form per
 group shape; a reply block has two forms, as the small class loses or
 wins, and picks one per crosspoint.  `write` is the one way to the text:
-it streams each block to each sink, JSON lines or CSV, by repeating the
-sink's line template and filling a chunk of groups with one `%` over a
-flat tuple, built one extended slice per column and taken once for all
-sinks; each chunk goes to its sink as soon as it is made.  Keys and
-ranks are rendered once per class and fill `value` fields with `%s`.
+it streams each block to its one sink, JSON lines or CSV, by repeating
+the sink's line template and filling a chunk of groups with one `%` over
+a flat tuple, built one extended slice per column; each chunk goes to
+the sink as soon as it is made.  Keys and ranks are rendered once per
+class and fill `value` fields with `%s`.
 The templates are bytes, so the sinks take bytes: a `%` over ASCII bytes
 is cheaper than one over str, and a binary file takes the chunks as
 they are, with no text layer to encode them again.
@@ -128,38 +128,34 @@ class SortTrace(NamedTuple):
             yield from zip(repeat(phase), chain.from_iterable(groups))
 
     def write(self, jsonl=None, csv=None) -> None:
-        """Stream the trace as JSON lines to `jsonl` and as CSV to `csv`, in one walk.
+        """Stream the trace to one sink: as JSON lines to `jsonl`, or as CSV to `csv`.
 
-        Each sink given is a callable taking bytes, all of them ASCII: a binary file's
-        `write` takes them as made, and a text stream's takes them decoded.  A JSON line
-        is one object over COLUMNS that leaves out absent payload keys; the CSV is a
-        COLUMNS header, then one row per event with absent payload fields empty.  Every
-        block's groups go through the sink's line templates, encoded once per block,
-        _CHUNK at a time: each chunk's flat tuple is built once, one extended slice per
-        column, and filled into each sink's templates with one bytes `%`.  Keys and ranks
-        are rendered once per class, so `value` fields take them with `%s`, all else `%d`.
+        The sink is a callable taking bytes, all of them ASCII: a binary file's `write`
+        takes them as made, and a text stream's takes them decoded.  A JSON line is one
+        object over COLUMNS that leaves out absent payload keys; the CSV is a COLUMNS
+        header, then one row per event with absent payload fields empty.  Every block's
+        groups go through the sink's line templates, encoded once per block, _CHUNK at a
+        time: each chunk's flat tuple is built one extended slice per column and filled
+        into the templates with one bytes `%`.  Keys and ranks are rendered once per
+        class, so `value` fields take them with `%s`, all else `%d`.
         """
+        if (jsonl is None) == (csv is None):
+            raise TypeError("write takes one sink: jsonl or csv")
+        line, sink = (_jsonl_line, jsonl) if csv is None else (_csv_line, csv)
         if csv is not None:
             csv(",".join(COLUMNS).encode() + b"\r\n")
-        sinks = [(line, sink) for line, sink in ((_jsonl_line, jsonl), (_csv_line, csv))
-                 if sink is not None]
         rendered = self._replace(values=tuple(map(b"%d".__mod__, self.values)),
                                  ranks=self.ranks and tuple(map(b"%d".__mod__, self.ranks)))
         for phase, forms, picks, cols in rendered._blocks():
-            fills = []
-            for line, sink in sinks:
-                texts = tuple("".join(line(phase, ev) for ev in form).encode() for form in forms)
-                fills.append((repeat(texts[0]) if picks is None else
-                              map(texts.__getitem__, picks), sink))
+            texts = tuple("".join(line(phase, ev) for ev in form).encode() for form in forms)
+            templates = repeat(texts[0]) if picks is None else map(texts.__getitem__, picks)
             width, groups = len(cols), len(cols[0])
             for start in range(0, groups, _CHUNK):
                 size = min(_CHUNK, groups - start)
                 ints = [0] * (width * size)
                 for i, col in enumerate(cols):
                     ints[i::width] = col[start:start + size]
-                chunk = tuple(ints)
-                for templates, sink in fills:
-                    sink(b"".join(islice(templates, size)) % chunk)
+                sink(b"".join(islice(templates, size)) % tuple(ints))
 
 
 def _field(k, v, text) -> str:

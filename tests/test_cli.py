@@ -197,18 +197,19 @@ def test_sort_unopenable_trace_exits_two(tmp_path, capsys, fmt, where):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_sort_failed_trace_write_exits_two(capsys, fmt):
-    # /dev/full opens, but every write to it fails.  The first chunk fails at its
-    # flush, before csv's copy of it, so stdout holds at most the csv header.
+    # /dev/full opens, but every write to it fails.  The trace is written before
+    # stdout, so in every format stdout stays empty.
     code = main(["sort", "--n", "4", "--trace", "/dev/full", "--format", fmt])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err == (
         "error: cannot write trace to /dev/full: [Errno 28] No space left on device\n")
-    assert captured.out in ("", "phase,slot,action,value,row,col\r\n")
+    assert captured.out == ""
 
 
-def test_sort_csv_walks_the_trace_once_without_a_conflict_scan(tmp_path, capsys, monkeypatch):
-    # csv prints no conflicts, and its trace file comes from the same walk.
+def test_sort_csv_walks_the_trace_once_per_sink_without_a_conflict_scan(tmp_path, capsys,
+                                                                        monkeypatch):
+    # csv prints no conflicts; the trace file and stdout each take one walk.
     calls = []
     blocks = SortTrace._blocks
     monkeypatch.setattr(SortTrace, "_blocks", lambda trace: calls.append("walk") or blocks(trace))
@@ -216,8 +217,23 @@ def test_sort_csv_walks_the_trace_once_without_a_conflict_scan(tmp_path, capsys,
     path = tmp_path / "t.jsonl"
     code, out = run(capsys, "sort", "--n", "6", "--format", "csv", "--trace", str(path))
     assert code == 0
-    assert calls == ["walk"]
+    assert calls == ["walk", "walk"]
     assert out.count("\r\n") == path.read_text().count("\n") + 1  # the header
+
+
+@pytest.mark.parametrize("n", [9, 66, 256])
+@pytest.mark.parametrize("keys", ["tied", "wide"])
+def test_sort_csv_with_trace_matches_each_single_sink_run(tmp_path, capsys, n, keys):
+    # --trace F --format csv writes the file, then the CSV: its stdout is that of
+    # --format csv alone, and its file that of --trace F --format json.
+    values = [i % 3 for i in range(n)] if keys == "tied" else [
+        (-1) ** i * 10 ** 21 + i % 7 for i in range(n)]
+    args = ["sort", "--n", str(n), "--input=" + ",".join(map(str, values))]
+    both, json_trace = tmp_path / "both.jsonl", tmp_path / "json.jsonl"
+    code, out = run(capsys, *args, "--format", "csv", "--trace", str(both))
+    assert (code, out) == run(capsys, *args, "--format", "csv")
+    assert run(capsys, *args, "--format", "json", "--trace", str(json_trace))[0] == 0
+    assert both.read_bytes() == json_trace.read_bytes()
 
 
 def test_write_trace_writes_the_sink_bytes_in_binary(tmp_path):
@@ -234,7 +250,7 @@ def test_write_trace_writes_the_sink_bytes_in_binary(tmp_path):
 
 def test_sort_csv_in_process_matches_a_subprocess_run(tmp_path):
     # How the bench runs a command in process: stdout is a StringIO, so the CSV
-    # reaches it as str while the trace file takes the same walk's bytes.
+    # reaches it as str while the trace file takes bytes.
     argv = ["sort", "--n", "65", "--format", "csv", "--trace"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

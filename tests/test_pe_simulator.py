@@ -262,6 +262,13 @@ def test_trace_serializations():
     assert len(rows) == len(docs)
 
 
+@pytest.mark.parametrize("sinks", [{}, {"jsonl": print, "csv": print}])
+def test_write_takes_exactly_one_sink(sinks):
+    _, _, trace = sort(build(4), [6, 7, 8, 5])
+    with pytest.raises(TypeError, match="one sink"):
+        trace.write(**sinks)
+
+
 def test_sort_rejects_layout_missing_pairs():
     # 0-1-2-3 never compares 0 with 2, 0 with 3 or 1 with 3.
     with pytest.raises(ValueError, match="pair"):

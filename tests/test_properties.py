@@ -376,17 +376,6 @@ def test_csv_templates_match_csv_writer(stage, values):
     assert written(trace, "csv").encode() == csv_reference(trace).encode()
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(STAGES)), int_lists)
-def test_one_walk_to_both_sinks_matches_two_single_sink_walks(stage, values):
-    trace = STAGES[stage](build(len(values)), values)
-    jsonl, csv_bytes = [], []
-    trace.write(jsonl=jsonl.append, csv=csv_bytes.append)
-    assert {type(piece) for piece in jsonl + csv_bytes} == {bytes}
-    assert (b"".join(jsonl).decode(), b"".join(csv_bytes).decode()) == (
-        written(trace, "jsonl"), written(trace, "csv"))
-
-
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
