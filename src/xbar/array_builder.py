@@ -9,13 +9,13 @@ crosspoint while using the provably minimal slot count:
 * odd n:  n(n-1)/2 + 1 slots, with every class pair adjacent exactly once.
 
 For even n, `build` lays the Q-partition groups of `cyclic_perm.q_groups`
-down one after another, each group's cycles back to back with the
-2-element cycle last.  For odd n it runs the even construction for n-1
-classes, leaves one empty slot between consecutive groups, drops class
-n-1 into every gap, and finishes with class n-1 followed by class 0.
-`provenance(n)` tags each slot of build(n) with its place in that
-construction; a `Layout` does not carry the tags, which only `xbar build`
-prints.
+down one after another, each group's cycles (one `cycle_reader` slice each)
+back to back with the 2-element cycle last.  For odd n it runs the even
+construction for n-1 classes, leaves one empty slot between consecutive
+groups, drops class n-1 into every gap, and finishes with class n-1 then 0.
+`provenance_text(n, sep)` tags each slot of build(n) with its place in that
+construction, one string join per cycle; a `Layout` does not carry the
+tags, which only `xbar build` prints.
 """
 
 from collections import Counter
@@ -23,7 +23,7 @@ from itertools import chain, compress, count, filterfalse, islice, repeat
 from operator import add, eq, floordiv, gt, lt, mod, mul, sub
 from typing import NamedTuple
 
-from .cyclic_perm import q_groups
+from .cyclic_perm import cycle_reader, q_groups
 
 # `validate` names at most this many offending pairs or classes per finding.
 EXAMPLES = 5
@@ -41,7 +41,7 @@ class Layout(NamedTuple):
 
     def to_text(self) -> str:
         """One-line rendering, class ids joined by dashes."""
-        return "-".join(str(c) for c in self.slots)
+        return "-".join(map(str, self.slots))
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Layout":
@@ -151,8 +151,8 @@ def replicate_lower_bound(n: int, ends: int = 0) -> int:
     return (n + ends) // 2
 
 
-def _runs(n: int, cycle, fill: list, tail: list):
-    """Yield the layout for n >= 3 in runs of slots, cycle(i, ci, elements) for cycle ci of group i.
+def _runs(n: int, cycle, fill, tail):
+    """Yield the layout for n >= 2 in runs of slots, cycle(i, ci, elements) for cycle ci of group i.
 
     The even frame for m = n - n % 2 classes lays the groups of q_groups(m)
     down in order; `elements` is a cycle's range, read mod m.  Odd n adds
@@ -168,8 +168,8 @@ def _runs(n: int, cycle, fill: list, tail: list):
         yield tail
 
 
-def provenance(n: int) -> tuple[str, ...]:
-    """Per slot of build(n), where it comes from.
+def provenance_text(n: int, sep: str) -> str:
+    """The tags of build(n)'s slots, joined by `sep`: where each slot comes from.
 
     "Q{i}.c{ci}.e{ei}" is element ei of cycle ci of Q group i, "odd-fill" an odd
     layout's slot of class n-1 after a group, "odd-tail" one of its last two
@@ -178,11 +178,19 @@ def provenance(n: int) -> tuple[str, ...]:
     if n < 2:
         raise ValueError(f"need at least 2 classes, got n={n}")
     if n == 2:
-        return ("trivial-pair", "trivial-pair")
+        return "trivial-pair" + sep + "trivial-pair"
     suffixes = [f".e{ei}" for ei in range(n)]  # no cycle is longer than n - n % 2
-    return tuple(chain.from_iterable(_runs(
-        n, lambda i, ci, elements: map(f"Q{i}.c{ci}".__add__, suffixes[:len(elements)]),
-        ["odd-fill"], ["odd-tail", "odd-tail"])))
+
+    def cycle(i: int, ci: int, elements: range) -> str:
+        prefix = f"Q{i}.c{ci}"
+        return prefix + (sep + prefix).join(suffixes[:len(elements)])
+
+    return sep.join(_runs(n, cycle, "odd-fill", "odd-tail" + sep + "odd-tail"))
+
+
+def provenance(n: int) -> tuple[str, ...]:
+    """Per slot of build(n), its `provenance_text` tag."""
+    return tuple(provenance_text(n, "\n").split("\n"))
 
 
 def build(n: int) -> Layout:
@@ -195,11 +203,9 @@ def build(n: int) -> Layout:
     """
     if n < 2:
         raise ValueError(f"need at least 2 classes, got n={n}")
-    if n == 2:
-        return Layout(2, (0, 1))
-    frame = repeat(n - n % 2)
+    read = cycle_reader(range(n - n % 2))
     return Layout(n, tuple(chain.from_iterable(_runs(
-        n, lambda i, ci, elements: map(mod, elements, frame), [n - 1], [n - 1, 0]))))
+        n, lambda i, ci, elements: read(elements), [n - 1], [n - 1, 0]))))
 
 
 def validate(layout: Layout) -> ValidationReport:

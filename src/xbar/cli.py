@@ -116,9 +116,10 @@ def _cmd_build(args) -> int:
     layout = array_builder.build(args.n)
     if args.format == "json":
         # The bytes json.dumps would write: no provenance tag holds a quote or a backslash.
-        sys.stdout.write('{"n": %d, "slots": %s, "provenance": ["%s"]}\n' % (
-            layout.n, _int_list(layout.slots),
-            '", "'.join(array_builder.provenance(args.n))))
+        names = list(map(str, range(args.n)))
+        sys.stdout.write('{"n": %d, "slots": [%s], "provenance": ["%s"]}\n' % (
+            layout.n, ", ".join(map(names.__getitem__, layout.slots)),
+            array_builder.provenance_text(args.n, '", "')))
     elif args.format == "csv":
         rows = zip(count(), layout.slots, array_builder.provenance(args.n))
         sys.stdout.write("slot,class,provenance\n" + "%d,%d,%s\n" * len(layout.slots)
@@ -293,15 +294,12 @@ def _cmd_perm(args) -> int:
         raise ValueError(f"need at least 2 classes, got n={args.n}")
     if args.n % 2:
         raise ValueError("the cycle partition needs even --n; pass --j to inspect one power")
-    groups = partition_Q(args.n)
     if args.format == "json":
-        _emit_json({"n": args.n, "sets": groups})
+        _emit_json({"n": args.n, "sets": partition_Q(args.n)})
     else:
-        # One "(%d,...,%d)" piece per cycle length, then one % over every class id.
-        pieces = {k: "(" + ",".join(["%d"] * k) + ")" for k in {len(c) for g in groups for c in g}}
-        lines = [f"Q{i}: " + " ".join(map(pieces.get, map(len, g))) for i, g in enumerate(groups)]
-        sys.stdout.write("\n".join(lines + [""])
-                         % tuple(chain.from_iterable(chain.from_iterable(groups))))
+        groups = partition_Q(args.n, list(map(str, range(args.n))))  # cycles of id strings
+        sys.stdout.write("".join(f"Q{i}: (" + ") (".join(map(",".join, g)) + ")\n"
+                                 for i, g in enumerate(groups)))
     return 0
 
 

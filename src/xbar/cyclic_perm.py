@@ -8,10 +8,11 @@ elements are all congruent to i mod g, so it starts at its smallest.
 `shift_cycles` yields those cycles as ranges, to be read mod n, and
 `q_groups` groups the cycles of the powers 1..n/2 by smallest element (the
 Q partition), the raw material of the crosspoint-array layouts in
-`array_builder`.  `cycle_decomposition` and `partition_Q` check their
-arguments and spell the same cycles out as tuples of class ids.
+`array_builder`.  `partition_Q` reads each of those cycles in one slice
+(`cycle_reader`); `cycle_decomposition` spells one power's cycles out.
 """
 
+from collections.abc import Callable, Sequence
 from itertools import repeat
 from math import gcd
 from operator import mod
@@ -43,6 +44,16 @@ def q_groups(m: int) -> list[list[range]]:
     return groups
 
 
+def cycle_reader(ids: Sequence) -> Callable[[range], tuple]:
+    """The function that reads a range of q_groups(m), m = len(ids), as the tuple of its ids.
+
+    Cycle i < g of power j <= m/2 stops below g + m * j <= m * (m/2 + 1), as g divides j, so
+    `ids` repeated m/2 + 1 times holds all it reaches; too short a tuple cuts slices short silently.
+    """
+    unrolled = tuple(ids) * (len(ids) // 2 + 1)
+    return lambda cycle: unrolled[cycle.start:cycle.stop:cycle.step]
+
+
 def cycle_decomposition(n: int, j: int) -> list[tuple[int, ...]]:
     """Disjoint cycles of the j-th shift power on n >= 2 class ids (1 <= j <= n).
 
@@ -56,10 +67,12 @@ def cycle_decomposition(n: int, j: int) -> list[tuple[int, ...]]:
     return [tuple(map(mod, cycle, repeat(n))) for cycle in shift_cycles(n, j)]
 
 
-def partition_Q(n: int) -> list[list[tuple[int, ...]]]:
-    """The Q partition for even n >= 4: `q_groups(n)` with each cycle as a tuple."""
+def partition_Q(n: int, ids: Sequence | None = None) -> list[list[tuple]]:
+    """The Q partition for even n >= 4: `q_groups(n)` with each cycle as the tuple of its
+    class ids, or of ids[c] for each class c when `ids` is given."""
     if n % 2:
         raise ValueError(f"Q partition is defined for even n, got {n}")
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    return [[tuple(map(mod, cycle, repeat(n))) for cycle in group] for group in q_groups(n)]
+    read = cycle_reader(range(n) if ids is None else ids)
+    return [list(map(read, group)) for group in q_groups(n)]

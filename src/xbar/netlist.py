@@ -246,18 +246,14 @@ def depth(net: Netlist, fanin_limit: "str | int" = "unbounded") -> DepthReport:
     "unbounded" measures the netlist as built; an integer b measures the
     legalized netlist.  An output aliased straight to an input has depth 0.
     """
-    if fanin_limit == "unbounded":
-        target = net
-    else:
-        target = legalize(net, int(fanin_limit))
+    target = net if fanin_limit == "unbounded" else legalize(net, int(fanin_limit))
     levels = {w: 0 for w in target.inputs}
-    for g in target.gates:
-        levels[g.gid] = 1 + max(map(levels.__getitem__, g.inputs), default=0)
-    d = max(
-        (0 if isinstance(w, int) else levels[w] for w in target.outputs.values()),
-        default=0,
-    )
-    thr = [len(g.inputs) for g in target.gates if g.kind == "THRESHOLD"]
+    thr = []
+    for gid, kind, inputs, _ in target.gates:
+        levels[gid] = 1 + max(map(levels.__getitem__, inputs), default=0)
+        if kind == "THRESHOLD":
+            thr.append(len(inputs))
+    d = max((0 if isinstance(w, int) else levels[w] for w in target.outputs.values()), default=0)
     return DepthReport(fanin_limit, d, len(target.gates), max(thr, default=None))
 
 

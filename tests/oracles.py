@@ -14,10 +14,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, islice
 from math import gcd
 
-from xbar.array_builder import (
-    EXAMPLES, Layout, build, min_pe_count, provenance, replicate_lower_bound,
-)
-from xbar.cyclic_perm import partition_Q
+from xbar.array_builder import EXAMPLES, Layout, min_pe_count, replicate_lower_bound
 from xbar.netlist import NetBuilder, Netlist
 from xbar.pe_simulator import COLUMNS, TraceEvent
 from xbar.query_circuits import _encoder
@@ -85,20 +82,29 @@ def exponent(cycle, m):
     return (cycle[1] - cycle[0]) % m
 
 
+@lru_cache(maxsize=None)
+def q_partition_reference(m):
+    """The Q partition of m ids from brute-force cycle scans.
+
+    The cycles of the powers 1..m/2, grouped by smallest element, each group
+    by ascending exponent.
+    """
+    cycles = [c for j in range(1, m // 2 + 1) for c in brute_cycles(m, j)]
+    return tuple(tuple(sorted((c for c in cycles if c[0] == first), key=lambda c: exponent(c, m)))
+                 for first in range(m // 2))
+
+
+@lru_cache(maxsize=None)
 def layout_reference(n):
     """Slots and provenance tags of the minimal layout, from brute-force cycle scans.
 
-    The even frame for m = n - n % 2 classes takes the cycles of the powers
-    1..m/2, groups them by smallest element and lays the groups down in order,
-    each by ascending exponent; odd n puts class n-1 after every group but
+    The even frame for m = n - n % 2 classes lays the groups of the Q
+    partition down in order; odd n puts class n-1 after every group but
     the last and ends with n-1, 0.
     """
     if n == 2:
         return (0, 1), ("trivial-pair", "trivial-pair")
-    m = n - n % 2
-    cycles = [c for j in range(1, m // 2 + 1) for c in brute_cycles(m, j)]
-    groups = [sorted((c for c in cycles if c[0] == first), key=lambda c: exponent(c, m))
-              for first in range(m // 2)]
+    groups = q_partition_reference(n - n % 2)
     slots, tags = [], []
     for qi, group in enumerate(groups):
         for ci, cyc in enumerate(group):
@@ -114,17 +120,32 @@ def layout_reference(n):
 
 
 def build_json_reference(n):
-    """`xbar build --n n --format json` stdout: `json.dumps` of the layout and its tags."""
-    layout = build(n)
-    doc = {"n": layout.n, "slots": list(layout.slots), "provenance": list(provenance(n))}
-    return json.dumps(doc) + "\n"
+    """`xbar build --n n --format json` stdout: `json.dumps` of the reference layout and tags."""
+    slots, tags = layout_reference(n)
+    return json.dumps({"n": n, "slots": list(slots), "provenance": list(tags)}) + "\n"
+
+
+def build_csv_reference(n):
+    """`xbar build --n n --format csv` stdout: `csv.writer` rows of slot, class and tag."""
+    slots, tags = layout_reference(n)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["slot", "class", "provenance"])
+    writer.writerows(zip(range(len(slots)), slots, tags))
+    return out.getvalue()
+
+
+def build_text_reference(n):
+    """`xbar build --n n` stdout: the reference slots joined by dashes, then the counts."""
+    slots, _ = layout_reference(n)
+    return "-".join(map(str, slots)) + f"\n{len(slots)} PEs, {len(slots) - 1} crosspoints\n"
 
 
 def perm_text_reference(n):
-    """`xbar perm --n n` stdout: a `Q<i>:` line per group, each cycle joined by commas."""
+    """`xbar perm --n n` stdout: a `Q<i>:` line per reference group, each cycle joined by commas."""
     return "".join(
         f"Q{i}: " + " ".join("(" + ",".join(map(str, c)) + ")" for c in group) + "\n"
-        for i, group in enumerate(partition_Q(n))
+        for i, group in enumerate(q_partition_reference(n))
     )
 
 

@@ -10,6 +10,8 @@ from xbar.array_builder import (
     replicate_lower_bound,
     validate,
 )
+from xbar.cli import MAX_N
+from xbar.cyclic_perm import partition_Q, q_groups
 
 from oracles import layout_reference, pair_counts, shortest_covering_walk
 
@@ -88,9 +90,18 @@ def test_odd_provenance_tags():
     assert fills == [6, 6]
 
 
-@pytest.mark.parametrize("n", range(2, 41))
+@pytest.mark.parametrize("n", [*range(2, 41), 255, 256, 511, 512])
 def test_slots_and_provenance_match_q_partition_walk(n):
     assert (build(n).slots, provenance(n)) == layout_reference(n)
+
+
+def test_sliced_cycles_match_a_mod_walk_at_the_largest_n():
+    # Each cycle is a slice of the class ids repeated m/2 + 1 times.  Too short a
+    # list cuts a slice short without an error, and the cycles are longest here.
+    m = MAX_N
+    walk = [[tuple(e % m for e in cycle) for cycle in group] for group in q_groups(m)]
+    assert partition_Q(m) == walk
+    assert build(m).slots == tuple(e for group in walk for cycle in group for e in cycle)
 
 
 def test_provenance_needs_two_classes():

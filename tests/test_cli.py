@@ -17,7 +17,10 @@ from xbar.array_builder import build
 from xbar.cli import main
 from xbar.pe_simulator import SortTrace
 
-from oracles import build_json_reference, perm_text_reference, validate_reference
+from oracles import (
+    build_csv_reference, build_json_reference, build_text_reference, perm_text_reference,
+    validate_reference,
+)
 from test_golden_bytes import TRACE_DIGESTS
 
 
@@ -554,8 +557,19 @@ LISTING_NS = [2, 3, 4, 5, 8, 13, 64, 65, 255, 256, 511, 512]
 
 @pytest.mark.parametrize("n", LISTING_NS)
 def test_build_json_bytes_match_json_dumps(capsys, n):
-    # The golden digests stop at n=16; the % template must match json.dumps at every size.
+    # The golden digests stop at n=16; the joined slots and tags must match json.dumps at
+    # every size.
     assert run(capsys, "build", "--n", str(n), "--format", "json") == (0, build_json_reference(n))
+
+
+@pytest.mark.parametrize("n", LISTING_NS)
+def test_build_csv_bytes_match_csv_writer(capsys, n):
+    assert run(capsys, "build", "--n", str(n), "--format", "csv") == (0, build_csv_reference(n))
+
+
+@pytest.mark.parametrize("n", LISTING_NS)
+def test_build_text_bytes_match_dash_join(capsys, n):
+    assert run(capsys, "build", "--n", str(n)) == (0, build_text_reference(n))
 
 
 @pytest.mark.parametrize("n", [n for n in LISTING_NS if n % 2 == 0 and n >= 4])

@@ -116,7 +116,7 @@ SORT_OUTPUT_DIGESTS = {
 @pytest.mark.parametrize("outputs", ["csv", "trace", "csv+trace"])
 @pytest.mark.parametrize("args", sorted(SORT_OUTPUT_DIGESTS), ids=" ".join)
 def test_sort_csv_and_trace_file_bytes(tmp_path, args, outputs):
-    # Alone and from one command, which writes both in the same walk.
+    # Alone and from one command, which writes the trace file, then the CSV.
     csv_digest, trace_digest = SORT_OUTPUT_DIGESTS[args]
     path = tmp_path / "t.jsonl"
     argv = ["sort", *args]
