@@ -35,14 +35,6 @@ class Layout(NamedTuple):
     n: int
     slots: tuple[int, ...]
 
-    @property
-    def crosspoint_count(self) -> int:
-        return max(len(self.slots) - 1, 0)
-
-    def to_text(self) -> str:
-        """One-line rendering, class ids joined by dashes."""
-        return "-".join(map(str, self.slots))
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Layout":
         """The layout of a ``{"n": ..., "slots": [...]}`` document; raises ValueError if malformed.

@@ -13,9 +13,9 @@ uses.  ``build`` and ``validate`` load `array_builder` (which builds on
 `cyclic_perm`); ``sort`` adds `pe_simulator`; ``rank``, ``min`` and
 ``max`` add `query_circuits` and its `netlist` to that; ``search`` and
 ``depth`` load `query_circuits` and `netlist` only; ``perm`` loads
-`cyclic_perm` only; ``--help`` loads no other layer.  Only `_emit_json`,
-``validate --layout`` and ``sort --trace`` import `json`: every other JSON
-document is written from a `%` template.
+`cyclic_perm` only; ``--help`` loads no other layer.  Only `_emit_json` and
+``validate --layout`` import `json`: every other JSON document is written
+from a `%` template, each value in 0..n-1 looked up in one table, `_ids(n)`.
 """
 
 import argparse
@@ -99,6 +99,11 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc))
 
 
+def _ids(n: int) -> list[str]:
+    """Text of 0..n-1, made once per command: every such id, rank or index the CLI prints."""
+    return list(map(str, range(n)))
+
+
 def _int_list(ints) -> str:
     """The JSON text of a list of ints, as json.dumps writes it, from one `%` template."""
     return "[" + ("%d, " * len(ints) % tuple(ints))[:-2] + "]"
@@ -113,20 +118,18 @@ def _digit_rows(bits) -> list[str]:
 def _cmd_build(args) -> int:
     from . import array_builder
 
-    layout = array_builder.build(args.n)
+    slots = list(map(_ids(args.n).__getitem__, array_builder.build(args.n).slots))
     if args.format == "json":
         # The bytes json.dumps would write: no provenance tag holds a quote or a backslash.
-        names = list(map(str, range(args.n)))
         sys.stdout.write('{"n": %d, "slots": [%s], "provenance": ["%s"]}\n' % (
-            layout.n, ", ".join(map(names.__getitem__, layout.slots)),
-            array_builder.provenance_text(args.n, '", "')))
+            args.n, ", ".join(slots), array_builder.provenance_text(args.n, '", "')))
     elif args.format == "csv":
-        rows = zip(count(), layout.slots, array_builder.provenance(args.n))
-        sys.stdout.write("slot,class,provenance\n" + "%d,%d,%s\n" * len(layout.slots)
+        rows = zip(count(), slots, array_builder.provenance(args.n))
+        sys.stdout.write("slot,class,provenance\n" + "%d,%s,%s\n" * len(slots)
                          % tuple(chain.from_iterable(rows)))
     else:
-        print(layout.to_text())
-        print(f"{len(layout.slots)} PEs, {layout.crosspoint_count} crosspoints")
+        print("-".join(slots))
+        print(f"{len(slots)} PEs, {len(slots) - 1} crosspoints")
     return 0
 
 
@@ -198,18 +201,20 @@ def _cmd_sort(args) -> int:
     order = sorted(range(layout.n), key=ranks.__getitem__)  # element indices in sorted order
     conflicts = pe_simulator.detect_write_conflicts(trace)
     rows = _digit_rows(bits)
+    name = _ids(layout.n).__getitem__  # slots, ranks and order all lie in 0..n-1
     if args.format == "json":
         # The bytes of json.dumps(doc), with each matrix row written from its digits.
         cells = ['{"row": %d, "col": %d, "slots": %s}' % (row, col, _int_list(slots))
                  for row, col, slots in conflicts]
-        sys.stdout.write('{"n": %d, "slots": %s, "input": %s, "t": [%s], "ranks": %s, '
-                         '"order": %s, "phase_count": %d, "conflicts": [%s]}\n' % (
-            layout.n, *map(_int_list, (layout.slots, values)),
+        sys.stdout.write('{"n": %d, "slots": [%s], "input": %s, "t": [%s], "ranks": [%s], '
+                         '"order": [%s], "phase_count": %d, "conflicts": [%s]}\n' % (
+            layout.n, ", ".join(map(name, layout.slots)), _int_list(values),
             ", ".join("[" + ", ".join(row) + "]" for row in rows),
-            *map(_int_list, (ranks, order)), pe_simulator.phase_count(trace), ", ".join(cells)))
+            *(", ".join(map(name, ids)) for ids in (ranks, order)),
+            pe_simulator.phase_count(trace), ", ".join(cells)))
     else:
         sys.stdout.write("".join(row + "\n" for row in rows))
-        print("R: " + " ".join(map(str, ranks)))
+        print("R: " + " ".join(map(name, ranks)))
         print("sorted: " + " ".join(str(values[i]) for i in order))
         print(f"phases: {pe_simulator.phase_count(trace)}")
         if conflicts:
@@ -288,7 +293,8 @@ def _cmd_perm(args) -> int:
         if args.format == "json":
             _emit_json({"n": args.n, "j": args.j, "cycles": cycles})
         else:
-            print("".join("(" + ",".join(map(str, c)) + ")" for c in cycles))
+            name = _ids(args.n).__getitem__
+            print("".join("(" + ",".join(map(name, c)) + ")" for c in cycles))
         return 0
     if args.n < 2:
         raise ValueError(f"need at least 2 classes, got n={args.n}")
@@ -297,7 +303,7 @@ def _cmd_perm(args) -> int:
     if args.format == "json":
         _emit_json({"n": args.n, "sets": partition_Q(args.n)})
     else:
-        groups = partition_Q(args.n, list(map(str, range(args.n))))  # cycles of id strings
+        groups = partition_Q(args.n, _ids(args.n))  # cycles of id strings
         sys.stdout.write("".join(f"Q{i}: (" + ") (".join(map(",".join, g)) + ")\n"
                                  for i, g in enumerate(groups)))
     return 0

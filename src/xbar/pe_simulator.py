@@ -35,8 +35,8 @@ The templates are bytes, so the sinks take bytes: a `%` over ASCII bytes
 is cheaper than one over str, and a binary file takes the chunks as
 they are, with no text layer to encode them again.
 The lines equal `json.dumps` and `csv.writer` output, encoded as ASCII,
-as every payload is an exact int.  Only the trace writer needs `json`,
-for the names in its JSON-lines templates, so it alone imports it.
+as every payload is an exact int and every key, phase and action name a
+bare identifier, which JSON writes in plain quotes; so no `json` import.
 
 The final matrix satisfies bits[i][k] = 1 iff A[k] < A[i], or A[k] == A[i]
 with k < i; row sums are therefore the ranks of a stable sort.
@@ -90,7 +90,7 @@ class SortTrace(NamedTuple):
     def phases(self) -> tuple[str, ...]:
         return PHASE_NAMES[:phase_count(self)]
 
-    def _blocks(self):
+    def _blocks(self, values, ranks):
         """Yield (phase, forms, picks, cols) per block of one phase's groups, in trace order.
 
         A group is one class (clear, rank), slot (load) or crosspoint.  Group g renders
@@ -98,17 +98,17 @@ class SortTrace(NamedTuple):
         fields take, line by line, one item per column, and each column holds one item
         per group: for a `value` field an item of `values` or `ranks`, else an int.
         """
-        slots, vals, bits = self.layout.slots, self.values, self.bits
+        slots, bits = self.layout.slots, self.bits
         first = dict(zip(reversed(slots), range(len(slots) - 1, -1, -1)))
         classes = sorted(first)
         yield "clear", (_CLEAR,), None, (list(map(first.__getitem__, classes)), classes)
-        yield "load", (_LOAD,), None, (range(len(slots)), list(map(vals.__getitem__, slots)),
+        yield "load", (_LOAD,), None, (range(len(slots)), list(map(values.__getitem__, slots)),
                                        slots)
         if bits is None:
             return
         for (exchange, reply, send, lose, win), (small_slots, big_slots, smalls, bigs) in zip(
                 _DIRECTIONS, _directions(slots)):
-            sent = list(map(vals.__getitem__, bigs))
+            sent = list(map(values.__getitem__, bigs))
             yield exchange, (send,), None, (big_slots, sent, small_slots, sent)
             # bits[small][big] is set when small won: its slot writes and replies 0.  After
             # the small slots, each column takes the lose form's int or the win form's, by `won`.
@@ -117,13 +117,13 @@ class SortTrace(NamedTuple):
                 list(map(getitem, zip(if_lost, if_won), won)) for if_lost, if_won in (
                     (big_slots, smalls), (big_slots, bigs), (bigs, small_slots),
                     (smalls, big_slots))))
-        if self.ranks:
-            ids = range(len(self.ranks))
-            yield "rank", (_RANK,), None, (list(map(first.__getitem__, ids)), self.ranks, ids)
+        if ranks:
+            ids = range(len(ranks))
+            yield "rank", (_RANK,), None, (list(map(first.__getitem__, ids)), ranks, ids)
 
     def events(self):
         """Yield (phase name, event) for every event of the stages run, in order."""
-        for phase, forms, picks, cols in self._blocks():
+        for phase, forms, picks, cols in self._blocks(self.values, self.ranks):
             groups = map(getitem, zip(*(_filled(f, cols) for f in forms)), picks or repeat(0))
             yield from zip(repeat(phase), chain.from_iterable(groups))
 
@@ -144,9 +144,9 @@ class SortTrace(NamedTuple):
         line, sink = (_jsonl_line, jsonl) if csv is None else (_csv_line, csv)
         if csv is not None:
             csv(",".join(COLUMNS).encode() + b"\r\n")
-        rendered = self._replace(values=tuple(map(b"%d".__mod__, self.values)),
-                                 ranks=self.ranks and tuple(map(b"%d".__mod__, self.ranks)))
-        for phase, forms, picks, cols in rendered._blocks():
+        for phase, forms, picks, cols in self._blocks(
+                tuple(map(b"%d".__mod__, self.values)),
+                self.ranks and tuple(map(b"%d".__mod__, self.ranks))):
             texts = tuple("".join(line(phase, ev) for ev in form).encode() for form in forms)
             templates = repeat(texts[0]) if picks is None else map(texts.__getitem__, picks)
             width, groups = len(cols), len(cols[0])
@@ -164,9 +164,10 @@ def _field(k, v, text) -> str:
 
 
 def _jsonl_line(phase, ev) -> str:
-    import json  # here, so only a run that writes JSON lines loads it
-
-    return "{" + ", ".join(f'"{k}": {_field(k, v, json.dumps)}'
+    # Every key, phase and action name is a bare identifier, so "name" in quotes is
+    # exactly the text json.dumps writes for it; every other constant is an int.
+    quoted = '"%s"'.__mod__
+    return "{" + ", ".join(f'"{k}": {_field(k, v, quoted if isinstance(v, str) else str)}'
                            for k, v in zip(COLUMNS, (phase, *ev)) if v is not None) + "}\n"
 
 

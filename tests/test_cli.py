@@ -18,8 +18,8 @@ from xbar.cli import main
 from xbar.pe_simulator import SortTrace
 
 from oracles import (
-    build_csv_reference, build_json_reference, build_text_reference, perm_text_reference,
-    validate_reference,
+    brute_cycles, build_csv_reference, build_json_reference, build_text_reference,
+    perm_text_reference, validate_reference,
 )
 from test_golden_bytes import TRACE_DIGESTS
 
@@ -91,15 +91,15 @@ def test_commands_load_only_their_layers(argv, loaded):
     (["rank", "--n", "5", "--r", "1", "--format", "json"], False),
     (["sort", "--n", "5", "--format", "json"], False),
     (["sort", "--n", "5", "--format", "csv"], False),
-    (["sort", "--n", "5", "--trace", "{trace}"], True),
+    (["sort", "--n", "5", "--trace", "{trace}"], False),
     (["min", "--n", "5", "--format", "json"], False),
     (["max", "--n", "5", "--format", "json"], False),
     (["search", "--n", "5", "--key", "3", "--format", "json"], False),
 ])
 def test_only_json_handlers_load_json(argv, wants_json, tmp_path):
-    # build, sort and the index queries write their JSON through % templates,
-    # so only _emit_json, validate --layout and the JSON-lines trace writer of
-    # sort --trace import json.
+    # build, sort and the index queries write their JSON through % templates, and
+    # the trace writer quotes its names itself, so only _emit_json and
+    # validate --layout import json.
     layout = tmp_path / "layout.json"
     layout.write_text('{"n": 2, "slots": [0, 1]}')
     paths = {"{layout}": str(layout), "{trace}": str(tmp_path / "t.jsonl")}
@@ -215,7 +215,8 @@ def test_sort_csv_walks_the_trace_once_per_sink_without_a_conflict_scan(tmp_path
     # csv prints no conflicts; the trace file and stdout each take one walk.
     calls = []
     blocks = SortTrace._blocks
-    monkeypatch.setattr(SortTrace, "_blocks", lambda trace: calls.append("walk") or blocks(trace))
+    monkeypatch.setattr(SortTrace, "_blocks",
+                        lambda trace, *args: calls.append("walk") or blocks(trace, *args))
     monkeypatch.setattr(pe_simulator, "detect_write_conflicts", calls.append)
     path = tmp_path / "t.jsonl"
     code, out = run(capsys, "sort", "--n", "6", "--format", "csv", "--trace", str(path))
@@ -575,6 +576,14 @@ def test_build_text_bytes_match_dash_join(capsys, n):
 @pytest.mark.parametrize("n", [n for n in LISTING_NS if n % 2 == 0 and n >= 4])
 def test_perm_text_bytes_match_per_cycle_rendering(capsys, n):
     assert run(capsys, "perm", "--n", str(n)) == (0, perm_text_reference(n))
+
+
+@pytest.mark.parametrize("n, j", [
+    (n, j) for n in LISTING_NS for j in sorted({1, 2, n // 2, n - 1, n})])
+def test_perm_j_text_matches_brute_force_cycles(capsys, n, j):
+    # perm --j prints each cycle's ids from the CLI's string table; j = n is n 1-cycles.
+    cycles = "".join("(" + ",".join(map(str, c)) + ")" for c in brute_cycles(n, j))
+    assert run(capsys, "perm", "--n", str(n), "--j", str(j)) == (0, cycles + "\n")
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1])
