@@ -16,13 +16,19 @@ uses.  ``build`` and ``validate`` load `array_builder` (which builds on
 `cyclic_perm` only; ``--help`` loads no other layer.  Only `_emit_json` and
 ``validate --layout`` import `json`: every other JSON document is written
 from a `%` template, each value in 0..n-1 looked up in one table, `_ids(n)`.
+
+Each subcommand's options are declared once, in `_COMMANDS`.  A well-formed
+command line, ``command (--flag value)*`` with full flag names, each at most
+once and valid, and no value starting with ``-``, is read from that table
+without importing argparse; help, usage errors and any other form go through
+the argparse parser built from the same table.
 """
 
-import argparse
 import io
 import os
 import sys
 from itertools import chain, count
+from types import SimpleNamespace
 
 
 def _resolve_seed(args) -> int:
@@ -72,13 +78,18 @@ def _input_values(args, n: int) -> list[int]:
 MAX_N = 2048  # the largest --n any command takes; at it, each finishes within about 10 s
 
 
+def _type_error(message: str):
+    import argparse  # only argparse reads the error, so only a refused value loads it
+    return argparse.ArgumentTypeError(message)
+
+
 def _n(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise _type_error(f"invalid int value: {text!r}") from None
     if n > MAX_N:
-        raise argparse.ArgumentTypeError(f"at most {MAX_N} classes, got {n}")
+        raise _type_error(f"at most {MAX_N} classes, got {n}")
     return n
 
 
@@ -88,9 +99,9 @@ def _fanin(text: str):
     try:
         b = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("fanin must be 'unbounded' or an integer >= 2")
+        raise _type_error("fanin must be 'unbounded' or an integer >= 2")
     if b < 2:
-        raise argparse.ArgumentTypeError("finite fanin must be >= 2")
+        raise _type_error("finite fanin must be >= 2")
     return b
 
 
@@ -309,72 +320,81 @@ def _cmd_perm(args) -> int:
     return 0
 
 
-def _add_common(sub, *, values=False, formats=("text", "json", "csv")):
-    sub.add_argument("--n", type=_n, required=True, help="number of classes")
-    if values:
-        sub.add_argument("--input", help="comma-separated values or a file, one value per line")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="seed for generated input (default: $XBAR_SEED or 0)")
-    sub.add_argument("--format", choices=formats, default="text")
+_FORMAT = ("--format", {"choices": ("text", "json", "csv"), "default": "text"})
+_FORMAT_NO_CSV = ("--format", {"choices": ("text", "json"), "default": "text"})
+_N_ARG = ("--n", {"type": _n, "required": True})
+_VALUES = (("--n", {"type": _n, "required": True, "help": "number of classes"}),
+           ("--input", {"help": "comma-separated values or a file, one value per line"}),
+           ("--seed", {"type": int, "help": "seed for generated input (default: $XBAR_SEED or 0)"}))
+
+# Each subcommand's handler name, help and options, in help order, as (flag,
+# add_argument keywords); "group" marks validate's --n and --layout, exactly one given.
+_COMMANDS = {
+    "build": ("_cmd_build", "construct the minimal layout for n classes", (_VALUES[0], _FORMAT)),
+    "validate": ("_cmd_validate", "check a layout's structural claims", (
+        ("--n", {"type": _n, "group": True, "help": "build and validate the layout for n classes"}),
+        ("--layout", {"group": True, "help": "validate a layout JSON file instead"}), _FORMAT)),
+    "sort": ("_cmd_sort", "run the phase-level enumeration sort", (*_VALUES, _FORMAT,
+             ("--trace", {"help": "also dump the full trace as JSON lines to this path"}))),
+    **{name: ("_cmd_index", f"index of the {name}imum via the gate circuit",
+              (*_VALUES, _FORMAT_NO_CSV)) for name in ("min", "max")},
+    "rank": ("_cmd_index", "index of the element with a given rank", (*_VALUES, _FORMAT_NO_CSV,
+             ("--r", {"type": int, "required": True, "help": "target rank (0 = smallest)"}))),
+    "search": ("_cmd_index", "smallest class index holding the key",
+               (*_VALUES, _FORMAT_NO_CSV, ("--key", {"type": int, "required": True}))),
+    "depth": ("_cmd_depth", "critical-path depth of a query circuit", (
+        ("--circuit", {"choices": sorted(_CIRCUIT_BUILDERS), "required": True}), _N_ARG,
+        ("--fanin", {"type": _fanin, "default": "unbounded",
+                     "help": "'unbounded' or an integer fan-in limit >= 2"}), _FORMAT_NO_CSV)),
+    "perm": ("_cmd_perm", "inspect shift powers and their cycle partition", (
+        _N_ARG, ("--j", {"type": int, "help": "exponent; omit to list the Q partition"}),
+        _FORMAT_NO_CSV)),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="xbar",
-        description="1D crosspoint arrays: build layouts, simulate sorts, query circuits.",
-    )
+def _build_parser():
+    import argparse
+    parser = argparse.ArgumentParser(prog="xbar", description="1D crosspoint arrays: build "
+                                     "layouts, simulate sorts, query circuits.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("build", help="construct the minimal layout for n classes")
-    _add_common(p)
-    p.set_defaults(func=_cmd_build)
-
-    p = subs.add_parser("validate", help="check a layout's structural claims")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--n", type=_n, help="build and validate the layout for n classes")
-    source.add_argument("--layout", help="validate a layout JSON file instead")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.set_defaults(func=_cmd_validate)
-
-    p = subs.add_parser("sort", help="run the phase-level enumeration sort")
-    _add_common(p, values=True)
-    p.add_argument("--trace", help="also dump the full trace as JSON lines to this path")
-    p.set_defaults(func=_cmd_sort)
-
-    for name in ("min", "max"):
-        p = subs.add_parser(name, help=f"index of the {name}imum via the gate circuit")
-        _add_common(p, values=True, formats=("text", "json"))
-        p.set_defaults(func=_cmd_index)
-
-    p = subs.add_parser("rank", help="index of the element with a given rank")
-    _add_common(p, values=True, formats=("text", "json"))
-    p.add_argument("--r", type=int, required=True, help="target rank (0 = smallest)")
-    p.set_defaults(func=_cmd_index)
-
-    p = subs.add_parser("search", help="smallest class index holding the key")
-    _add_common(p, values=True, formats=("text", "json"))
-    p.add_argument("--key", type=int, required=True)
-    p.set_defaults(func=_cmd_index)
-
-    p = subs.add_parser("depth", help="critical-path depth of a query circuit")
-    p.add_argument("--circuit", choices=sorted(_CIRCUIT_BUILDERS), required=True)
-    p.add_argument("--n", type=_n, required=True)
-    p.add_argument("--fanin", type=_fanin, default="unbounded",
-                   help="'unbounded' or an integer fan-in limit >= 2")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_depth)
-
-    p = subs.add_parser("perm", help="inspect shift powers and their cycle partition")
-    p.add_argument("--n", type=_n, required=True)
-    p.add_argument("--j", type=int, help="exponent; omit to list the Q partition")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_perm)
-
+    for name, (handler, summary, options) in _COMMANDS.items():
+        p = subs.add_parser(name, help=summary)
+        group = p.add_mutually_exclusive_group(required=True) if any(
+            "group" in kw for _, kw in options) else p
+        for flag, kw in options:
+            kw = dict(kw)
+            (group if kw.pop("group", False) else p).add_argument(flag, **kw)
+        p.set_defaults(func=globals()[handler])  # looked up now, so a stand-in handler runs
     return parser
 
 
+def _parse_exact(argv):
+    """argparse's namespace for a well-formed argv (see the module docstring), else None."""
+    command, *rest = argv or [None]
+    if command not in _COMMANDS:
+        return None
+    handler, _, options = _COMMANDS[command]
+    given = dict(zip(rest[::2], rest[1::2]))
+    grouped = [flag in given for flag, kw in options if "group" in kw]
+    if len(given) * 2 != len(rest) or not given.keys() <= dict(options).keys() \
+            or any(text[:1] == "-" for text in given.values()) or grouped and sum(grouped) != 1:
+        return None
+    args = {"command": command, "func": globals()[handler]}
+    for flag, kw in options:
+        text = given.get(flag)
+        try:
+            value = kw.get("default") if text is None else kw.get("type", str)(text)
+        except Exception:  # any refusal: argparse calls the type again and reports it
+            return None
+        if text is None and kw.get("required") or value not in kw.get("choices", (value,)):
+            return None
+        args[flag[2:]] = value
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_exact(argv) or _build_parser().parse_args(argv)
     out = sys.stdout
     if isinstance(getattr(out, "buffer", None), io.RawIOBase):
         # Unbuffered stdout (python -u, PYTHONUNBUFFERED) drops the rest of a short

@@ -11,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbar import cli, pe_simulator
 from xbar.array_builder import build
@@ -34,7 +36,7 @@ def test_cli_import_skips_dataclasses_and_fractions():
     # Every command pays for what `import xbar.cli` loads; -S keeps site-packages
     # (and whatever they import) out, so only xbar's own imports count.
     probe = ("import sys, xbar.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'json'}"
+             "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'json', 'argparse'}"
              " & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
@@ -44,13 +46,14 @@ def test_cli_import_skips_dataclasses_and_fractions():
 
 
 def _modules_after(argv):
-    """The xbar modules, and json if loaded, after `main(argv)`, sorted.
+    """The xbar modules, and json and argparse if loaded, after `main(argv)`, sorted.
 
     A fresh -S process, as above, since this session has imported every module already.
     """
     probe = ("import sys; from xbar.cli import main\n"
              "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
-             "print(*sorted(m for m in sys.modules if m.startswith('xbar.') or m == 'json'),"
+             "print(*sorted(m for m in sys.modules"
+             " if m.startswith('xbar.') or m in ('json', 'argparse')),"
              " file=sys.stderr)")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=env,
@@ -60,7 +63,7 @@ def _modules_after(argv):
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    (["--help"], []),
+    (["--help"], ["argparse"]),
     (["build", "--n", "5"], ["array_builder", "cyclic_perm"]),
     (["validate", "--n", "5"], ["array_builder", "cyclic_perm"]),
     (["perm", "--n", "6"], ["cyclic_perm"]),
@@ -70,12 +73,14 @@ def _modules_after(argv):
     (["search", "--n", "5", "--key", "3"], ["netlist", "query_circuits"]),
     (["depth", "--circuit", "adder-tree", "--n", "8", "--fanin", "2"],
      ["netlist", "query_circuits"]),
+    (["build", "--n=5"], ["argparse", "array_builder", "cyclic_perm"]),
 ])
 def test_commands_load_only_their_layers(argv, loaded):
     # Each handler imports its own layers, so e.g. build starts no simulator or
-    # netlist code and depth no layout or simulator code.
+    # netlist code and depth no layout or simulator code.  A well-formed command
+    # line is read without argparse; help and any other form (--n=5) load it.
     got = [m for m in _modules_after(argv) if m != "json"]
-    assert got == sorted(["xbar.cli", *map("xbar.".__add__, loaded)])
+    assert got == sorted(["xbar.cli", *(m if m == "argparse" else "xbar." + m for m in loaded)])
 
 
 @pytest.mark.parametrize("argv, wants_json", [
@@ -667,6 +672,96 @@ def test_validate_needs_exactly_one_source(capsys, argv, message):
     assert (exc.value.code, captured.out) == (2, "")
     assert captured.err.startswith("usage: ")
     assert captured.err.endswith(f"error: {message}\n")
+
+
+# Values the exact reader takes: no leading "-", and each passes its option's type.
+_INTS = st.integers(0, 10**30).map(str)
+_TEXT = st.text().filter(lambda text: not text.startswith("-"))
+_ARG_VALUES = {
+    "--n": st.one_of(st.integers(0, cli.MAX_N).map(str),
+                     st.sampled_from([" 7", "+7", "0_7", "٧"])),
+    "--fanin": st.one_of(st.just("unbounded"), st.integers(2, 64).map(str)),
+    **dict.fromkeys(("--seed", "--r", "--key", "--j"), _INTS),
+    **dict.fromkeys(("--input", "--layout", "--trace"), _TEXT),
+}
+
+
+@st.composite
+def _canonical_argv(draw):
+    """`command (--flag value)*` in any order: every required flag, some optional ones."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._COMMANDS[command][2]
+    grouped = [flag for flag, kw in options if "group" in kw]
+    flags = [flag for flag, kw in options
+             if kw.get("required") or "group" not in kw and draw(st.booleans())]
+    if grouped:
+        flags.append(draw(st.sampled_from(grouped)))
+    kws = dict(options)
+    pairs = [(flag, draw(st.sampled_from(kws[flag]["choices"]) if "choices" in kws[flag]
+                         else _ARG_VALUES[flag])) for flag in flags]
+    return [command, *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_canonical_argv())
+def test_exact_reader_matches_argparse_on_canonical_argv(argv):
+    args = cli._parse_exact(argv)
+    assert args is not None, argv
+    assert vars(args) == vars(cli._build_parser().parse_args(argv))
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(sorted({flag for _, _, options in cli._COMMANDS.values()
+                            for flag, _ in options} | {"-h", "--help", "--", "--form", "--n=5"})),
+    st.sampled_from(["5", "0", "-5", "-5,3", "json", "csv", "min", "unbounded", "1,2", "x"]),
+    st.text(max_size=3))
+
+
+@st.composite
+def _edited_argv(draw):
+    """A canonical argv with up to two tokens replaced, inserted or deleted."""
+    argv = draw(_canonical_argv())
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        argv[i:i + (edit != "insert")] = [] if edit == "delete" else [draw(_TOKENS)]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edited_argv())
+def test_exact_reader_accepts_only_what_argparse_parses_alike(argv):
+    args = cli._parse_exact(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            expected = None
+    assert args is None or vars(args) == expected, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--n=5"], ["sort", "--n", "2", "--input=-5,3"],
+    ["build", "--n", "5", "--form", "json"], ["build", "--n", "5", "--n", "6"],
+    ["-h"], ["--help"], ["build", "-h"], ["build", "--help"], ["build", "--n", "5", "-h"],
+    ["search", "--n", "5", "--key", "-5"], ["sort", "--n", "2", "--input", "-5,3"],
+    ["build", "--n", "5", "--bogus", "1"], ["build", "--n", "5", "bogus"],
+    ["build"], ["rank", "--n", "5"], ["depth", "--n", "8"], ["build", "--n"],
+    ["build", "--n", str(cli.MAX_N + 1)], ["build", "--n", "many"],
+    ["min", "--n", "5", "--format", "csv"], ["build", "--n", "5", "--format", "xml"],
+    ["depth", "--circuit", "nope", "--n", "8"], ["depth", "--n", "8", "--circuit", "min",
+                                                  "--fanin", "1"],
+    ["validate", "--n", "7", "--layout", "l.json"], ["validate"], ["validate", "--format", "json"],
+    [], ["bogus", "--n", "5"],
+])
+def test_exact_reader_declines_every_other_form(argv):
+    # argparse parses these: its help, its usage errors, and the forms it alone reads.
+    assert cli._parse_exact(argv) is None
+
+
+def test_exact_reader_dispatches_the_handler_in_the_module_now(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_build", lambda args: 7)
+    assert main(["build", "--n", "5"]) == 7
 
 
 def test_rank_out_of_range(capsys):
