@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbar import cli, pe_simulator
+from xbar import cli, pe_simulator, query_circuits
 from xbar.array_builder import build
 from xbar.cli import main
+from xbar.netlist import Netlist
 from xbar.pe_simulator import SortTrace
 
 from oracles import (
@@ -328,6 +330,46 @@ def test_sort_reader_closing_unbuffered_stdout_early_exits_141(argv):
     assert _close_after_10_bytes(argv, unbuffered=True) == (141, b"")
 
 
+def test_main_hands_back_an_unbuffered_stdout_open_on_every_exit(tmp_path, capsys, monkeypatch):
+    # Over a raw file (python -u), main writes through a buffered wrapper of its own.
+    # After main, on each exit path, the caller's stream is back in place, and once
+    # the wrapper is collected the raw file is still open and holds the command's bytes.
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 4, "slots": [0, 1, 2, 3]}')
+    cases = [["build", "--n", "4"], ["validate", "--layout", str(bad)], ["perm", "--n", "1", "--j", "1"]]
+    expected = [run(capsys, *argv) for argv in cases]
+    assert [code for code, _ in expected] == [0, 1, 2]
+    for i, (argv, (code, text)) in enumerate(zip(cases, expected)):
+        path = tmp_path / f"out{i}.txt"
+        out = io.TextIOWrapper(io.FileIO(path, "w"), "utf-8")
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == code
+        assert sys.stdout is out
+        gc.collect()
+        out.write("end\n")
+        out.close()
+        assert path.read_text() == text + "end\n"
+    out = io.TextIOWrapper(io.FileIO(tmp_path / "usage.txt", "w"), "utf-8")
+    monkeypatch.setattr(sys, "stdout", out)
+    with pytest.raises(SystemExit) as exc:
+        main(["depth", "--circuit", "nope", "--n", "8"])
+    assert (exc.value.code, sys.stdout) == (2, out)
+    out.close()
+
+
+def test_main_hands_back_an_unbuffered_stdout_after_a_closed_pipe(monkeypatch):
+    # Exit 141 points the file descriptor at devnull; the caller's stream stays usable.
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    out = io.TextIOWrapper(io.FileIO(write_fd, "w"), "utf-8")
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["build", "--n", "4"]) == 141
+    assert sys.stdout is out
+    gc.collect()
+    out.write("end\n")
+    out.close()
+
+
 def test_sort_bad_input_file(tmp_path, capsys):
     path = tmp_path / "vals.txt"
     path.write_text("8\nnope\n")
@@ -545,6 +587,44 @@ def test_depth_adder_tree_over_one_bit_has_no_gates(capsys):
     # One bit is its own count: the tree the 2 x 2 matrix's rows rank with.
     assert run(capsys, "depth", "--circuit", "adder-tree", "--n", "1") == (
         0, "depth 0 (fanin unbounded, 0 gates)\n")
+
+
+def test_circuit_table_is_a_plain_dict_that_loads_nothing_when_read():
+    # Each entry imports `query_circuits` when called, so reading the table (as the
+    # bench does, to span its builders) loads no other layer, with no module hook.
+    probe = ("import sys, xbar.cli as c; c._CIRCUITS; "
+             "print(sorted(m for m in sys.modules if m.startswith('xbar.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "['xbar.cli']\n"), done.stderr
+    assert type(cli._CIRCUITS) is dict
+    assert not {"__getattr__", "_CIRCUIT_BUILDERS"} & vars(cli).keys()
+
+
+def _stage_texts(built):
+    """(netlist text, copies) per stage of a builder's result; a bare Netlist is one stage."""
+    stages = [(built, 1)] if isinstance(built, Netlist) else built
+    return [(net.to_text(), copies) for net, copies in stages]
+
+
+@pytest.mark.parametrize("name", sorted(cli._CIRCUITS))
+def test_each_circuit_entry_builds_what_its_namesake_builds(name):
+    # The bench names an entry's span after its __name__, so that must be the
+    # query_circuits builder the entry runs.
+    entry = cli._CIRCUITS[name]
+    builder = getattr(query_circuits, entry.__name__)
+    for n in (2, 5, 16):
+        assert _stage_texts(entry(n)) == _stage_texts(builder(n)), (name, n)
+
+
+def test_depth_runs_the_builder_the_table_holds_now(capsys, monkeypatch):
+    calls = []
+    adder_tree = cli._CIRCUITS["adder-tree"]
+    monkeypatch.setitem(cli._CIRCUITS, "min", lambda n: calls.append(n) or adder_tree(n))
+    assert run(capsys, "depth", "--circuit", "min", "--n", "8") == run(
+        capsys, "depth", "--circuit", "adder-tree", "--n", "8")
+    assert calls == [8]
 
 
 def test_perm_commands(capsys):

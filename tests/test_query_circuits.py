@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from xbar import query_circuits
+from xbar import cli, query_circuits
 from xbar.array_builder import build
-from xbar.netlist import depth, evaluate, legalize, series_depth
+from xbar.netlist import Netlist, depth, evaluate, legalize, series_depth
 from xbar.pe_simulator import sort
 from xbar.query_circuits import (
     build_encoder,
@@ -325,8 +325,9 @@ def test_queries_reject_non_permutation_matrices(query, bits):
 
 
 def test_queries_evaluate_the_stages_xbar_depth_reports(monkeypatch):
-    # Each query's row circuit reads the n - 1 off-diagonal bits: min and max run
-    # exactly the netlists their stages hand `series_depth`.
+    # Each query runs exactly the netlists its `xbar depth` entry builds: min and
+    # max (row circuits over the n - 1 off-diagonal bits, then the encoder), the
+    # adder tree at n - 1, and search's priority encoder, on a present and an absent key.
     evaluated = []
     evaluate = query_circuits.evaluate
 
@@ -334,21 +335,36 @@ def test_queries_evaluate_the_stages_xbar_depth_reports(monkeypatch):
         evaluated.append(net)
         return evaluate(net, assignment, lanes)
 
+    def texts(built):
+        return [net.to_text() for net, _ in ([(built, 1)] if isinstance(built, Netlist) else built)]
+
+    def runs(entry, n, query, *args):
+        evaluated.clear()
+        result = query(*args)
+        assert [net.to_text() for net in evaluated] == texts(cli._CIRCUITS[entry](n)), (entry, n)
+        return result
+
     monkeypatch.setattr(query_circuits, "evaluate", recording)
     rng = random.Random(40)
     for n in range(2, 41):
         values = [rng.randrange(n // 2 + 1) for _ in range(n)]  # ties at every n > 2
         t, ranks, _ = sort(build(n), values)
-        for query, stages, rank in ((min_index, min_stages, 0), (max_index, max_stages, n - 1)):
-            evaluated.clear()
-            assert query(t) == ranks.index(rank)
-            assert [net.to_text() for net in evaluated] == [net.to_text() for net, _ in stages(n)]
+        assert runs("min", n, min_index, t) == ranks.index(0)
+        assert runs("max", n, max_index, t) == ranks.index(n - 1)
+        assert runs("adder-tree", n - 1, rank_via_adder_tree, t) == tuple(ranks)
+        key = values[rng.randrange(n)]
+        assert runs("priority-encoder", n, search, values, key) == values.index(key)
+        assert runs("priority-encoder", n, search, values, -1) is None
         evaluated.clear()
         r = rng.randrange(n)
         assert select_rank(t, r) == ranks.index(r)
         assert evaluated[0].inputs == [f"b{k}" for k in range(n - 1)]
         assert [net.to_text() for net in evaluated] == [
             net.to_text() for net, _ in select_rank_stages(n, r)]
+    # No query runs these entries: the threshold sort's rank circuit, and the plain
+    # encoder with its valid OR (every query's encoder stage drops that wire).
+    assert set(cli._CIRCUITS) - {"min", "max", "adder-tree", "priority-encoder"} == {
+        "threshold-rank", "ones-counter", "encoder"}
 
 
 def test_probabilistic_rank_examples():
