@@ -12,11 +12,10 @@ Each handler imports the layers it runs, so a command loads only what it
 uses.  ``build`` and ``validate`` load `array_builder` (which builds on
 `cyclic_perm`); ``sort`` adds `pe_simulator`; ``rank``, ``min`` and
 ``max`` add `query_circuits` and its `netlist` to that; ``search`` and
-``depth`` load `query_circuits` and `netlist` only (each `_CIRCUITS` entry
-imports them when called); ``perm`` loads `cyclic_perm` only; ``--help``
-loads no other layer.  Only `_emit_json` and ``validate --layout`` import
-`json`: every other JSON document is written from a `%` template, each
-value in 0..n-1 looked up in one table, `_ids(n)`.
+``depth`` load `query_circuits` and `netlist` only; ``perm`` loads
+`cyclic_perm` only; ``--help`` loads no other layer.  Only `_emit_json` and
+``validate --layout`` import `json`: every other JSON document is written
+from a `%` template, each value in 0..n-1 looked up in one table, `_ids(n)`.
 
 Each subcommand's options are declared once, in `_COMMANDS`.  A well-formed
 command line, ``command (--flag value)*`` with full flag names, each at most
@@ -255,26 +254,42 @@ def _cmd_index(args) -> int:
     return 0
 
 
-def _builder(attr: str):
-    """A call of the `query_circuits` function `attr` that imports that module when run."""
-    def circuit(n: int):
-        from . import query_circuits
-        return getattr(query_circuits, attr)(n)
-    circuit.__name__ = attr  # the bench names each builder's span after it
-    return circuit
+# `depth --circuit` name -> the `query_circuits` function that builds it.
+_CIRCUIT_BUILDERS = {
+    "min": "min_stages",
+    "max": "max_stages",
+    "threshold-rank": "threshold_rank_stages",
+    "ones-counter": "build_ones_counter",
+    "adder-tree": "build_popcount_tree",
+    "encoder": "build_encoder",
+    "priority-encoder": "build_priority_encoder",
+}
 
 
-# `depth --circuit` name -> its builder; `_cmd_depth` runs what the dict holds now.
-_CIRCUITS = {name: _builder(attr) for name, attr in (
-    ("min", "min_stages"), ("max", "max_stages"), ("threshold-rank", "threshold_rank_stages"),
-    ("ones-counter", "build_ones_counter"), ("adder-tree", "build_popcount_tree"),
-    ("encoder", "build_encoder"), ("priority-encoder", "build_priority_encoder"))}
+def __getattr__(name: str):
+    """`_CIRCUITS`, the builder functions by circuit name, made on first access.
+
+    Built lazily (PEP 562) so that only `depth` imports `query_circuits`;
+    the dict is then cached as a module global, and `_cmd_depth` runs its
+    values, so a builder swapped into it is the one that runs.  The values
+    are the builders themselves, not lookups made per call: `perfbench`
+    reads the dict before it wraps `query_circuits`, and wraps each value
+    once, so each build records one span.
+    """
+    if name != "_CIRCUITS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import query_circuits
+
+    circuits = {key: getattr(query_circuits, attr) for key, attr in _CIRCUIT_BUILDERS.items()}
+    globals()[name] = circuits
+    return circuits
 
 
 def _cmd_depth(args) -> int:
     from .netlist import series_depth
 
-    report = series_depth(_CIRCUITS[args.circuit](args.n), args.fanin)
+    circuits = globals().get("_CIRCUITS") or __getattr__("_CIRCUITS")
+    report = series_depth(circuits[args.circuit](args.n), args.fanin)
     if args.format == "json":
         _emit_json(report._asdict())
     else:
@@ -331,7 +346,7 @@ _COMMANDS = {
     "search": ("_cmd_index", "smallest class index holding the key",
                (*_VALUES, _FORMAT_NO_CSV, ("--key", {"type": int, "required": True}))),
     "depth": ("_cmd_depth", "critical-path depth of a query circuit", (
-        ("--circuit", {"choices": sorted(_CIRCUITS), "required": True}), _N_ARG,
+        ("--circuit", {"choices": sorted(_CIRCUIT_BUILDERS), "required": True}), _N_ARG,
         ("--fanin", {"type": _fanin, "default": "unbounded",
                      "help": "'unbounded' or an integer fan-in limit >= 2"}), _FORMAT_NO_CSV)),
     "perm": ("_cmd_perm", "inspect shift powers and their cycle partition", (

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from xbar import cli, pe_simulator, query_circuits
 from xbar.array_builder import build
 from xbar.cli import main
-from xbar.netlist import Netlist
 from xbar.pe_simulator import SortTrace
 
 from oracles import (
@@ -589,33 +588,15 @@ def test_depth_adder_tree_over_one_bit_has_no_gates(capsys):
         0, "depth 0 (fanin unbounded, 0 gates)\n")
 
 
-def test_circuit_table_is_a_plain_dict_that_loads_nothing_when_read():
-    # Each entry imports `query_circuits` when called, so reading the table (as the
-    # bench does, to span its builders) loads no other layer, with no module hook.
-    probe = ("import sys, xbar.cli as c; c._CIRCUITS; "
-             "print(sorted(m for m in sys.modules if m.startswith('xbar.')))")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert (done.returncode, done.stdout) == (0, "['xbar.cli']\n"), done.stderr
-    assert type(cli._CIRCUITS) is dict
-    assert not {"__getattr__", "_CIRCUIT_BUILDERS"} & vars(cli).keys()
-
-
-def _stage_texts(built):
-    """(netlist text, copies) per stage of a builder's result; a bare Netlist is one stage."""
-    stages = [(built, 1)] if isinstance(built, Netlist) else built
-    return [(net.to_text(), copies) for net, copies in stages]
-
-
-@pytest.mark.parametrize("name", sorted(cli._CIRCUITS))
-def test_each_circuit_entry_builds_what_its_namesake_builds(name):
-    # The bench names an entry's span after its __name__, so that must be the
-    # query_circuits builder the entry runs.
-    entry = cli._CIRCUITS[name]
-    builder = getattr(query_circuits, entry.__name__)
-    for n in (2, 5, 16):
-        assert _stage_texts(entry(n)) == _stage_texts(builder(n)), (name, n)
+def test_circuit_table_holds_the_builders_themselves(capsys, monkeypatch):
+    # perfbench reads the table, then wraps both `query_circuits` and each table value
+    # under the builder's name; a value that looked its builder up per call would reach
+    # the wrapped one, and each `depth` build would be spanned twice.
+    for name, attr in cli._CIRCUIT_BUILDERS.items():
+        assert cli._CIRCUITS[name] is getattr(query_circuits, attr), name
+    expected = run(capsys, "depth", "--circuit", "adder-tree", "--n", "8")
+    monkeypatch.setattr(query_circuits, "build_popcount_tree", None)
+    assert run(capsys, "depth", "--circuit", "adder-tree", "--n", "8") == expected
 
 
 def test_depth_runs_the_builder_the_table_holds_now(capsys, monkeypatch):
