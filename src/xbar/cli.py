@@ -12,7 +12,8 @@ Each handler imports the layers it runs, so a command loads only what it
 uses.  ``build`` and ``validate`` load `array_builder` (which builds on
 `cyclic_perm`); ``sort`` adds `pe_simulator`; ``rank``, ``min`` and
 ``max`` add `query_circuits` and its `netlist` to that; ``search`` and
-``depth`` load `query_circuits` and `netlist` only; ``perm`` loads
+``depth`` load `query_circuits` and `netlist` only (``depth`` runs the
+builder `query_circuits.CIRCUITS` holds for its ``--circuit``); ``perm`` loads
 `cyclic_perm` only; ``--help`` loads no other layer.  Only `_emit_json` and
 ``validate --layout`` import `json`: every other JSON document is written
 from a `%` template, each value in 0..n-1 looked up in one table, `_ids(n)`.
@@ -202,7 +203,7 @@ def _cmd_sort(args) -> int:
     from . import pe_simulator
 
     bits, ranks, trace = _run_sort(args)
-    if args.trace:
+    if args.trace is not None:
         _write_trace(trace, args.trace)  # before stdout, so a failed trace leaves it empty
     if args.format == "csv":
         # The CSV goes to stdout as text: it may be a StringIO, as when run in process.
@@ -254,42 +255,26 @@ def _cmd_index(args) -> int:
     return 0
 
 
-# `depth --circuit` name -> the `query_circuits` function that builds it.
-_CIRCUIT_BUILDERS = {
-    "min": "min_stages",
-    "max": "max_stages",
-    "threshold-rank": "threshold_rank_stages",
-    "ones-counter": "build_ones_counter",
-    "adder-tree": "build_popcount_tree",
-    "encoder": "build_encoder",
-    "priority-encoder": "build_priority_encoder",
-}
+_CIRCUIT_NAMES = ("adder-tree", "encoder", "max", "min", "ones-counter", "priority-encoder",
+                  "threshold-rank")  # `query_circuits.CIRCUITS`'s keys, sorted for help
 
 
 def __getattr__(name: str):
-    """`_CIRCUITS`, the builder functions by circuit name, made on first access.
+    """`_CIRCUITS`: `query_circuits.CIRCUITS`, looked up on access (PEP 562), not at import.
 
-    Built lazily (PEP 562) so that only `depth` imports `query_circuits`;
-    the dict is then cached as a module global, and `_cmd_depth` runs its
-    values, so a builder swapped into it is the one that runs.  The values
-    are the builders themselves, not lookups made per call: `perfbench`
-    reads the dict before it wraps `query_circuits`, and wraps each value
-    once, so each build records one span.
+    `perfbench` patches the `xbar depth` table through this name until it spans `query_circuits`.
     """
     if name != "_CIRCUITS":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import query_circuits
-
-    circuits = {key: getattr(query_circuits, attr) for key, attr in _CIRCUIT_BUILDERS.items()}
-    globals()[name] = circuits
-    return circuits
+    from .query_circuits import CIRCUITS
+    return CIRCUITS
 
 
 def _cmd_depth(args) -> int:
     from .netlist import series_depth
+    from .query_circuits import CIRCUITS
 
-    circuits = globals().get("_CIRCUITS") or __getattr__("_CIRCUITS")
-    report = series_depth(circuits[args.circuit](args.n), args.fanin)
+    report = series_depth(CIRCUITS[args.circuit](args.n), args.fanin)
     if args.format == "json":
         _emit_json(report._asdict())
     else:
@@ -346,7 +331,7 @@ _COMMANDS = {
     "search": ("_cmd_index", "smallest class index holding the key",
                (*_VALUES, _FORMAT_NO_CSV, ("--key", {"type": int, "required": True}))),
     "depth": ("_cmd_depth", "critical-path depth of a query circuit", (
-        ("--circuit", {"choices": sorted(_CIRCUIT_BUILDERS), "required": True}), _N_ARG,
+        ("--circuit", {"choices": _CIRCUIT_NAMES, "required": True}), _N_ARG,
         ("--fanin", {"type": _fanin, "default": "unbounded",
                      "help": "'unbounded' or an integer fan-in limit >= 2"}), _FORMAT_NO_CSV)),
     "perm": ("_cmd_perm", "inspect shift powers and their cycle partition", (
@@ -414,7 +399,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # Assumes the pipe is stdout, the only unguarded writer (trace file errors
         # are ValueError). Exit as SIGPIPE would; fd 1 to devnull so exit's flush can't raise.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     finally:
         if sys.stdout is not out:  # hand back the caller's stream, its raw file left open

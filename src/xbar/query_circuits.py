@@ -326,6 +326,12 @@ def select_rank_stages(n: int, r: int) -> list:
     return _row_stages(rank_is_r, n)
 
 
+# `xbar depth --circuit` name -> its builder: n -> a Netlist, or the stages `series_depth` composes.
+CIRCUITS = {"min": min_stages, "max": max_stages, "threshold-rank": threshold_rank_stages,
+            "ones-counter": build_ones_counter, "adder-tree": build_popcount_tree,
+            "encoder": build_encoder, "priority-encoder": build_priority_encoder}
+
+
 def row_assignments(bits: Sequence[int], prefix: str = "b") -> dict[str, int]:
     """Bind a bit string to `b0..b<n-1>` input wires."""
     return {f"{prefix}{i}": int(b) for i, b in enumerate(bits)}

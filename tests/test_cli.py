@@ -203,6 +203,14 @@ def test_sort_unopenable_trace_exits_two(tmp_path, capsys, fmt, where):
     assert captured.err.count("\n") == 1
 
 
+def test_sort_empty_trace_path_exits_two(capsys):
+    # An empty path (say `--trace "$UNSET"`) is a path no file opens, not "no trace".
+    code = main(["sort", "--n", "3", "--input", "1,2,3", "--trace", ""])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: cannot write trace to : [Errno ")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_sort_failed_trace_write_exits_two(capsys, fmt):
@@ -367,6 +375,24 @@ def test_main_hands_back_an_unbuffered_stdout_after_a_closed_pipe(monkeypatch):
     gc.collect()
     out.write("end\n")
     out.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_exit_141_leaves_no_descriptor_open(monkeypatch):
+    # Exit 141 points stdout's descriptor at devnull through a descriptor of its own,
+    # which it closes again.
+    def closed_pipe_call():
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        out = io.TextIOWrapper(io.FileIO(write_fd, "w"), "utf-8")
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["build", "--n", "4"]) == 141
+        out.close()
+
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        closed_pipe_call()
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_sort_bad_input_file(tmp_path, capsys):
@@ -592,11 +618,32 @@ def test_circuit_table_holds_the_builders_themselves(capsys, monkeypatch):
     # perfbench reads the table, then wraps both `query_circuits` and each table value
     # under the builder's name; a value that looked its builder up per call would reach
     # the wrapped one, and each `depth` build would be spanned twice.
-    for name, attr in cli._CIRCUIT_BUILDERS.items():
-        assert cli._CIRCUITS[name] is getattr(query_circuits, attr), name
+    assert cli._CIRCUITS is query_circuits.CIRCUITS
+    assert tuple(sorted(query_circuits.CIRCUITS)) == cli._CIRCUIT_NAMES
+    for name, fn in query_circuits.CIRCUITS.items():
+        assert fn is getattr(query_circuits, fn.__name__), name
     expected = run(capsys, "depth", "--circuit", "adder-tree", "--n", "8")
     monkeypatch.setattr(query_circuits, "build_popcount_tree", None)
     assert run(capsys, "depth", "--circuit", "adder-tree", "--n", "8") == expected
+
+
+def test_each_depth_command_runs_one_wrapped_builder(capsys, monkeypatch):
+    # perfbench's Tracer.installed, replayed: copy the table, wrap the builders it spans
+    # in `query_circuits`, then wrap every table value; one depth command, one call.
+    calls = []
+
+    def counting(fn):
+        return lambda n: calls.append(fn.__name__) or fn(n)
+
+    circuits = dict(cli._CIRCUITS)
+    for attr in ("build_popcount_tree", "build_priority_encoder"):
+        monkeypatch.setattr(query_circuits, attr, counting(getattr(query_circuits, attr)))
+    for name, fn in circuits.items():
+        monkeypatch.setitem(cli._CIRCUITS, name, counting(fn))
+    for name, fn in circuits.items():
+        calls.clear()
+        assert run(capsys, "depth", "--circuit", name, "--n", "8")[0] == 0
+        assert calls == [fn.__name__], name
 
 
 def test_depth_runs_the_builder_the_table_holds_now(capsys, monkeypatch):

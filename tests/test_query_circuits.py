@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from xbar import cli, query_circuits
+from xbar import query_circuits
 from xbar.array_builder import build
 from xbar.netlist import Netlist, depth, evaluate, legalize, series_depth
 from xbar.pe_simulator import sort
 from xbar.query_circuits import (
+    CIRCUITS,
     build_encoder,
     build_ones_counter,
     build_popcount_tree,
@@ -341,7 +342,7 @@ def test_queries_evaluate_the_stages_xbar_depth_reports(monkeypatch):
     def runs(entry, n, query, *args):
         evaluated.clear()
         result = query(*args)
-        assert [net.to_text() for net in evaluated] == texts(cli._CIRCUITS[entry](n)), (entry, n)
+        assert [net.to_text() for net in evaluated] == texts(CIRCUITS[entry](n)), (entry, n)
         return result
 
     monkeypatch.setattr(query_circuits, "evaluate", recording)
@@ -363,7 +364,7 @@ def test_queries_evaluate_the_stages_xbar_depth_reports(monkeypatch):
             net.to_text() for net, _ in select_rank_stages(n, r)]
     # No query runs these entries: the threshold sort's rank circuit, and the plain
     # encoder with its valid OR (every query's encoder stage drops that wire).
-    assert set(cli._CIRCUITS) - {"min", "max", "adder-tree", "priority-encoder"} == {
+    assert set(CIRCUITS) - {"min", "max", "adder-tree", "priority-encoder"} == {
         "threshold-rank", "ones-counter", "encoder"}
 
 
