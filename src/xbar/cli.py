@@ -14,7 +14,8 @@ uses.  ``build`` and ``validate`` load `array_builder` (which builds on
 ``max`` add `query_circuits` and its `netlist` to that; ``search`` and
 ``depth`` load `query_circuits` and `netlist` only (``depth`` runs the
 builder `query_circuits.CIRCUITS` holds for its ``--circuit``); ``perm`` loads
-`cyclic_perm` only; ``--help`` loads no other layer.  Only `_emit_json` and
+`cyclic_perm` only; ``--help`` loads no other layer.  Only ``sort --trace``
+and ``sort --format csv`` load `trace_text`.  Only `_emit_json` and
 ``validate --layout`` import `json`: every other JSON document is written
 from a `%` template, each value in 0..n-1 looked up in one table, `_ids(n)`.
 
@@ -121,12 +122,6 @@ def _int_list(ints) -> str:
     return "[" + ("%d, " * len(ints) % tuple(ints))[:-2] + "]"
 
 
-def _digit_rows(bits) -> list[str]:
-    """Each 0/1 matrix row as its string of digits."""
-    digits = bytes.maketrans(b"\0\1", b"01")
-    return [bytes(row).translate(digits).decode() for row in bits]
-
-
 def _cmd_build(args) -> int:
     from . import array_builder
 
@@ -212,7 +207,8 @@ def _cmd_sort(args) -> int:
     layout, values = trace.layout, trace.values
     order = sorted(range(layout.n), key=ranks.__getitem__)  # element indices in sorted order
     conflicts = pe_simulator.detect_write_conflicts(trace)
-    rows = _digit_rows(bits)
+    digits = bytes.maketrans(b"\0\1", b"01")
+    rows = [row.translate(digits).decode() for row in bits]  # each 0/1 row as its digits
     name = _ids(layout.n).__getitem__  # slots, ranks and order all lie in 0..n-1
     if args.format == "json":
         # The bytes of json.dumps(doc), with each matrix row written from its digits.

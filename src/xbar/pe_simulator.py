@@ -19,32 +19,19 @@ each stage takes it and returns it with one more field set, `load_phase`
 making it, `compare_phase` setting the matrix `bits` and `rank_phase` the
 row-sum `ranks`.  Its `phases` name the phases those fields show were run.
 `compare_phase` rejects a crosspoint joining two slots of one class after
-its walk, by the diagonal cell only such a crosspoint writes.  The trace's
-events are derived on demand from those fields,
-one block of event groups per phase: a group per class, slot or
-crosspoint.  The crosspoints are split by direction in C-level passes
-over the slots.  A block has one set of int columns and one form per
-group shape; a reply block has two forms, as the small class loses or
-wins, and picks one per crosspoint.  `write` is the one way to the text:
-it streams each block to its one sink, JSON lines or CSV, by repeating
-the sink's line template and filling a chunk of groups with one `%` over
-a flat tuple, built one extended slice per column; each chunk goes to
-the sink as soon as it is made.  Keys and ranks are rendered once per
-class and fill `value` fields with `%s`.
-The templates are bytes, so the sinks take bytes: a `%` over ASCII bytes
-is cheaper than one over str, and a binary file takes the chunks as
-they are, with no text layer to encode them again.
-The lines equal `json.dumps` and `csv.writer` output, encoded as ASCII,
-as every payload is an exact int and every key, phase and action name a
-bare identifier, which JSON writes in plain quotes; so no `json` import.
+its walk, by the diagonal cell only such a crosspoint writes.  The matrix
+is one `bytes` row per class, its cells 0/1, so `rank_phase` counts each
+row's ones in C.  The trace's events, and their text, are derived on
+demand from those fields by `trace_text`, which `SortTrace.events` and
+`SortTrace.write` import when called: a run whose trace is never read
+or written does not load it.
 
 The final matrix satisfies bits[i][k] = 1 iff A[k] < A[i], or A[k] == A[i]
 with k < i; row sums are therefore the ranks of a stable sort.
 """
 
-from functools import partial
-from itertools import chain, compress, count, islice, repeat
-from operator import eq, getitem, gt, lt
+from itertools import compress, count, islice
+from operator import eq, getitem
 from typing import NamedTuple, Sequence
 
 from .array_builder import Layout
@@ -60,19 +47,6 @@ PHASE_NAMES = (
 )
 
 
-class TraceEvent(NamedTuple):
-    slot: int
-    action: str
-    value: int | None = None
-    row: int | None = None
-    col: int | None = None
-
-
-# The trace format: one row per event, its phase name then the event's
-# fields.  Both serialisers write exactly these columns in this order.
-COLUMNS = ("phase", *TraceEvent._fields)
-
-
 class SortTrace(NamedTuple):
     """One run of the machine: its inputs and the result of each stage run.
 
@@ -83,150 +57,28 @@ class SortTrace(NamedTuple):
 
     layout: Layout
     values: tuple[int, ...]
-    bits: tuple[tuple[int, ...], ...] | None = None
+    bits: tuple[bytes, ...] | None = None
     ranks: tuple[int, ...] | None = None
 
     @property
     def phases(self) -> tuple[str, ...]:
         return PHASE_NAMES[:phase_count(self)]
 
-    def _blocks(self, values, ranks):
-        """Yield (phase, forms, picks, cols) per block of one phase's groups, in trace order.
-
-        A group is one class (clear, rank), slot (load) or crosspoint.  Group g renders
-        through forms[picks[g]]; `picks` is None for a block of one form.  A form's `...`
-        fields take, line by line, one item per column, and each column holds one item
-        per group: for a `value` field an item of `values` or `ranks`, else an int.
-        """
-        slots, bits = self.layout.slots, self.bits
-        first = dict(zip(reversed(slots), range(len(slots) - 1, -1, -1)))
-        classes = sorted(first)
-        yield "clear", (_CLEAR,), None, (list(map(first.__getitem__, classes)), classes)
-        yield "load", (_LOAD,), None, (range(len(slots)), list(map(values.__getitem__, slots)),
-                                       slots)
-        if bits is None:
-            return
-        for (exchange, reply, send, lose, win), (small_slots, big_slots, smalls, bigs) in zip(
-                _DIRECTIONS, _directions(slots)):
-            sent = list(map(values.__getitem__, bigs))
-            yield exchange, (send,), None, (big_slots, sent, small_slots, sent)
-            # bits[small][big] is set when small won: its slot writes and replies 0.  After
-            # the small slots, each column takes the lose form's int or the win form's, by `won`.
-            won = list(map(getitem, map(bits.__getitem__, smalls), bigs))
-            yield reply, (lose, win), won, (small_slots, *(
-                list(map(getitem, zip(if_lost, if_won), won)) for if_lost, if_won in (
-                    (big_slots, smalls), (big_slots, bigs), (bigs, small_slots),
-                    (smalls, big_slots))))
-        if ranks:
-            ids = range(len(ranks))
-            yield "rank", (_RANK,), None, (list(map(first.__getitem__, ids)), ranks, ids)
-
     def events(self):
-        """Yield (phase name, event) for every event of the stages run, in order."""
-        for phase, forms, picks, cols in self._blocks(self.values, self.ranks):
-            groups = map(getitem, zip(*(_filled(f, cols) for f in forms)), picks or repeat(0))
-            yield from zip(repeat(phase), chain.from_iterable(groups))
+        """An iterator of (phase name, event) over every event of the stages run, in order."""
+        from .trace_text import events
+        return events(self)
 
     def write(self, jsonl=None, csv=None) -> None:
-        """Stream the trace to one sink: as JSON lines to `jsonl`, or as CSV to `csv`.
-
-        The sink is a callable taking bytes, all of them ASCII: a binary file's `write`
-        takes them as made, and a text stream's takes them decoded.  A JSON line is one
-        object over COLUMNS that leaves out absent payload keys; the CSV is a COLUMNS
-        header, then one row per event with absent payload fields empty.  Every block's
-        groups go through the sink's line templates, encoded once per block, _CHUNK at a
-        time: each chunk's flat tuple is built one extended slice per column and filled
-        into the templates with one bytes `%`.  Keys and ranks are rendered once per
-        class, so `value` fields take them with `%s`, all else `%d`.
-        """
-        if (jsonl is None) == (csv is None):
-            raise TypeError("write takes one sink: jsonl or csv")
-        line, sink = (_jsonl_line, jsonl) if csv is None else (_csv_line, csv)
-        if csv is not None:
-            csv(",".join(COLUMNS).encode() + b"\r\n")
-        for phase, forms, picks, cols in self._blocks(
-                tuple(map(b"%d".__mod__, self.values)),
-                self.ranks and tuple(map(b"%d".__mod__, self.ranks))):
-            texts = tuple("".join(line(phase, ev) for ev in form).encode() for form in forms)
-            templates = repeat(texts[0]) if picks is None else map(texts.__getitem__, picks)
-            width, groups = len(cols), len(cols[0])
-            for start in range(0, groups, _CHUNK):
-                size = min(_CHUNK, groups - start)
-                ints = [0] * (width * size)
-                for i, col in enumerate(cols):
-                    ints[i::width] = col[start:start + size]
-                sink(b"".join(islice(templates, size)) % tuple(ints))
-
-
-def _field(k, v, text) -> str:
-    """Column k's template text: `%s` for a rendered value, `%d` for any other `...`."""
-    return ("%s" if k == "value" else "%d") if v is ... else text(v)
-
-
-def _jsonl_line(phase, ev) -> str:
-    # Every key, phase and action name is a bare identifier, so "name" in quotes is
-    # exactly the text json.dumps writes for it; every other constant is an int.
-    quoted = '"%s"'.__mod__
-    return "{" + ", ".join(f'"{k}": {_field(k, v, quoted if isinstance(v, str) else str)}'
-                           for k, v in zip(COLUMNS, (phase, *ev)) if v is not None) + "}\n"
-
-
-def _csv_line(phase, ev) -> str:
-    return ",".join("" if v is None else _field(k, v, str)
-                    for k, v in zip(COLUMNS, (phase, *ev))) + "\r\n"
-
-
-# A form is a group's lines, each a TraceEvent whose `...` fields the group's ints
-# fill in order; its other fields are the same for every group.
-_CLEAR = (TraceEvent(..., "clear_row", None, ...),)
-_LOAD = (TraceEvent(..., "load", ..., ...),)
-_RANK = (TraceEvent(..., "rank", ..., ...),)
-_TWRITE = TraceEvent(..., "twrite", 1, ..., ...)
-# Per direction: its exchange and reply phases, then the forms of an exchange and of
-# a reply when the small class loses and when it wins.  The left direction's
-# crosspoints have the greater class on the right.
-_DIRECTIONS = tuple(
-    (f"{side}_exchange", f"{side}_reply",
-     (TraceEvent(..., send, ...), TraceEvent(..., recv, ...)),
-     (TraceEvent(..., signal, 1), TraceEvent(..., receipt, 1), _TWRITE),
-     (_TWRITE, TraceEvent(..., signal, 0), TraceEvent(..., receipt, 0)))
-    for side, send, recv, signal, receipt in (
-        ("left", "send_left", "recv_right", "signal_send_right", "signal_recv_left"),
-        ("right", "send_right", "recv_left", "signal_send_left", "signal_recv_right")))
-
-# Groups per `%` in a render: a bound on the template and the tuple interleaved at
-# once.  Interleaving a whole block at once raised the n=512 trace's peak by 9 MB.
-_CHUNK = 512
-
-_event = partial(tuple.__new__, TraceEvent)  # one C call per event, not TraceEvent's __new__
-
-
-def _filled(form, cols):
-    """Per group, its events: each line of form with its `...` fields taken from cols."""
-    cols = iter(cols)
-    return zip(*(map(_event, zip(*(next(cols) if f is ... else repeat(f) for f in line)))
-                 for line in form))
+        """Stream the trace as JSON lines to `jsonl` or as CSV to `csv`: `trace_text.write`."""
+        from .trace_text import write
+        write(self, jsonl, csv)
 
 
 def _reject_shared(slots: Sequence[int]) -> None:
     """Raise at the first crosspoint whose two slots host the same class."""
     for s in compress(count(), map(eq, slots, islice(slots, 1, None))):
         raise ValueError(f"adjacent slots {s},{s + 1} share class {slots[s]}; cannot compare")
-
-
-def _directions(slots: Sequence[int]):
-    """Per direction, left then right, its crosspoints' small_slots, big_slots, smalls, bigs.
-
-    Crosspoint s joins slots s and s + 1; it is left when the greater class sits
-    right.  Each column is a list that runs left to right.
-    """
-    after = slots[1:]
-    left, right = list(map(lt, slots, after)), list(map(gt, slots, after))
-    directions = ([list(compress(c, left)) for c in (count(), count(1), slots, after)],
-                  [list(compress(c, right)) for c in (count(1), count(), after, slots)])
-    if len(directions[0][0]) + len(directions[1][0]) < len(after):
-        _reject_shared(slots)
-    return directions
 
 
 def load_phase(layout: Layout, values: Sequence[int]) -> SortTrace:
@@ -256,7 +108,7 @@ def compare_phase(state: SortTrace) -> SortTrace:
     writes the diagonal; a set diagonal cell raises ValueError naming the first.
     """
     vals, slots = state.values, state.layout.slots
-    t = [[0] * len(vals) for _ in vals]
+    t = [bytearray(len(vals)) for _ in vals]
     for small, big in zip(slots, islice(slots, 1, None)):
         if small > big:
             small, big = big, small
@@ -266,12 +118,12 @@ def compare_phase(state: SortTrace) -> SortTrace:
             t[big][small] = 1
     if any(map(getitem, t, count())):
         _reject_shared(slots)
-    return state._replace(bits=tuple(map(tuple, t)))
+    return state._replace(bits=tuple(map(bytes, t)))
 
 
 def rank_phase(state: SortTrace) -> SortTrace:
-    """Rank of element i = sum of matrix row i; sets `ranks`."""
-    return state._replace(ranks=tuple(map(sum, state.bits)))
+    """Rank of element i = the ones in matrix row i; sets `ranks`."""
+    return state._replace(ranks=tuple([row.count(1) for row in state.bits]))
 
 
 def sort(layout: Layout, values: Sequence[int]) -> tuple[tuple, tuple, SortTrace]:
@@ -307,20 +159,23 @@ def detect_write_conflicts(trace: SortTrace) -> list[tuple[int, int, tuple[int, 
     equal count returns [] at once.  Layouts that cover every pair exactly
     once never conflict; even-n layouts produce exactly n/2 - 1 doubled
     cells, each written with the same value from both sides (benign).
-    Otherwise one walk finds the doubled pairs; their writers are listed in the
-    order the trace commits them: the left sub-phases before the right ones.
+    Otherwise one walk, shaped like `compare_phase`'s, finds the doubled pairs;
+    their writers are listed in the order the trace commits them: the left
+    sub-phases before the right ones.
     """
     bits, slots, n = trace.bits, trace.layout.slots, trace.layout.n
-    if bits is None or sum(map(sum, bits)) == len(slots) - 1:
+    if bits is None or sum([row.count(1) for row in bits]) == len(slots) - 1:
         return []
-    # Pair small < big marks small * n + big; two slots of one class mark the diagonal.
-    seen, doubled = bytearray(n * n), set()
-    for a, b in zip(slots, islice(slots, 1, None)):
-        key = a * n + b if a < b else b * n + a
-        if seen[key]:
-            doubled.update(((a, b), (b, a)))
-        seen[key] = 1
-    if any(seen[::n + 1]):
+    # Pair small < big marks seen[small][big]; two slots of one class mark the diagonal.
+    seen, doubled = [bytearray(n) for _ in range(n)], set()
+    for small, big in zip(slots, islice(slots, 1, None)):
+        if small > big:
+            small, big = big, small
+        marks = seen[small]
+        if marks[big]:
+            doubled.update(((small, big), (big, small)))
+        marks[big] = 1
+    if any(map(getitem, seen, count())):
         _reject_shared(slots)
     points = compress(count(), map(doubled.__contains__, zip(slots, islice(slots, 1, None))))
     writers: dict[tuple[int, int], list[int]] = {}

@@ -16,7 +16,7 @@ from math import gcd
 
 from xbar.array_builder import EXAMPLES, Layout, min_pe_count, replicate_lower_bound
 from xbar.netlist import NetBuilder, Netlist
-from xbar.pe_simulator import COLUMNS, TraceEvent
+from xbar.trace_text import COLUMNS, TraceEvent
 from xbar.query_circuits import _encoder
 
 

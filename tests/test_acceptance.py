@@ -29,8 +29,9 @@ from xbar.query_circuits import (
 
 from oracles import argmax_index, argmin_index, lane_values, oracle_ranks, pack_lanes
 
-T4 = ((0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0))
-T5 = ((0, 1, 0, 1, 1), (0, 0, 0, 1, 0), (1, 1, 0, 1, 1), (0, 0, 0, 0, 0), (0, 1, 0, 1, 0))
+T4 = tuple(map(bytes, ((0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0))))
+T5 = tuple(map(bytes, ((0, 1, 0, 1, 1), (0, 0, 0, 1, 0), (1, 1, 0, 1, 1), (0, 0, 0, 0, 0),
+                       (0, 1, 0, 1, 0))))
 
 
 @contextmanager

@@ -15,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbar import cli, pe_simulator, query_circuits
+from xbar import cli, pe_simulator, query_circuits, trace_text
 from xbar.array_builder import build
 from xbar.cli import main
-from xbar.pe_simulator import SortTrace
 
 from oracles import (
     brute_cycles, build_csv_reference, build_json_reference, build_text_reference,
@@ -69,6 +68,10 @@ def _modules_after(argv):
     (["validate", "--n", "5"], ["array_builder", "cyclic_perm"]),
     (["perm", "--n", "6"], ["cyclic_perm"]),
     (["sort", "--n", "5"], ["array_builder", "cyclic_perm", "pe_simulator"]),
+    (["sort", "--n", "5", "--format", "csv"],
+     ["array_builder", "cyclic_perm", "pe_simulator", "trace_text"]),
+    (["sort", "--n", "5", "--trace", os.devnull],
+     ["array_builder", "cyclic_perm", "pe_simulator", "trace_text"]),
     (["rank", "--n", "5", "--r", "1"],
      ["array_builder", "cyclic_perm", "netlist", "pe_simulator", "query_circuits"]),
     (["search", "--n", "5", "--key", "3"], ["netlist", "query_circuits"]),
@@ -78,7 +81,8 @@ def _modules_after(argv):
 ])
 def test_commands_load_only_their_layers(argv, loaded):
     # Each handler imports its own layers, so e.g. build starts no simulator or
-    # netlist code and depth no layout or simulator code.  A well-formed command
+    # netlist code and depth no layout or simulator code; only a sort that writes
+    # its trace (csv, --trace) loads the trace text.  A well-formed command
     # line is read without argparse; help and any other form (--n=5) load it.
     got = [m for m in _modules_after(argv) if m != "json"]
     assert got == sorted(["xbar.cli", *(m if m == "argparse" else "xbar." + m for m in loaded)])
@@ -228,8 +232,8 @@ def test_sort_csv_walks_the_trace_once_per_sink_without_a_conflict_scan(tmp_path
                                                                         monkeypatch):
     # csv prints no conflicts; the trace file and stdout each take one walk.
     calls = []
-    blocks = SortTrace._blocks
-    monkeypatch.setattr(SortTrace, "_blocks",
+    blocks = trace_text._blocks
+    monkeypatch.setattr(trace_text, "_blocks",
                         lambda trace, *args: calls.append("walk") or blocks(trace, *args))
     monkeypatch.setattr(pe_simulator, "detect_write_conflicts", calls.append)
     path = tmp_path / "t.jsonl"

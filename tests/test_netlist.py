@@ -175,6 +175,40 @@ def test_builder_folds_and_or_nor_alike():
     ]
 
 
+def test_builder_folds_identity_only_inputs_to_the_identity():
+    # Every input is the identity constant, so no wire is left to combine.
+    nb = NetBuilder()
+    assert (nb.or_(0, 0), nb.and_(1, 1), nb.nor_(0, 0, 0)) == (0, 1, 1)
+    assert nb.net.gates == []
+
+
+def test_evaluate_packs_constant_outputs_over_every_lane():
+    # A constant output reads 0 in no lane or 1 in all of them, beside a wire's lanes.
+    nb = NetBuilder()
+    a = nb.input("a")
+    nb.output("one", nb.or_(a, 1))
+    nb.output("zero", nb.and_(a, 0))
+    nb.output("a", a)
+    assert evaluate(nb.build(), {"a": 0b0101}, lanes=4) == {"one": 0b1111, "zero": 0, "a": 0b0101}
+
+
+def test_depth_of_a_constant_output_is_zero():
+    nb = NetBuilder()
+    a, b = nb.input("a"), nb.input("b")
+    nb.output("one", nb.or_(a, 1))
+    assert depth(nb.build()).depth == depth(nb.build(), 2).depth == 0
+    nb.output("y", nb.and_(a, b))
+    assert depth(nb.build()).depth == 1
+
+
+def test_depth_of_a_netlist_without_outputs_is_zero():
+    nb = NetBuilder()
+    a, b = nb.input("a"), nb.input("b")
+    assert depth(nb.build()) == DepthReport("unbounded", 0, 0)
+    nb.and_(a, b)  # a gate that no output reads
+    assert depth(nb.build()) == DepthReport("unbounded", 0, 1)
+
+
 def test_text_format():
     nb = NetBuilder()
     a, b = nb.input("a"), nb.input("b")

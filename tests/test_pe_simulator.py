@@ -27,9 +27,10 @@ def seen_phases(trace):
     return list(dict.fromkeys(phase for phase, _ in trace.events()))
 
 
-T4 = ((0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0))
+T4 = tuple(map(bytes, ((0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0))))
 R4 = (1, 2, 3, 0)
-T5 = ((0, 1, 0, 1, 1), (0, 0, 0, 1, 0), (1, 1, 0, 1, 1), (0, 0, 0, 0, 0), (0, 1, 0, 1, 0))
+T5 = tuple(map(bytes, ((0, 1, 0, 1, 1), (0, 0, 0, 1, 0), (1, 1, 0, 1, 1), (0, 0, 0, 0, 0),
+                       (0, 1, 0, 1, 0))))
 R5 = (3, 1, 4, 0, 2)
 
 
@@ -73,7 +74,7 @@ def test_golden_five_element_matrix():
 
 def test_all_equal_keys_fall_back_to_index_order():
     trace = compare_phase(load_phase(build(3), [5, 5, 5]))
-    assert trace.bits == ((0, 0, 0), (1, 0, 0), (1, 1, 0))
+    assert trace.bits == (bytes((0, 0, 0)), bytes((1, 0, 0)), bytes((1, 1, 0)))
 
 
 def test_rank_phase_row_sums():
@@ -148,6 +149,11 @@ def test_odd_layout_with_a_doubled_pair_reports_its_conflict():
     assert detect_write_conflicts(trace) == twrite_conflicts(trace) == [(0, 1, (0, 3))]
     # More set cells than crosspoints: not a matrix compare_phase wrote, so it is scanned too.
     assert detect_write_conflicts(trace._replace(bits=((1, 1, 1),) * 3)) == [(0, 1, (0, 3))]
+    # Pair (0, 1) met three times, on left crosspoints 0 and 2 and right crosspoint 1: its
+    # cell lists three writers, the left ones first, whichever class wins.
+    for keys, want in (([5, 3, 4], [(0, 1, (0, 2, 2))]), ([3, 5, 4], [(1, 0, (1, 3, 1))])):
+        _, _, trace = sort(Layout(3, (0, 1, 0, 1, 2, 0)), keys)
+        assert detect_write_conflicts(trace) == twrite_conflicts(trace) == want
 
 
 def test_conflict_writers_in_trace_order():

@@ -19,7 +19,8 @@ from xbar import query_circuits
 from xbar.array_builder import Layout, build, min_pe_count, validate
 from xbar.cli import main
 from xbar.netlist import depth, evaluate, legalize, series_depth
-from xbar.pe_simulator import TraceEvent, compare_phase, detect_write_conflicts, load_phase, sort
+from xbar.pe_simulator import compare_phase, detect_write_conflicts, load_phase, sort
+from xbar.trace_text import TraceEvent
 
 from oracles import (build_max_circuit, build_min_circuit, build_rank_circuit_threshold,
                      cone_floors, csv_reference, euler_layout, evaluate_reference,
