@@ -21,8 +21,6 @@ NOR root).  THRESHOLD gates are exempt, but their widths are reported
 alongside the depth so the unit-delay assumption stays visible.  A
 netlist with no gate to rewrite is already legal, and `legalize` returns
 it as it is rather than a copy, so callers must not mutate the result.
-
-Structural text format: one gate per line, ``gateId KIND[param] <- wire,wire,...``.
 """
 
 import operator
@@ -53,16 +51,6 @@ class Netlist(NamedTuple):
     inputs: list[str]
     gates: list[Gate]
     outputs: dict[str, str | int]
-
-    def to_text(self) -> str:
-        lines = [f"inputs {','.join(self.inputs)}"]
-        lines += [
-            f"output {name} = {wire}" for name, wire in self.outputs.items()
-        ]
-        for g in self.gates:
-            kind = g.kind if g.param is None else f"{g.kind}[{g.param}]"
-            lines.append(f"{g.gid} {kind} <- {','.join(g.inputs)}")
-        return "\n".join(lines) + "\n"
 
 
 class DepthReport(NamedTuple):

@@ -57,20 +57,15 @@ def _encoder(nb: NetBuilder, wires: list, prefix: str = "bit") -> None:
     _output_bits(nb, bits, prefix)
 
 
-def build_encoder(n: int, with_valid: bool = True) -> Netlist:
-    """n-input one-hot to binary encoder with ceil(lg n) output bits.
+def build_encoder(n: int) -> Netlist:
+    """n-input one-hot to binary encoder with max(1, ceil(lg n)) output bits.
 
-    With `with_valid`, a companion `valid` output ORs all inputs; the
-    index outputs are meaningless while it is low.  Callers that can
-    guarantee exactly one hot input drop the valid wire.
+    It has no valid wire: its callers feed it exactly one hot input.
     """
     if n < 2:
         raise ValueError(f"encoder needs n >= 2, got {n}")
     nb = NetBuilder()
-    wires = [nb.input(f"x{i}") for i in range(n)]
-    _encoder(nb, wires)
-    if with_valid:
-        nb.output("valid", nb.or_(*wires))
+    _encoder(nb, [nb.input(f"x{i}") for i in range(n)])
     return nb.build()
 
 
@@ -203,7 +198,7 @@ def _row_stages(gate, n: int) -> list:
         raise ValueError(f"need n >= 2, got {n}")
     nb = NetBuilder()
     nb.output("hit", gate(nb, *[nb.input(f"b{k}") for k in range(n - 1)]))
-    return [(nb.build(), n), (build_encoder(n, with_valid=False), 1)]
+    return [(nb.build(), n), (build_encoder(n), 1)]
 
 
 def _hit_index(bits: Sequence[Sequence[int]], stages: list) -> int:

@@ -327,6 +327,20 @@ def evaluate_reference(net, assignments):
     }
 
 
+def netlist_text(net):
+    """A netlist's structural text, which the golden digests hash.
+
+    Header lines for the inputs and the outputs, then one gate per line as
+    ``gateId KIND[param] <- wire,wire,...``.
+    """
+    lines = [f"inputs {','.join(net.inputs)}"]
+    lines += [f"output {name} = {wire}" for name, wire in net.outputs.items()]
+    for g in net.gates:
+        kind = g.kind if g.param is None else f"{g.kind}[{g.param}]"
+        lines.append(f"{g.gid} {kind} <- {','.join(g.inputs)}")
+    return "\n".join(lines) + "\n"
+
+
 def pack_lanes(words, width, prefix="b"):
     """Bind input `<prefix>i` to bit i of every word, word r in lane r."""
     return {f"{prefix}{i}": sum(((w >> i) & 1) << r for r, w in enumerate(words))

