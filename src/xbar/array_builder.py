@@ -19,8 +19,7 @@ tags, which only `xbar build` prints.
 """
 
 from collections import Counter
-from itertools import chain, compress, count, filterfalse, islice, repeat
-from operator import add, eq, floordiv, gt, lt, mod, mul, sub
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .cyclic_perm import cycle_reader, q_groups
@@ -63,12 +62,10 @@ class Layout(NamedTuple):
 def _pairs(codes, base: int, span: int) -> tuple[list[int], list[int]]:
     """Decode each lo * span + hi, where base <= lo < hi < base + span, into lo and hi.
 
-    code - base = lo * span + (hi - base), the last term in 0..span-1; the
-    decode runs as C-level passes over all the codes.
+    code - base = lo * span + (hi - base), the last term in 0..span-1.
     """
-    offsets = list(map(sub, codes, repeat(base)))
-    return (list(map(floordiv, offsets, repeat(span))),
-            list(map(add, map(mod, offsets, repeat(span)), repeat(base))))
+    return ([(c - base) // span for c in codes],
+            [(c - base) % span + base for c in codes])
 
 
 class ValidationReport(NamedTuple):
@@ -219,28 +216,29 @@ def validate(layout: Layout) -> ValidationReport:
         violations.append("layout has no slots")
         return ValidationReport(n, 0, 0, Counter(), 0, 1, [], counts, (-1, -1), violations)
 
-    out_of_range = sorted(filterfalse(range(n).__contains__, counts))
+    out_of_range = sorted(c for c in counts if not 0 <= c < n)
     if out_of_range:
         violations.append(f"slot class ids out of range 0..{n - 1}: {out_of_range}")
 
-    # Each crosspoint of two classes counts its pair under the code lo * span + hi
-    # (see _pairs), made once from lo and hi, the slots picked by the lt/gt masks.
+    # Each crosspoint of two classes lo < hi counts its pair under the code
+    # lo * span + hi (see _pairs); one of a single class is a violation.
     base = min(0, min(counts))
     span = max(n - 1, max(counts)) + 1 - base
-    after = slots[1:]
-    below, above = list(map(lt, slots, after)), list(map(gt, slots, after))
-    codes = Counter(map(add, map(mul, compress(slots, below), repeat(span)), compress(after, below)))
-    codes.update(map(add, map(mul, compress(after, above), repeat(span)), compress(slots, above)))
-    counted = sum(codes.values())  # any other crosspoint joins two slots of one class
-    same = compress(count(), map(eq, slots, after)) if counted < len(slots) - 1 else ()
-    for s in same:
-        violations.append(f"adjacent same-class slots at positions {s},{s + 1} (class {slots[s]})")
+    pairs = []
+    for s, (lo, hi) in enumerate(zip(slots, islice(slots, 1, None))):
+        if lo > hi:
+            lo, hi = hi, lo
+        elif lo == hi:
+            violations.append(f"adjacent same-class slots at positions {s},{s + 1} (class {lo})")
+            continue
+        pairs.append(lo * span + hi)
+    codes = Counter(pairs)
 
     expected = min_pe_count(n) if n >= 2 else 0
     if len(slots) != expected:
         violations.append(f"pe count {len(slots)} != minimal {expected}")
 
-    repeated = compress(codes, map(lt, repeat(1), codes.values())) if counted > len(codes) else ()
+    repeated = [c for c, k in codes.items() if k > 1] if len(pairs) > len(codes) else []
     redundant = list(zip(*_pairs(sorted(repeated), base, span)))
     # A pair with an out-of-range id is redundant, but neither covered nor doubled.
     doubled = [p for p in redundant if p[0] >= 0 and p[1] < n]

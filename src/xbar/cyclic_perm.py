@@ -13,9 +13,7 @@ Q partition), the raw material of the crosspoint-array layouts in
 """
 
 from collections.abc import Callable, Sequence
-from itertools import repeat
 from math import gcd
-from operator import mod
 
 
 def shift_cycles(n: int, j: int) -> list[range]:
@@ -64,7 +62,7 @@ def cycle_decomposition(n: int, j: int) -> list[tuple[int, ...]]:
         raise ValueError(f"need at least 2 classes, got n={n}")
     if not 1 <= j <= n:
         raise ValueError(f"exponent must lie in 1..{n}, got j={j}")
-    return [tuple(map(mod, cycle, repeat(n))) for cycle in shift_cycles(n, j)]
+    return [tuple(e % n for e in cycle) for cycle in shift_cycles(n, j)]
 
 
 def partition_Q(n: int, ids: Sequence | None = None) -> list[list[tuple]]:

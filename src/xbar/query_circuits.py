@@ -332,11 +332,11 @@ def row_assignments(bits: Sequence[int], prefix: str = "b") -> dict[str, int]:
     return {f"{prefix}{i}": int(b) for i, b in enumerate(bits)}
 
 
-def decode_bits(outputs: dict, prefix: str = "bit") -> int:
+def decode_bits(outputs: dict) -> int:
     """Reassemble an integer from `bit0, bit1, ...` outputs (LSB first)."""
     total = 0
     k = 0
-    while f"{prefix}{k}" in outputs:
-        total += int(outputs[f"{prefix}{k}"]) << k
+    while f"bit{k}" in outputs:
+        total += int(outputs[f"bit{k}"]) << k
         k += 1
     return total

@@ -403,9 +403,8 @@ def test_exit_141_leaves_no_descriptor_open(monkeypatch):
 def test_sort_bad_input_file(tmp_path, capsys):
     path = tmp_path / "vals.txt"
     path.write_text("8\nnope\n")
-    code, _ = run(capsys, "sort", "--n", "2", "--input", str(path))
-    err = capsys.readouterr()
-    assert code == 2
+    assert main(["sort", "--n", "2", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: not an integer: 'nope'\n"
 
 
 @pytest.mark.parametrize("command", [["sort"], ["search", "--key", "1"]])
@@ -434,6 +433,9 @@ def test_min_max_rank_search(capsys):
     assert (code, out.strip()) == (0, "index 4")
     code, out = run(capsys, "search", "--n", "5", "--input", "8,6,9,5,7", "--key", "9")
     assert (code, out.strip()) == (0, "index 2")
+    # Two classes are the fewest search takes.
+    code, out = run(capsys, "search", "--n", "2", "--input", "5,7", "--key", "7")
+    assert (code, out.strip()) == (0, "index 1")
     code, out = run(capsys, "search", "--n", "5", "--input", "8,6,9,5,7", "--key", "4",
                     "--format", "json")
     assert code == 0
@@ -509,6 +511,14 @@ def test_validate_clean_and_violations(tmp_path, capsys):
     code, out = run(capsys, "validate", "--layout", str(bad), "--format", "json")
     assert code == 1
     assert json.loads(out)["violations"]
+
+
+@pytest.mark.parametrize("n, text", [
+    (5, "11 PEs (minimal: 11)\nends: 0 ... 0\ndoubled pairs: none\nok\n"),
+    (6, "18 PEs (minimal: 18)\nends: 0 ... 5\ndoubled pairs: 1-3 2-4\nok\n"),
+])
+def test_validate_text_names_ends_and_doubled_pairs(capsys, n, text):
+    assert run(capsys, "validate", "--n", str(n)) == (0, text)
 
 
 @pytest.mark.parametrize("doc, expected", [

@@ -235,9 +235,9 @@ def mutated_layouts(draw):
     return Layout(n, tuple(slots))
 
 
-# build(5) ends ..., 3, 4, 0.  validate skips its same-class scan when every
-# crosspoint joins two classes, and its repeated-pair scan when no pair code
-# counts twice; each example below needs the scan that the guard must not skip.
+# build(5) ends ..., 3, 4, 0.  validate skips its repeated-pair scan when no
+# pair code counts twice; the doubled-pair examples below need that scan.  The
+# others reach each branch of its crosspoint walk at the ends of the layout.
 _SLOTS_5 = build(5).slots
 
 
@@ -247,6 +247,11 @@ _SLOTS_5 = build(5).slots
 @example(Layout(5, _SLOTS_5 + (0,)))  # same-class pair at the last crosspoint
 @example(Layout(5, _SLOTS_5 + (4, 4)))  # (0, 4) doubled and a same-class crosspoint
 @example(Layout(5, _SLOTS_5 + (7, 0)))  # out-of-range 7 in the doubled pair (0, 7)
+# Same-class pairs at the first and the last crosspoint, beside ids below 0 and
+# at or above n, so the pair codes run from base < 0 over a span > n.
+@example(Layout(5, (1, 1, -2) + _SLOTS_5 + (5, 9, 9)))
+@example(Layout(4, (-1, -1, 6, 0) + build(4).slots + (4, 2, 2)))
+@example(Layout(3, (1, 1, 1)))  # no crosspoint joins two classes: no pair at all
 def test_validate_matches_reference(layout):
     got, want = validate(layout), validate_reference(layout)
     for name in ("violations", "ok", "pe_count", "expected_pe_count",

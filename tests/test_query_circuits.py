@@ -142,7 +142,7 @@ def test_ones_counter_random_wide_rows():
 def test_full_rank_circuit_rows():
     net = build_rank_circuit_threshold(5)
     out = evaluate(net, {f"t_{i}_{k}": T5[i][k] for i in range(5) for k in range(5)})
-    got = [decode_bits(out, prefix=f"rank{i}_bit") for i in range(5)]
+    got = [decode_bits({k.removeprefix(f"rank{i}_"): v for k, v in out.items()}) for i in range(5)]
     assert got == [3, 1, 4, 0, 2]
 
 
