@@ -19,7 +19,7 @@ tags, which only `xbar build` prints.
 """
 
 from collections import Counter
-from itertools import chain, islice
+from itertools import accumulate, chain, compress, islice, repeat
 from typing import NamedTuple
 
 from .cyclic_perm import cycle_reader, q_groups
@@ -71,13 +71,17 @@ def _pairs(codes, base: int, span: int) -> tuple[list[int], list[int]]:
 class ValidationReport(NamedTuple):
     """Structural findings for a layout; empty `violations` means all good.
 
-    `pair_codes` counts the crosspoints of each class pair lo < hi under the
-    integer code lo * id_span + hi; `pair_columns` decodes it on each read.
+    A class pair lo < hi has the integer code lo * id_span + hi.  `pair_rows`
+    marks each pair met by some crosspoint at pair_rows[lo][hi], and
+    `pair_codes` counts by code the crosspoints beyond that mark; when
+    `pair_rows` is empty, `pair_codes` counts them all.  `pair_columns`
+    decodes both on each read.
     """
 
     n: int
     pe_count: int
     expected_pe_count: int
+    pair_rows: list[bytearray]
     pair_codes: Counter
     id_base: int
     id_span: int
@@ -92,9 +96,20 @@ class ValidationReport(NamedTuple):
 
     def pair_columns(self) -> tuple[list[int], list[int], list[int]]:
         """lo, hi and crosspoints of each adjacent class pair, in ascending pair order."""
-        codes = sorted(self.pair_codes)
-        return (*_pairs(codes, self.id_base, self.id_span),
-                list(map(self.pair_codes.__getitem__, codes)))
+        rows, codes, span = self.pair_rows, self.pair_codes, self.id_span
+        if not rows:
+            keys = sorted(codes)
+            return (*_pairs(keys, self.id_base, span), list(map(codes.__getitem__, keys)))
+        marked = [row.count(1) for row in rows]
+        los = list(chain.from_iterable(map(repeat, range(span), marked)))
+        his = list(chain.from_iterable(map(compress, repeat(range(span)), rows)))
+        counts = [1] * len(his)
+        # A repeated pair's place is the marks in the rows before its own and left of it.
+        starts = list(accumulate(marked, initial=0))
+        for code, extra in codes.items():
+            lo, hi = divmod(code, span)
+            counts[starts[lo] + rows[lo].count(1, 0, hi)] += extra
+        return los, his, counts
 
     @property
     def replicate_counts(self) -> list[int]:
@@ -197,6 +212,16 @@ def build(n: int) -> Layout:
         n, lambda i, ci, elements: read(elements), [n - 1], [n - 1, 0]))))
 
 
+def _unmarked(rows: list[bytearray], n: int):
+    """Yield each pair a < b < n, in ascending order, whose rows[a][b] is 0."""
+    for a in range(n):
+        row = rows[a]
+        b = row.find(0, a + 1, n)
+        while b >= 0:
+            yield a, b
+            b = row.find(0, b + 1, n)
+
+
 def validate(layout: Layout) -> ValidationReport:
     """Check every structural claim for a layout.
 
@@ -205,6 +230,16 @@ def validate(layout: Layout) -> ValidationReport:
     slots of the same class, every class pair must be covered (exactly
     once for odd n; with exactly n/2 - 1 doubled pairs for even n), and
     per-class slot counts must meet their end-placement lower bounds.
+
+    One walk over the crosspoints finds the pairs; a second pass names the
+    same-class crosspoints only when the walk met one.  When no id is negative
+    and the ids span at most 2 * sqrt(slots) values, as in every layout
+    `build` makes and every minimal layout, the walk marks each pair lo < hi
+    in a table of `bytearray` rows, at most 4 bytes per slot, and keeps only
+    the codes of repeated pairs; coverage and the missing pairs are then
+    read from the rows in C.  Any other layout, which breaks a structural
+    claim, is walked into a `Counter` of every crosspoint's pair code, so
+    time and memory stay in the slot count, not in the declared n.
     """
     n, slots = layout.n, layout.slots
     violations: list[str] = []
@@ -214,49 +249,72 @@ def validate(layout: Layout) -> ValidationReport:
         violations.append(f"class count n={n} below 2")
     if not slots:
         violations.append("layout has no slots")
-        return ValidationReport(n, 0, 0, Counter(), 0, 1, [], counts, (-1, -1), violations)
+        return ValidationReport(n, 0, 0, [], Counter(), 0, 1, [], counts, (-1, -1), violations)
 
     out_of_range = sorted(c for c in counts if not 0 <= c < n)
     if out_of_range:
         violations.append(f"slot class ids out of range 0..{n - 1}: {out_of_range}")
 
-    # Each crosspoint of two classes lo < hi counts its pair under the code
-    # lo * span + hi (see _pairs); one of a single class is a violation.
+    # Each crosspoint of two classes lo < hi meets the pair with the code
+    # lo * span + hi (see _pairs).
     base = min(0, min(counts))
     span = max(n - 1, max(counts)) + 1 - base
-    pairs = []
-    for s, (lo, hi) in enumerate(zip(slots, islice(slots, 1, None))):
-        if lo > hi:
-            lo, hi = hi, lo
-        elif lo == hi:
-            violations.append(f"adjacent same-class slots at positions {s},{s + 1} (class {lo})")
-            continue
-        pairs.append(lo * span + hi)
-    codes = Counter(pairs)
+    crosspoints = zip(slots, islice(slots, 1, None))
+    if base == 0 and span * span <= 4 * len(slots):
+        rows, repeats = [bytearray(span) for _ in range(span)], []
+        for lo, hi in crosspoints:
+            if lo > hi:
+                lo, hi = hi, lo
+            elif lo == hi:
+                continue
+            marks = rows[lo]
+            if marks[hi]:
+                repeats.append(lo * span + hi)
+            marks[hi] = 1
+        met = sum([row.count(1) for row in rows]) + len(repeats)
+        codes = extra = Counter(repeats)
+        covered = sum([row.count(1, 0, n) for row in rows[:n]])
+        absent = _unmarked(rows, n)
+    else:
+        rows, pairs = [], []
+        for lo, hi in crosspoints:
+            if lo > hi:
+                lo, hi = hi, lo
+            elif lo == hi:
+                continue
+            pairs.append(lo * span + hi)
+        met = len(pairs)
+        codes = Counter(pairs)
+        extra = Counter({c: k - 1 for c, k in codes.items() if k > 1})
+        decoded = zip(*_pairs(codes, base, span)) if out_of_range else ()
+        covered = len(codes) - sum(lo < 0 or hi >= n for lo, hi in decoded)
+        absent = ((a, b) for a in range(n) for b in range(a + 1, n) if a * span + b not in codes)
+    # Both walks skip a crosspoint of a single class.  Numbering every
+    # crosspoint would cost a walk about a third of its time, so a second,
+    # numbered pass names those crosspoints only when a walk skipped one.
+    if met < len(slots) - 1:
+        violations += [f"adjacent same-class slots at positions {s},{s + 1} (class {lo})"
+                       for s, (lo, hi) in enumerate(zip(slots, islice(slots, 1, None))) if lo == hi]
 
     expected = min_pe_count(n) if n >= 2 else 0
     if len(slots) != expected:
         violations.append(f"pe count {len(slots)} != minimal {expected}")
 
-    repeated = [c for c, k in codes.items() if k > 1] if len(pairs) > len(codes) else []
-    redundant = list(zip(*_pairs(sorted(repeated), base, span)))
+    redundant = list(zip(*_pairs(sorted(extra), base, span)))
     # A pair with an out-of-range id is redundant, but neither covered nor doubled.
     doubled = [p for p in redundant if p[0] >= 0 and p[1] < n]
 
     # Missing pairs are counted rather than listed and the search for
     # examples stops at the last one shown, so the work is bounded by the
     # slot count, not by the n(n-1)/2 pairs the declared n implies.
-    decoded = zip(*_pairs(codes, base, span)) if out_of_range else ()
-    covered = len(codes) - sum(lo < 0 or hi >= n for lo, hi in decoded)
     missing = n * (n - 1) // 2 - covered if n >= 2 else 0
     if missing:
-        absent = ((a, b) for a in range(n) for b in range(a + 1, n) if a * span + b not in codes)
         examples = list(islice(absent, EXAMPLES))
         violations.append(f"{missing} class pairs never adjacent, e.g. {examples}")
     if n % 2 and doubled:
         violations.append(f"odd n: pairs adjacent more than once: {doubled[:EXAMPLES]}")
     elif n % 2 == 0:
-        over = [(a, b) for a, b in doubled if codes[a * span + b] > 2]
+        over = [(a, b) for a, b in doubled if extra[a * span + b] > 1]
         if over:
             violations.append(f"pairs adjacent more than twice: {over[:EXAMPLES]}")
         if not missing and len(redundant) != n // 2 - 1:
@@ -278,5 +336,5 @@ def validate(layout: Layout) -> ValidationReport:
         if short > EXAMPLES:
             violations.append(f"{short - EXAMPLES} more classes below their slot lower bound")
 
-    return ValidationReport(n, len(slots), expected, codes, base, span, redundant, counts, ends,
-                            violations)
+    return ValidationReport(n, len(slots), expected, rows, codes, base, span, redundant, counts,
+                            ends, violations)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -115,12 +116,38 @@ def test_built_layouts_validate_clean(n):
     report = validate(layout)
     assert report.ok, report.violations
     assert report.pe_count == min_pe_count(n)
+    assert len(report.pair_rows) == n  # every built layout takes the table walk
     if n % 2 == 0:
         assert len(report.redundant_pairs) == n // 2 - 1
     else:
         assert report.redundant_pairs == []
     for c in range(n):
         assert report.replicate_counts[c] >= replicate_lower_bound(n, 0)
+
+
+def test_validate_peak_memory_stays_within_the_pair_table():
+    # The table walk holds at most 4 bytes per slot.  A Counter of one int
+    # code per crosspoint peaks at about 13 MB here, 100 bytes per slot.
+    layout = build(512)
+    tracemalloc.start()
+    try:
+        report = validate(layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok, report.violations
+    assert peak < 2 * 4 * len(layout.slots)
+
+
+def test_validate_walks_into_the_table_only_within_4_bytes_per_slot():
+    # Ids 0..3 need a 4 x 4 table, which 4 slots hold exactly.
+    report = validate(Layout(4, (0, 1, 2, 3)))
+    assert len(report.pair_rows) == 4
+    assert "3 class pairs never adjacent, e.g. [(0, 2), (0, 3), (1, 3)]" in report.violations
+    assert report.pair_columns() == ([0, 1, 2], [1, 2, 3], [1, 1, 1])
+    # Ids 0..4 need 5 x 5 bytes, more than 5 slots hold; a negative id is never tabled.
+    assert validate(Layout(5, (0, 1, 2, 3, 4))).pair_rows == []
+    assert validate(Layout(4, (-1, 0, 1, 2, 3))).pair_rows == []
 
 
 def test_validate_flags_same_class_adjacency():

@@ -235,9 +235,9 @@ def mutated_layouts(draw):
     return Layout(n, tuple(slots))
 
 
-# build(5) ends ..., 3, 4, 0.  validate skips its repeated-pair scan when no
-# pair code counts twice; the doubled-pair examples below need that scan.  The
-# others reach each branch of its crosspoint walk at the ends of the layout.
+# build(5) ends ..., 3, 4, 0.  The examples below put doubled pairs and
+# same-class crosspoints at the ends of the layout, where each branch of the
+# crosspoint walks and the numbered same-class pass meet them.
 _SLOTS_5 = build(5).slots
 
 
@@ -252,6 +252,12 @@ _SLOTS_5 = build(5).slots
 @example(Layout(5, (1, 1, -2) + _SLOTS_5 + (5, 9, 9)))
 @example(Layout(4, (-1, -1, 6, 0) + build(4).slots + (4, 2, 2)))
 @example(Layout(3, (1, 1, 1)))  # no crosspoint joins two classes: no pair at all
+# The table walk: (0, 1) met 301 times, more than one count byte could hold.
+@example(Layout(5, _SLOTS_5 + (1, 0) * 150))
+# The Counter walk: 50 slots cannot hold the 50 x 50 table of ids 0..49.
+@example(Layout(50, tuple(range(50))))
+# The table walk with an out-of-range id: ids 0..13 fit 73 slots (14 * 14 <= 4 * 73).
+@example(Layout(12, build(12).slots + (13,)))
 def test_validate_matches_reference(layout):
     got, want = validate(layout), validate_reference(layout)
     for name in ("violations", "ok", "pe_count", "expected_pe_count",
