@@ -261,6 +261,7 @@ def validate(layout: Layout) -> ValidationReport:
     span = max(n - 1, max(counts)) + 1 - base
     crosspoints = zip(slots, islice(slots, 1, None))
     if base == 0 and span * span <= 4 * len(slots):
+        # Pair lo < hi marks rows[lo][hi]; a pair met again adds its code to repeats.
         rows, repeats = [bytearray(span) for _ in range(span)], []
         for lo, hi in crosspoints:
             if lo > hi:
