@@ -24,8 +24,14 @@ command line, ``command (--flag value)*`` with full flag names, each at most
 once and valid, and no value starting with ``-``, is read from that table
 without importing argparse; help, usage errors and any other form go through
 the argparse parser built from the same table.
+
+Run as a script (``xbar`` or ``python -m xbar.cli``, where `main` reads
+``sys.argv``), `main` first calls `gc.freeze`: the interpreter's exit runs
+full collections over every object startup made, and frozen objects are
+skipped.  A caller that passes ``argv`` keeps its heap as it was.
 """
 
+import gc
 import io
 import os
 import sys
@@ -377,6 +383,8 @@ def _parse_exact(argv):
 
 
 def main(argv=None) -> int:
+    if argv is None:  # run as a script: see the module docstring
+        gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_exact(argv) or _build_parser().parse_args(argv)
     out = sys.stdout

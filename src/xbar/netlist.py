@@ -238,7 +238,7 @@ def depth(net: Netlist, fanin_limit: "str | int" = "unbounded") -> DepthReport:
     levels = {w: 0 for w in target.inputs}
     thr = []
     for gid, kind, inputs, _ in target.gates:
-        levels[gid] = 1 + max(map(levels.__getitem__, inputs), default=0)
+        levels[gid] = 1 + max(map(levels.__getitem__, inputs))
         if kind == "THRESHOLD":
             thr.append(len(inputs))
     d = max((0 if isinstance(w, int) else levels[w] for w in target.outputs.values()), default=0)

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -398,6 +399,53 @@ def test_exit_141_leaves_no_descriptor_open(monkeypatch):
     for _ in range(3):
         closed_pipe_call()
     assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_main_with_argv_leaves_the_heap_unfrozen(capsys):
+    # Tests and the bench's in-process replay pass argv; their heap stays collectable.
+    before = gc.get_freeze_count()
+    assert run(capsys, "perm", "--n", "4")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, ending", [(["perm", "--n", "4"], "return 0"),
+                                           (["--help"], "exit 0")])
+def test_a_script_run_freezes_the_startup_heap_before_parsing(argv, ending):
+    # Run as `xbar` or `python -m xbar.cli`, main reads sys.argv and freezes the heap
+    # first, so --help, which leaves through argparse's SystemExit, exits frozen too.
+    probe = ("import gc, sys; from xbar.cli import main\n"
+             "try:\n    ending = f'return {main()}'\n"
+             "except SystemExit as exc:\n    ending = f'exit {exc.code}'\n"
+             "print(ending, gc.get_freeze_count() > 0, file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout, done.stderr
+    assert done.stderr == f"{ending} True\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sort", "--n", "9", "--trace", "{trace}", "--format", "json"], 0),
+    (["sort", "--n", "9", "--trace", "{trace}", "--format", "csv"], 0),
+    pytest.param(["sort", "--n", "9", "--trace", "/dev/full"], 2, marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="needs /dev/full")),
+    (["sort", "--n", "5", "--input", "{values}"], 0),
+    (["validate", "--layout", "{layout}"], 0),
+    (["build", "--n", "9", "--format", "csv"], 0),
+])
+def test_no_command_leaves_a_file_for_the_exit_to_close(tmp_path, argv, code):
+    # A script run freezes its startup heap, and a frozen object in a reference cycle
+    # is never finalized at exit, so a file left for the exit could lose its buffered
+    # bytes.  Each command closes what it opens: collecting after it finalizes no file.
+    layout, values = tmp_path / "layout.json", tmp_path / "values.txt"
+    layout.write_text('{"n": 4, "slots": [0, 1, 2, 3, 0, 2, 1, 3]}')
+    values.write_text("8\n6\n9\n5\n7\n")
+    paths = {"{layout}": str(layout), "{values}": str(values), "{trace}": str(tmp_path / "t.jsonl")}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main([paths.get(a, a) for a in argv]) == code
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def test_sort_bad_input_file(tmp_path, capsys):
